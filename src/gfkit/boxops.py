@@ -1,14 +1,17 @@
 """O(1)-per-pixel sliding-window sums, means, variances and covariances.
 
 These are the windowed-average primitives every filter in the package is
-assembled from. The fast path is a running-sum recurrence (one pass per
-axis, cost independent of the radius); ``naive_box_sum`` re-derives the
-same quantity by direct per-offset summation and serves as the test oracle.
+assembled from. The fast path is scipy's C running sum
+(``scipy.ndimage.uniform_filter1d``), one pass per axis with cost
+independent of the radius: zero extension gives the truncated window,
+wrap extension the periodic one. ``naive_box_sum`` re-derives the same
+quantity by direct per-offset summation and serves as the test oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.ndimage import uniform_filter1d
 
 from .core import Boundary, Image, WindowSpec, as_image, require_same_shape
 
@@ -19,45 +22,16 @@ def _validate(x: Image, w: WindowSpec) -> Image:
     return x
 
 
-def _slide_sum_axis0(x: np.ndarray, r: int, periodic: bool) -> np.ndarray:
-    """Running windowed sum along axis 0, vectorized over the other axis.
-
-    Per-row cost is two in-place vector ops regardless of r; the truncate
-    path gets the same uniform recurrence by zero-padding top and bottom.
-    """
-    n = x.shape[0]
-    out = np.empty_like(x)
-    if periodic:
-        acc = x[0].astype(np.float64, copy=True)
-        for j in range(1, r + 1):
-            acc += x[j % n]
-            acc += x[-j % n]
-        out[0] = acc
-        for i in range(1, n):
-            np.add(acc, x[(i + r) % n], out=acc)
-            np.subtract(acc, x[(i - 1 - r) % n], out=acc)
-            out[i] = acc
-    else:
-        padded = np.zeros((n + 2 * r, x.shape[1]), dtype=np.float64)
-        padded[r : r + n] = x
-        acc = padded[: 2 * r + 1].sum(axis=0, dtype=np.float64)
-        out[0] = acc
-        for i in range(1, n):
-            np.add(acc, padded[i + 2 * r], out=acc)
-            np.subtract(acc, padded[i - 1], out=acc)
-            out[i] = acc
-    return out
-
-
 def box_sum(x: Image, w: WindowSpec) -> Image:
     """Sum of x over the window around each pixel."""
     x = _validate(x, w)
     if w.radius == 0:
         return x.copy()
-    periodic = w.boundary is Boundary.PERIODIC
-    rows = _slide_sum_axis0(x, w.radius, periodic)
-    cols = _slide_sum_axis0(np.ascontiguousarray(rows.T), w.radius, periodic)
-    return np.ascontiguousarray(cols.T)
+    mode = "wrap" if w.boundary is Boundary.PERIODIC else "constant"
+    out = uniform_filter1d(x, w.side, axis=1, mode=mode)
+    uniform_filter1d(out, w.side, axis=0, output=out, mode=mode)
+    out *= w.side * w.side
+    return out
 
 
 def _counts_1d(n: int, w: WindowSpec) -> np.ndarray:
@@ -77,7 +51,9 @@ def window_counts(shape, w: WindowSpec) -> Image:
 def box_mean(x: Image, w: WindowSpec) -> Image:
     """Windowed average of x, normalized by the actual per-pixel window size."""
     x = _validate(x, w)
-    return box_sum(x, w) / window_counts(x.shape, w)
+    out = box_sum(x, w)
+    out /= window_counts(x.shape, w)
+    return out
 
 
 def box_var(x: Image, w: WindowSpec) -> Image:
@@ -101,7 +77,7 @@ def naive_box_sum(x: Image, w: WindowSpec) -> Image:
     """Same contract as box_sum, by direct summation over every window offset.
 
     O(|w|) work per pixel; no running sums anywhere, so it is an independent
-    oracle for the recurrence-based fast path.
+    oracle for the running-sum fast path.
     """
     x = _validate(x, w)
     h, width = x.shape

@@ -32,7 +32,10 @@ def cgf(p: Image, guide: Image, g: Image, w: WindowSpec, eps: float, lam: float)
     g = as_image(g)
     require_same_shape(p, guide, g)
     alpha = anchor_weight(p.shape, w, lam)
-    return (1.0 - alpha) * gf(p, guide, w, eps) + alpha * g
+    out = gf(p, guide, w, eps)
+    out *= 1.0 - alpha
+    out += alpha * g
+    return out
 
 
 def cgf_roll(

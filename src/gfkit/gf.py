@@ -38,14 +38,24 @@ def gf_coeffs(p: Image, guide: Image, w: WindowSpec, eps: float) -> GfCoeffs:
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     # shares the window means between cov and var; value-identical to
-    # box_cov(guide, p) / (box_var(guide) + eps)
+    # box_cov(guide, p) / (box_var(guide) + eps). The in-place steps below
+    # only touch arrays box_sum just allocated; the returned fields are fresh.
     counts = window_counts(p.shape, w)
-    mean_g = box_sum(guide, w) / counts
-    mean_p = box_sum(p, w) / counts
-    cov = box_sum(guide * p, w) / counts - mean_g * mean_p
-    var = np.maximum(box_sum(guide * guide, w) / counts - mean_g * mean_g, 0.0)
-    a = cov / (var + eps)
-    b = mean_p - a * mean_g
+    mean_g = box_sum(guide, w)
+    mean_g /= counts
+    mean_p = box_sum(p, w)
+    mean_p /= counts
+    a = box_sum(guide * p, w)  # cov(guide, p), then a
+    a /= counts
+    a -= mean_g * mean_p
+    var = box_sum(guide * guide, w)
+    var /= counts
+    var -= mean_g * mean_g
+    np.maximum(var, 0.0, out=var)
+    var += eps
+    a /= var
+    b = mean_p  # mean(p) - a * mean(guide)
+    b -= a * mean_g
     return GfCoeffs(a=a, b=b)
 
 
@@ -53,7 +63,10 @@ def gf_apply(coeffs: GfCoeffs, guide: Image, w: WindowSpec) -> Image:
     """Aggregate the per-window estimates: mean(a) * guide + mean(b)."""
     guide = as_image(guide)
     require_same_shape(coeffs.a, coeffs.b, guide)
-    return box_mean(coeffs.a, w) * guide + box_mean(coeffs.b, w)
+    out = box_mean(coeffs.a, w)
+    out *= guide
+    out += box_mean(coeffs.b, w)
+    return out
 
 
 def gf(p: Image, guide: Image, w: WindowSpec, eps: float) -> Image:

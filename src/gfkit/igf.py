@@ -22,6 +22,18 @@ from .boxops import box_mean, box_sum
 DEGENERATE_EPS = 1e-12
 
 
+def _solve_or_keep(num: Image, denom: Image, prior: Image) -> Image:
+    """num / denom, or the prior pixel where denom < DEGENERATE_EPS.
+
+    Overwrites num and denom, which must be arrays the caller allocated.
+    """
+    degenerate = denom < DEGENERATE_EPS
+    np.copyto(denom, 1.0, where=degenerate)
+    num /= denom
+    np.copyto(num, prior, where=degenerate)
+    return num
+
+
 def igf_update(coeffs: GfCoeffs, p: Image, w: WindowSpec, prior: Image) -> Image:
     """Per-pixel solve of the inverted window models.
 
@@ -31,16 +43,11 @@ def igf_update(coeffs: GfCoeffs, p: Image, w: WindowSpec, prior: Image) -> Image
     p = as_image(p)
     prior = as_image(prior)
     require_same_shape(p, prior, coeffs.a, coeffs.b)
-    mean_a = box_mean(coeffs.a, w)
-    mean_ab = box_mean(coeffs.a * coeffs.b, w)
+    out = box_mean(coeffs.a, w)
+    out *= p
+    out -= box_mean(coeffs.a * coeffs.b, w)
     mean_aa = box_mean(coeffs.a * coeffs.a, w)
-    degenerate = mean_aa < DEGENERATE_EPS
-    out = np.where(
-        degenerate,
-        prior,
-        (mean_a * p - mean_ab) / np.where(degenerate, 1.0, mean_aa),
-    )
-    return out
+    return _solve_or_keep(out, mean_aa, prior)
 
 
 def igf(p: Image, guess: Image, w: WindowSpec, eps: float) -> Image:
@@ -67,17 +74,13 @@ def icgf_update(
     g = as_image(g)
     prior = as_image(prior)
     require_same_shape(p, g, prior, coeffs.a, coeffs.b)
-    sum_a = box_sum(coeffs.a, w)
-    sum_ab = box_sum(coeffs.a * coeffs.b, w)
-    sum_aa = box_sum(coeffs.a * coeffs.a, w)
-    denom = sum_aa + lam
-    degenerate = denom < DEGENERATE_EPS
-    out = np.where(
-        degenerate,
-        prior,
-        (sum_a * p - sum_ab + lam * g) / np.where(degenerate, 1.0, denom),
-    )
-    return out
+    out = box_sum(coeffs.a, w)
+    out *= p
+    out -= box_sum(coeffs.a * coeffs.b, w)
+    out += lam * g
+    denom = box_sum(coeffs.a * coeffs.a, w)
+    denom += lam
+    return _solve_or_keep(out, denom, prior)
 
 
 def icgf(p: Image, guess: Image, g: Image, w: WindowSpec, eps: float, lam: float) -> Image:

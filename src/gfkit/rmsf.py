@@ -50,7 +50,21 @@ class MutualSnapshot:
 def alpha_weight(x: Image, w: WindowSpec) -> Image:
     """Blend weight 1 / (1 + mean(x^2)); always in (0, 1]."""
     x = as_image(x)
-    return 1.0 / (1.0 + box_mean(x * x, w))
+    out = box_mean(x * x, w)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
+def _blend(alpha: Image, x: Image, y: Image) -> Image:
+    """alpha * x + (1 - alpha) * y, computed in place.
+
+    Overwrites all three arguments, which must be arrays the caller
+    allocated and no longer needs; the result is written into x.
+    """
+    x *= alpha
+    y *= np.subtract(1.0, alpha, out=alpha)
+    x += y
+    return x
 
 
 def gf_rmsf(
@@ -80,10 +94,8 @@ def gf_rmsf(
         cd = gf_coeffs(G, q, w, eps2)
         alpha_q = alpha_weight(cd.a, w)
         alpha_g = alpha_weight(ab.a, w)
-        q_new = alpha_q * gf_apply(ab, G, w) + (1.0 - alpha_q) * igf_update(cd, G, w, prior=q)
-        G_new = alpha_g * gf_apply(cd, q_new, w) + (1.0 - alpha_g) * igf_update(
-            ab, q_new, w, prior=G
-        )
+        q_new = _blend(alpha_q, gf_apply(ab, G, w), igf_update(cd, G, w, prior=q))
+        G_new = _blend(alpha_g, gf_apply(cd, q_new, w), igf_update(ab, q_new, w, prior=G))
         q, G = q_new, G_new
         if snapshots is not None:
             snapshots.append(MutualSnapshot(MutualState(q, G, n + 1), ab, cd))
@@ -118,18 +130,24 @@ def cgf_rmsf(
     require_same_shape(p, guide)
     alpha_lam = anchor_weight(p.shape, w, lam)
     alpha_beta = anchor_weight(p.shape, w, beta)
+    keep_lam = 1.0 - alpha_lam
+    keep_beta = 1.0 - alpha_beta
     q, G = p, guide
     for n in range(iters):
         ab = gf_coeffs(q, G, w, eps)
         cd = gf_coeffs(G, q, w, eps2)
         alpha_q = alpha_weight(cd.a, w)
         alpha_g = alpha_weight(ab.a, w)
-        cgf_q = (1.0 - alpha_lam) * gf_apply(ab, G, w) + alpha_lam * p
+        cgf_q = gf_apply(ab, G, w)
+        cgf_q *= keep_lam
+        cgf_q += alpha_lam * p
         icgf_q = icgf_update(cd, G, guide, w, beta, prior=q)
-        q_new = alpha_q * cgf_q + (1.0 - alpha_q) * icgf_q
-        cgf_g = (1.0 - alpha_beta) * gf_apply(cd, q_new, w) + alpha_beta * guide
+        q_new = _blend(alpha_q, cgf_q, icgf_q)
+        cgf_g = gf_apply(cd, q_new, w)
+        cgf_g *= keep_beta
+        cgf_g += alpha_beta * guide
         icgf_g = icgf_update(ab, q_new, p, w, lam, prior=G)
-        G_new = alpha_g * cgf_g + (1.0 - alpha_g) * icgf_g
+        G_new = _blend(alpha_g, cgf_g, icgf_g)
         q, G = q_new, G_new
         if snapshots is not None:
             snapshots.append(MutualSnapshot(MutualState(q, G, n + 1), ab, cd))

@@ -46,9 +46,10 @@ def tvgf_solve_q(f: Image, w: WindowSpec, lam: float) -> Image:
     _require_periodic(w)
     w.check_fits(f.shape)
     h, width = f.shape
-    denom = tv_denominator(width, h, w, lam)
-    q = np.fft.ifft2(np.fft.fft2(f) / denom)
-    return np.ascontiguousarray(q.real)
+    # f is real, so its spectrum is Hermitian: solve on the half spectrum
+    spectrum = np.fft.rfft2(f)
+    spectrum /= tv_denominator(width, h, w, lam)[:, : width // 2 + 1]
+    return np.fft.irfft2(spectrum, s=f.shape)
 
 
 def tvgf(p: Image, guide: Image, w: WindowSpec, eps: float, lam: float) -> Image:
@@ -60,7 +61,9 @@ def tvgf(p: Image, guide: Image, w: WindowSpec, eps: float, lam: float) -> Image
     require_same_shape(p, guide)
     _require_periodic(w)
     coeffs = gf_coeffs(p, guide, w, eps)
-    f = box_sum(coeffs.a, w) * guide + box_sum(coeffs.b, w)
+    f = box_sum(coeffs.a, w)
+    f *= guide
+    f += box_sum(coeffs.b, w)
     return tvgf_solve_q(f, w, lam)
 
 

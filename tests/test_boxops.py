@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gfkit.core import Boundary, WindowSpec, make_image
 from gfkit.boxops import (
@@ -46,6 +49,56 @@ def test_box_sum_matches_naive(boundary, r):
         got = box_sum(x, w)
         want = naive_box_sum(x, w)
         assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def _base_shape(shape, layout: str):
+    """Shape of the array whose _layout view has the given shape."""
+    h, width = shape
+    return {"c": (h, width), "transposed": (width, h), "strided": (2 * h, 3 * width)}[layout]
+
+
+def _layout(base: np.ndarray, layout: str) -> np.ndarray:
+    """A view of base in the given memory layout (no copy)."""
+    return {"c": base, "transposed": base.T, "strided": base[::2, ::3]}[layout]
+
+
+@st.composite
+def box_cases(draw):
+    """(image, window): any shape and memory layout, both boundaries, data
+    in [-1, 1] optionally offset by +100, radius up to the periodic fit.
+
+    Values lie on a 2^-10 grid, so the oracle's sums are exact in float64
+    and the tolerance bounds the fast path's round-off alone.
+    """
+    h = draw(st.integers(1, 20))
+    width = draw(st.integers(1, 20))
+    boundary = draw(st.sampled_from(BOTH))
+    r_max = (min(h, width) - 1) // 2 if boundary is Boundary.PERIODIC else 6
+    r = draw(st.integers(0, r_max))
+    layout = draw(st.sampled_from(["c", "transposed", "strided"]))
+    base_shape = _base_shape((h, width), layout)
+    base = draw(arrays(np.int64, base_shape, elements=st.integers(-1024, 1024))) / 1024.0
+    base += draw(st.sampled_from([0.0, 100.0]))
+    return _layout(base, layout), WindowSpec(r, boundary)
+
+
+def _example(shape, r, boundary, layout="c", offset=0.0):
+    base_shape = _base_shape(shape, layout)
+    base = np.random.default_rng(sum(shape) + r).integers(-1024, 1025, base_shape) / 1024.0 + offset
+    return _layout(base, layout), WindowSpec(r, boundary)
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_cases())
+@example(_example((1, 11), 3, Boundary.TRUNCATE))
+@example(_example((9, 1), 2, Boundary.TRUNCATE, "transposed"))
+@example(_example((1, 7), 0, Boundary.PERIODIC))
+@example(_example((5, 8), 2, Boundary.PERIODIC, "strided", 100.0))
+@example(_example((9, 7), 3, Boundary.PERIODIC, "transposed", 100.0))
+@example(_example((6, 4), 0, Boundary.TRUNCATE, "strided"))
+def test_box_sum_matches_naive_property(case):
+    x, w = case
+    assert np.max(np.abs(box_sum(x, w) - naive_box_sum(x, w))) <= 1e-10
 
 
 @pytest.mark.parametrize("boundary", BOTH)
