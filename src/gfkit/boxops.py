@@ -28,7 +28,9 @@ def box_sum(x: Image, w: WindowSpec) -> Image:
     if w.radius == 0:
         return x.copy()
     mode = "wrap" if w.boundary is Boundary.PERIODIC else "constant"
-    out = uniform_filter1d(x, w.side, axis=1, mode=mode)
+    # scipy would zero-fill an output it allocates; every element is overwritten
+    out = np.empty_like(x, order="C")
+    uniform_filter1d(x, w.side, axis=1, output=out, mode=mode)
     uniform_filter1d(out, w.side, axis=0, output=out, mode=mode)
     out *= w.side * w.side
     return out

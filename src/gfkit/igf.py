@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import Image, WindowSpec, as_image, require_same_shape
 from .gf import GfCoeffs, gf_coeffs
-from .boxops import box_mean, box_sum
+from .boxops import box_sum, window_counts
 
 # Below this, the quadratic in G_i is flat and any value minimizes it;
 # we keep the prior pixel instead of dividing by ~0.
@@ -43,10 +43,15 @@ def igf_update(coeffs: GfCoeffs, p: Image, w: WindowSpec, prior: Image) -> Image
     p = as_image(p)
     prior = as_image(prior)
     require_same_shape(p, prior, coeffs.a, coeffs.b)
-    out = box_mean(coeffs.a, w)
+    counts = window_counts(p.shape, w)
+    out = box_sum(coeffs.a, w)
+    out /= counts
     out *= p
-    out -= box_mean(coeffs.a * coeffs.b, w)
-    mean_aa = box_mean(coeffs.a * coeffs.a, w)
+    mean_ab = box_sum(coeffs.a * coeffs.b, w)
+    mean_ab /= counts
+    out -= mean_ab
+    mean_aa = box_sum(coeffs.a * coeffs.a, w)
+    mean_aa /= counts
     return _solve_or_keep(out, mean_aa, prior)
 
 

@@ -101,7 +101,8 @@ def read_pnm(data: bytes) -> list[Image]:
 
 def write_pnm(channels: list[Image], maxval: int = 255) -> bytes:
     """Encode 1 (P5) or 3 (P6) channels; values are clamped to [0, 1] and
-    quantized with round-half-away-from-zero."""
+    quantized with round-half-away-from-zero. NaN and +-Inf samples are
+    rejected with ValueError rather than written as 0 or maxval."""
     if maxval not in SUPPORTED_MAXVALS:
         raise ValueError(f"unsupported maxval {maxval}, use one of {SUPPORTED_MAXVALS}")
     if len(channels) not in (1, 3):
@@ -110,6 +111,10 @@ def write_pnm(channels: list[Image], maxval: int = 255) -> bytes:
     shape = chans[0].shape
     if any(c.shape != shape for c in chans):
         raise ValueError("channel shape mismatch")
+    for idx, c in enumerate(chans):
+        bad = c.size - int(np.count_nonzero(np.isfinite(c)))
+        if bad:
+            raise ValueError(f"channel {idx} has {bad} non-finite samples (NaN or Inf)")
     height, width = shape
     quantized = [
         np.floor(np.clip(c, 0.0, 1.0) * maxval + 0.5).astype(np.uint32) for c in chans

@@ -45,7 +45,7 @@ def _gaussian_window(n: int, sigma: float) -> np.ndarray:
 def _local_mean(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     r = len(kernel) // 2
     out = correlate1d(x, kernel, axis=0, mode="constant")
-    out = correlate1d(out, kernel, axis=1, mode="constant")
+    correlate1d(out, kernel, axis=1, output=out, mode="constant")
     return out[r:-r, r:-r]
 
 
@@ -63,9 +63,30 @@ def ssim(x: Image, y: Image, peak: float = 1.0) -> float:
     kernel = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
     mu_x = _local_mean(x, kernel)
     mu_y = _local_mean(y, kernel)
-    var_x = _local_mean(x * x, kernel) - mu_x * mu_x
-    var_y = _local_mean(y * y, kernel) - mu_y * mu_y
-    cov = _local_mean(x * y, kernel) - mu_x * mu_y
-    num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
-    den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
-    return float(np.mean(num / den))
+    # num = (2 mu_x mu_y + c1)(2 cov + c2) and
+    # den = (mu_x^2 + mu_y^2 + c1)(var_x + var_y + c2), in that operation
+    # order; the in-place steps write only into arrays allocated here
+    product = x * x
+    var_x = _local_mean(product, kernel)
+    var_x -= mu_x * mu_x
+    np.multiply(y, y, out=product)
+    var_y = _local_mean(product, kernel)
+    var_y -= mu_y * mu_y
+    np.multiply(x, y, out=product)
+    cov = _local_mean(product, kernel)
+    del product
+    cov -= mu_x * mu_y
+    num = 2.0 * mu_x
+    num *= mu_y
+    num += c1
+    cov *= 2.0
+    cov += c2
+    num *= cov
+    den = np.multiply(mu_x, mu_x, out=mu_x)
+    den += np.multiply(mu_y, mu_y, out=mu_y)
+    den += c1
+    var_x += var_y
+    var_x += c2
+    den *= var_x
+    num /= den
+    return float(np.mean(num))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Boundary, EnergyReport, Image, WindowSpec, as_image, require_same_shape
-from .gf import GfCoeffs, gf_coeffs, energy_gf
+from .gf import GfCoeffs, energy_gf, fit_coeffs, gf_coeffs, guide_moments
 from .boxops import box_sum
 
 
@@ -40,16 +40,32 @@ def tv_denominator(width: int, height: int, w: WindowSpec, lam: float) -> Image:
     return float(w.side**2) + lam * d
 
 
+def _half_denominator(shape, w: WindowSpec, lam: float) -> Image:
+    h, width = shape
+    return tv_denominator(width, h, w, lam)[:, : width // 2 + 1]
+
+
+def _solve_half(f: Image, denominator: Image) -> Image:
+    # f is real, so its spectrum is Hermitian: solve on the half spectrum
+    spectrum = np.fft.rfft2(f)
+    spectrum /= denominator
+    return np.fft.irfft2(spectrum, s=f.shape)
+
+
 def tvgf_solve_q(f: Image, w: WindowSpec, lam: float) -> Image:
     """Solve (|w| + lam * L) q = f for q, L the circular 5-point Laplacian."""
     f = as_image(f)
     _require_periodic(w)
     w.check_fits(f.shape)
-    h, width = f.shape
-    # f is real, so its spectrum is Hermitian: solve on the half spectrum
-    spectrum = np.fft.rfft2(f)
-    spectrum /= tv_denominator(width, h, w, lam)[:, : width // 2 + 1]
-    return np.fft.irfft2(spectrum, s=f.shape)
+    return _solve_half(f, _half_denominator(f.shape, w, lam))
+
+
+def _window_sum_estimate(coeffs: GfCoeffs, guide: Image, w: WindowSpec) -> Image:
+    """sum(a) * guide + sum(b): the right-hand side of the TV solve."""
+    f = box_sum(coeffs.a, w)
+    f *= guide
+    f += box_sum(coeffs.b, w)
+    return f
 
 
 def tvgf(p: Image, guide: Image, w: WindowSpec, eps: float, lam: float) -> Image:
@@ -61,22 +77,31 @@ def tvgf(p: Image, guide: Image, w: WindowSpec, eps: float, lam: float) -> Image
     require_same_shape(p, guide)
     _require_periodic(w)
     coeffs = gf_coeffs(p, guide, w, eps)
-    f = box_sum(coeffs.a, w)
-    f *= guide
-    f += box_sum(coeffs.b, w)
-    return tvgf_solve_q(f, w, lam)
+    return tvgf_solve_q(_window_sum_estimate(coeffs, guide, w), w, lam)
 
 
 def tvgf_roll(
     p: Image, guide: Image, w: WindowSpec, eps: float, lam: float, iters: int
 ) -> list[Image]:
-    """Iterates [q1 .. qN] of q <- tvgf(q, guide), starting from q0 = p."""
+    """Iterates [q1 .. qN] of q <- tvgf(q, guide), starting from q0 = p.
+
+    The guide moments and the Fourier denominator are built once, so each
+    pass costs 4 box passes and one half-spectrum solve.
+    """
+    if not eps > 0:
+        raise ValueError(f"eps must be > 0, got {eps}")
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
-    out = []
     q = as_image(p)
+    guide = as_image(guide)
+    require_same_shape(q, guide)
+    _require_periodic(w)
+    denominator = _half_denominator(q.shape, w, lam)
+    moments = guide_moments(guide, w, eps)
+    out = []
     for _ in range(iters):
-        q = tvgf(q, guide, w, eps, lam)
+        coeffs = fit_coeffs(q, guide, moments, w)
+        q = _solve_half(_window_sum_estimate(coeffs, guide, w), denominator)
         out.append(q)
     return out
 

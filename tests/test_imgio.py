@@ -101,6 +101,15 @@ class TestWrite:
         with pytest.raises(ValueError):
             write_pnm([np.ones((2, 2))] * 2, maxval=255)
 
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad, channels, maxval):
+        imgs = [np.full((3, 4), 0.5) for _ in range(channels)]
+        imgs[-1][0, 0] = imgs[-1][1, 2] = bad
+        with pytest.raises(ValueError, match=rf"channel {channels - 1} has 2 non-finite"):
+            write_pnm(imgs, maxval)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("maxval", [255, 65535])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gfkit.core import make_image
-from gfkit.metrics import mse, psnr, ssim
+from gfkit.metrics import SSIM_SIGMA, SSIM_WINDOW, _gaussian_window, mse, psnr, ssim
 
 from oracles import naive_ssim
 
@@ -71,6 +71,25 @@ class TestSsim:
         rng = np.random.default_rng(5)
         x, y = rng.random((16, 16)), rng.random((16, 16))
         assert ssim(x, y) == pytest.approx(naive_ssim(x, y), abs=1e-10)
+
+    def test_in_place_arithmetic_keeps_the_formula_bits(self):
+        from scipy.ndimage import correlate1d
+
+        def local_mean(z):
+            k = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
+            z = correlate1d(correlate1d(z, k, axis=0, mode="constant"), k, axis=1, mode="constant")
+            return z[5:-5, 5:-5]
+
+        rng = np.random.default_rng(7)
+        x, y = rng.random((40, 33)), rng.random((40, 33))
+        c1, c2 = 0.01**2, 0.03**2
+        mu_x, mu_y = local_mean(x), local_mean(y)
+        var_x = local_mean(x * x) - mu_x * mu_x
+        var_y = local_mean(y * y) - mu_y * mu_y
+        cov = local_mean(x * y) - mu_x * mu_y
+        num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
+        den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+        assert ssim(x, y) == float(np.mean(num / den))
 
     def test_constant_pair_luminance_only(self):
         mu1, mu2 = 0.4, 0.5
