@@ -1,11 +1,17 @@
 """O(1)-per-pixel sliding-window sums, means, variances and covariances.
 
 These are the windowed-average primitives every filter in the package is
-assembled from. The fast path is scipy's C running sum
-(``scipy.ndimage.uniform_filter1d``), one pass per axis with cost
-independent of the radius: zero extension gives the truncated window,
-wrap extension the periodic one. ``naive_box_sum`` re-derives the same
-quantity by direct per-offset summation and serves as the test oracle.
+assembled from. ``box_sum`` makes one pass per axis, each at a cost
+independent of the radius. Down the columns it keeps a running sum one
+row at a time: row 0 holds the first window's rows, every later row the
+window's change (the row that enters minus the row that leaves), and one
+contiguous ``np.add`` per row accumulates them. Along the rows it runs
+scipy's C running mean (``scipy.ndimage.uniform_filter1d``) in place on
+that plane: zero extension gives the truncated window, wrap extension
+the periodic one. A NaN or Inf in the input survives to the last row of
+its column, so one row test rejects it. ``naive_box_sum`` re-derives
+the same quantity by direct per-offset summation and serves as the test
+oracle.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from scipy.ndimage import uniform_filter1d
 
 from .core import Boundary, Image, WindowSpec, as_image, require_same_shape
 
+_NON_FINITE = "NaN or Inf in the input of a box sum"
+
 
 def _validate(x: Image, w: WindowSpec) -> Image:
     x = as_image(x)
@@ -22,17 +30,57 @@ def _validate(x: Image, w: WindowSpec) -> Image:
     return x
 
 
+def _row_differences(x: Image, out: Image, r: int, periodic: bool) -> None:
+    """out[i] = (window sum of rows around i) - (same around i - 1), i >= 1.
+
+    Row i's window gains row i + r and loses row i - r - 1; under the
+    periodic boundary both indices wrap, under truncation a row outside the
+    image contributes nothing.
+    """
+    h = x.shape[0]
+    if periodic:  # 2r + 1 <= h, so the three bands below are in order
+        np.subtract(x[r + 1 : 2 * r + 1], x[h - r :], out=out[1 : r + 1])
+        np.subtract(x[2 * r + 1 :], x[: h - 2 * r - 1], out=out[r + 1 : h - r])
+        np.subtract(x[:r], x[h - 2 * r - 1 : h - r - 1], out=out[h - r :])
+        return
+    lo, hi = min(r + 1, h), max(h - r, 1)  # rows [1, hi) gain, rows [lo, h) lose
+    if lo < hi:  # gain only, both, lose only
+        out[1:lo] = x[r + 1 : 2 * r + 1]
+        np.subtract(x[2 * r + 1 :], x[: h - 2 * r - 1], out=out[lo:hi])
+        np.negative(x[h - 2 * r - 1 : h - r - 1], out=out[hi:])
+    else:  # the window is taller than the image: gain only, neither, lose only
+        out[1:hi] = x[r + 1 :]
+        out[hi:lo] = 0.0
+        np.negative(x[: h - lo], out=out[lo:])
+
+
 def box_sum(x: Image, w: WindowSpec) -> Image:
-    """Sum of x over the window around each pixel."""
+    """Sum of x over the window around each pixel.
+
+    Raises ValueError if x holds a NaN or an Inf.
+    """
     x = _validate(x, w)
-    if w.radius == 0:
+    r = w.radius
+    if r == 0:
+        if not np.isfinite(x).all():
+            raise ValueError(_NON_FINITE)
         return x.copy()
-    mode = "wrap" if w.boundary is Boundary.PERIODIC else "constant"
-    # scipy would zero-fill an output it allocates; every element is overwritten
+    periodic = w.boundary is Boundary.PERIODIC
+    h = x.shape[0]
     out = np.empty_like(x, order="C")
-    uniform_filter1d(x, w.side, axis=1, output=out, mode=mode)
-    uniform_filter1d(out, w.side, axis=0, output=out, mode=mode)
-    out *= w.side * w.side
+    with np.errstate(invalid="ignore"):
+        np.sum(x[: min(r + 1, h)], axis=0, out=out[0])
+        if periodic:
+            out[0] += x[h - r :].sum(axis=0)
+        _row_differences(x, out, r, periodic)
+        rows = list(out)  # row views made once: on small planes the loop is call-bound
+        for prev, row in zip(rows, rows[1:]):
+            np.add(prev, row, out=row)
+    # a NaN or Inf is carried down its column and never cancels
+    if not np.isfinite(out[-1]).all():
+        raise ValueError(_NON_FINITE)
+    uniform_filter1d(out, w.side, axis=1, output=out, mode="wrap" if periodic else "constant")
+    out *= w.side
     return out
 
 

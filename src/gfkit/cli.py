@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import synth
-from .core import Boundary, FilterParams, Image, WindowSpec
+from .core import Boundary, Image, WindowSpec
 from .boxops import box_sum
 from .gf import gf, gf_roll
 from .tvgf import tvgf, tvgf_roll
@@ -274,15 +274,6 @@ def _run_filter_command(args) -> dict:
         getattr(args, "boundary", "truncate")
     )
     w = WindowSpec(radius=args.radius, boundary=boundary)
-    # one bundle re-validates the numeric ranges as a unit
-    FilterParams(
-        eps=getattr(args, "eps", 0.1),
-        lam=getattr(args, "lam", 0.0),
-        beta=getattr(args, "beta", 0.0),
-        eps2=getattr(args, "eps2", 0.1),
-        tau=getattr(args, "tau", 1.0),
-        iters=getattr(args, "iters", 1),
-    )
 
     def anchor_for(idx):
         if anchor_channels is None:

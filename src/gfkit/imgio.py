@@ -116,18 +116,17 @@ def write_pnm(channels: list[Image], maxval: int = 255) -> bytes:
         if bad:
             raise ValueError(f"channel {idx} has {bad} non-finite samples (NaN or Inf)")
     height, width = shape
-    quantized = [
-        np.floor(np.clip(c, 0.0, 1.0) * maxval + 0.5).astype(np.uint32) for c in chans
-    ]
-    if len(chans) == 1:
-        magic = b"P5"
-        samples = quantized[0]
-    else:
-        magic = b"P6"
-        samples = np.stack(quantized, axis=-1).reshape(height, width * 3)
     dtype = np.uint8 if maxval == 255 else np.dtype(">u2")
+    # P6 interleaves the channels sample by sample within each row
+    samples = np.empty((height, width * len(chans)), dtype=dtype)
+    for idx, c in enumerate(chans):
+        level = np.clip(c, 0.0, 1.0)
+        level *= maxval
+        level += 0.5
+        samples[:, idx :: len(chans)] = np.floor(level, out=level)
+    magic = b"P5" if len(chans) == 1 else b"P6"
     header = magic + b"\n%d %d\n%d\n" % (width, height, maxval)
-    return header + samples.astype(dtype).tobytes()
+    return header + samples.tobytes()
 
 
 def read_pnm_file(path) -> list[Image]:

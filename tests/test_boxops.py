@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -99,6 +101,46 @@ def _example(shape, r, boundary, layout="c", offset=0.0):
 def test_box_sum_matches_naive_property(case):
     x, w = case
     assert np.max(np.abs(box_sum(x, w) - naive_box_sum(x, w))) <= 1e-10
+
+
+@pytest.mark.parametrize("layout", ["c", "transposed", "strided"])
+@pytest.mark.parametrize("boundary", BOTH)
+@pytest.mark.parametrize("r", [1, 20])
+def test_box_sum_matches_naive_at_scale(r, boundary, layout):
+    # the row recurrence accumulates down all 257 rows of each column
+    x, w = _example((257, 311), r, boundary, layout, 100.0)
+    assert np.max(np.abs(box_sum(x, w) - naive_box_sum(x, w))) <= 1e-10
+
+
+def test_box_sum_truncate_window_taller_than_image():
+    # every window covers the whole image: each sum is the image total
+    x, w = _example((5, 9), 40, Boundary.TRUNCATE)
+    got = box_sum(x, w)
+    assert np.max(np.abs(got - naive_box_sum(x, w))) <= 1e-10
+    assert np.max(np.abs(got - x.sum())) <= 1e-10
+
+
+@pytest.mark.parametrize("boundary", BOTH)
+@pytest.mark.parametrize("r", [0, 1, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (3, 5), (6, 8), (6, 0)])
+def test_box_sum_rejects_non_finite(where, bad, r, boundary):
+    x = np.random.default_rng(11).random((7, 9))
+    x[where] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        with pytest.raises(ValueError, match="NaN or Inf in the input of a box sum"):
+            box_sum(x, WindowSpec(r, boundary))
+
+
+def test_box_sum_rejects_cancelling_infinities():
+    # +Inf and -Inf in one window cancel to NaN, which must not pass either
+    x = np.zeros((6, 6))
+    x[1, 2], x[2, 2] = np.inf, -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            box_sum(x, WindowSpec(2, Boundary.TRUNCATE))
 
 
 @pytest.mark.parametrize("boundary", BOTH)

@@ -193,6 +193,24 @@ class TestExitCodes:
         assert code == 3
         assert "byte" in err
 
+    @pytest.mark.parametrize(
+        "cmd,flag,value",
+        [
+            ("gf", "--eps", "0"),
+            ("cgf", "--lambda", "-1"),
+            ("rmsf-cgf", "--eps2", "0"),
+            ("rmsf-cgf", "--beta", "-0.5"),
+            ("rfnf-gen", "--iters", "0"),
+        ],
+    )
+    def test_out_of_range_parameter_is_usage_error(self, workdir, capsys, cmd, flag, value):
+        make_inputs(workdir)
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--input", "in.pgm", "--output", "o.pgm", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not os.path.exists("o.pgm")
+
     def test_shape_mismatch_is_usage_error(self, workdir, capsys):
         rng = np.random.default_rng(2)
         write_pnm_file("a.pgm", [rng.random((8, 8))], 255)

@@ -111,6 +111,37 @@ class TestWrite:
             write_pnm(imgs, maxval)
 
 
+def _stacked_encoder(channels, maxval):
+    """The earlier encoder: uint32 planes per channel, then np.stack."""
+    chans = [np.asarray(c, dtype=np.float64) for c in channels]
+    height, width = chans[0].shape
+    quantized = [
+        np.floor(np.clip(c, 0.0, 1.0) * maxval + 0.5).astype(np.uint32) for c in chans
+    ]
+    if len(chans) == 1:
+        magic, samples = b"P5", quantized[0]
+    else:
+        magic = b"P6"
+        samples = np.stack(quantized, axis=-1).reshape(height, width * 3)
+    dtype = np.uint8 if maxval == 255 else np.dtype(">u2")
+    return magic + b"\n%d %d\n%d\n" % (width, height, maxval) + samples.astype(dtype).tobytes()
+
+
+class TestEncoderBytes:
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_matches_stacked_encoder(self, maxval, channels):
+        rng = np.random.default_rng(maxval * channels)
+        # values on and next to the .5 quantization boundaries, plus clamped ones
+        k = rng.integers(0, maxval, (3, 17, 13))
+        halves = (k + 0.5) / maxval
+        near = np.stack([halves, np.nextafter(halves, 0.0), np.nextafter(halves, 1.0)])
+        imgs = [near[i % 3, i] for i in range(channels)]
+        imgs[0][0, :4] = [-0.3, 0.0, 1.0, 1.7]
+        imgs[-1] = imgs[-1][:, ::-1]  # a non-contiguous view
+        assert write_pnm(imgs, maxval) == _stacked_encoder(imgs, maxval)
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("maxval", [255, 65535])
     @pytest.mark.parametrize("channels", [1, 3])

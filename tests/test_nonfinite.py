@@ -1,0 +1,43 @@
+"""Every filter and rolling scheme rejects a NaN or an Inf in its input
+or its guide: box_sum raises, and nothing computes on past it."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from gfkit.cgf import cgf
+from gfkit.core import Boundary, WindowSpec
+from gfkit.gf import gf
+from gfkit.igf import icgf, igf
+from gfkit.rfnf import rfnf_gen
+from gfkit.rmsf import cgf_rmsf, gf_rmsf
+from gfkit.tvgf import tvgf
+
+TRUNC = WindowSpec(2, Boundary.TRUNCATE)
+PERIODIC = WindowSpec(2, Boundary.PERIODIC)
+
+# each entry runs one filter on (p, guide); the anchors g stay finite
+FILTERS = {
+    "gf": lambda p, g: gf(p, g, TRUNC, 0.01),
+    "cgf": lambda p, g: cgf(p, g, np.zeros_like(p), TRUNC, 0.01, 0.5),
+    "tvgf": lambda p, g: tvgf(p, g, PERIODIC, 0.01, 1.0),
+    "igf": lambda p, g: igf(p, g, TRUNC, 0.01),
+    "icgf": lambda p, g: icgf(p, g, np.zeros_like(p), TRUNC, 0.01, 0.5),
+    "gf_rmsf": lambda p, g: gf_rmsf(p, g, 0.01, 0.01, TRUNC, 2),
+    "cgf_rmsf": lambda p, g: cgf_rmsf(p, g, 0.01, 0.01, 0.5, 0.5, TRUNC, 2),
+    "rfnf_gen": lambda p, g: rfnf_gen(p, g, TRUNC, 0.01, 0.5, 1.5, 2),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("spoiled", ["p", "guide"])
+@pytest.mark.parametrize("name", sorted(FILTERS))
+def test_filter_rejects_non_finite(name, spoiled, bad):
+    rng = np.random.default_rng(4)
+    p, guide = rng.random((12, 10)), rng.random((12, 10))
+    (p if spoiled == "p" else guide)[5, 7] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # fails before any numpy RuntimeWarning
+        with pytest.raises(ValueError, match="NaN or Inf in the input of a box sum"):
+            FILTERS[name](p, guide)
