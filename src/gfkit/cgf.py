@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EnergyReport, Image, WindowSpec, as_image, require_same_shape
+from .core import EnergyReport, Image, WindowSpec, as_image, require_finite, require_same_shape
 from .gf import GfCoeffs, GuideMoments, energy_gf, gf_pass, guide_moments
 from .boxops import window_counts
 
@@ -55,6 +55,7 @@ def cgf_roll(
     guide = as_image(guide)
     g = as_image(g)
     require_same_shape(p, guide, g)
+    require_finite(g, "the anchor g")  # never box-summed, so box_sum cannot catch it
     return cgf_roll_moments(p, guide, g, guide_moments(guide, w, eps), w, lam, iters, tol)
 
 

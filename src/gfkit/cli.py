@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import sys
@@ -27,7 +28,7 @@ from .cgf import cgf_roll
 from .igf import icgf, igf
 from .rmsf import cgf_rmsf, gf_rmsf, naive_roll37
 from .rfnf import rfnf_gen, rfnf_seo
-from .metrics import mse, psnr, ssim
+from .metrics import mse, psnr_from_mse, ssim
 from .imgio import PnmError, read_pnm_file, write_pnm_file
 
 ITERATE_MAXVAL = 65535  # dumped iterates keep 16 bits to limit requantization
@@ -181,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="wall-time benchmark on a synthetic image")
     sp.add_argument("--width", type=_positive_int, default=1000)
     sp.add_argument("--height", type=_positive_int, default=1000)
-    sp.add_argument("--filter", choices=("box", "gf", "tvgf"), default="gf")
+    sp.add_argument("--filter", choices=("box", "gf", "tvgf", "ssim"), default="gf",
+                    help="kernel to time; ssim scores the image against the guide")
     sp.add_argument("--radius", type=_nonneg_int, default=10)
     sp.add_argument("--eps", type=_positive_float, default=0.1)
     sp.add_argument("--lambda", dest="lam", type=_nonneg_float, default=45.0)
@@ -222,18 +224,9 @@ def _metrics_report(out_channels, ref_channels):
     vals_mse = [mse(a, b) for a, b in zip(out_channels, ref_channels)]
     vals_ssim = [ssim(a, b) for a, b in zip(out_channels, ref_channels)]
     mean_mse = float(np.mean(vals_mse))
-    p = math_inf_str(psnr_from_mse(mean_mse))
-    return {"mse": mean_mse, "psnr_db": p, "ssim": float(np.mean(vals_ssim))}
-
-
-def psnr_from_mse(value: float) -> float:
-    if value == 0.0:
-        return float("inf")
-    return 10.0 * float(np.log10(1.0 / value))
-
-
-def math_inf_str(value: float):
-    return "inf" if value == float("inf") else value
+    p = psnr_from_mse(mean_mse)
+    return {"mse": mean_mse, "psnr_db": "inf" if p == math.inf else p,
+            "ssim": float(np.mean(vals_ssim))}
 
 
 def _iterate_paths(output_path: str, count: int) -> list[str]:
@@ -376,9 +369,11 @@ def _run_bench(args) -> dict:
     elif args.filter == "gf":
         w = WindowSpec(args.radius, Boundary.TRUNCATE)
         task = lambda: gf(img, guide, w, args.eps)
-    else:
+    elif args.filter == "tvgf":
         w = WindowSpec(args.radius, Boundary.PERIODIC)
         task = lambda: tvgf(img, guide, w, args.eps, args.lam)
+    else:
+        task = lambda: ssim(img, guide)
     task()  # warm-up pass
     times = []
     for _ in range(args.repeat):

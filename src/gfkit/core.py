@@ -103,6 +103,12 @@ def as_image(x) -> Image:
     return arr
 
 
+def require_finite(x: Image, what: str) -> None:
+    """Reject an image holding a NaN or an Inf, in one scan."""
+    if not np.isfinite(x).all():
+        raise ValueError(f"NaN or Inf in {what}")
+
+
 def require_same_shape(*images: Image) -> None:
     shapes = {im.shape for im in images}
     if len(shapes) > 1:

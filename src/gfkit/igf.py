@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Image, WindowSpec, as_image, require_same_shape
+from .core import Image, WindowSpec, as_image, require_finite, require_same_shape
 from .gf import GfCoeffs, gf_coeffs
 from .boxops import box_sum, window_counts
 
@@ -94,5 +94,7 @@ def icgf(p: Image, guess: Image, g: Image, w: WindowSpec, eps: float, lam: float
         raise ValueError(f"eps must be >= 0, got {eps}")
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
+    g = as_image(g)
+    require_finite(g, "the anchor g")  # never box-summed, so box_sum cannot catch it
     coeffs = gf_coeffs(p, guess, w, eps)
     return icgf_update(coeffs, p, g, w, lam, prior=guess)

@@ -8,6 +8,7 @@ import pytest
 
 from gfkit.cli import main
 from gfkit.imgio import read_pnm_file, write_pnm_file
+from gfkit.metrics import mse, ssim
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
@@ -229,6 +230,24 @@ class TestMetricsCommand:
         jsonschema.validate(report, SCHEMA)
         assert report["metrics"] == {"mse": 0.0, "psnr_db": "inf", "ssim": 1.0}
 
+    def test_report_values_of_a_color_pair(self, workdir, capsys):
+        # psnr_db comes from the channel-averaged MSE, through numpy's log10
+        rng = np.random.default_rng(8)
+        a = [rng.random((24, 20)) for _ in range(3)]
+        b = [np.clip(c + 0.05 * rng.standard_normal(c.shape), 0.0, 1.0) for c in a]
+        write_pnm_file("a.ppm", a, 65535)
+        write_pnm_file("b.ppm", b, 65535)
+        code, report, _ = run_cli(capsys, "metrics", "--input", "a.ppm",
+                                  "--metrics-against", "b.ppm")
+        assert code == 0
+        a, b = read_pnm_file("a.ppm"), read_pnm_file("b.ppm")
+        mean_mse = float(np.mean([mse(x, y) for x, y in zip(a, b)]))
+        assert report["metrics"] == {
+            "mse": mean_mse,
+            "psnr_db": 10.0 * float(np.log10(1.0 / mean_mse)),
+            "ssim": float(np.mean([ssim(x, y) for x, y in zip(a, b)])),
+        }
+
 
 class TestSynthCommand:
     def test_same_seed_same_bytes(self, workdir, capsys):
@@ -273,3 +292,22 @@ class TestBenchCommand:
         jsonschema.validate(report, SCHEMA)
         assert len(report["timings_s"]) == 2
         assert report["median_s"] > 0
+
+    @pytest.mark.parametrize("kernel", ["box", "tvgf", "ssim"])
+    def test_every_kernel_reports(self, workdir, capsys, kernel):
+        code, report, _ = run_cli(
+            capsys, "bench", "--width", "64", "--height", "48",
+            "--filter", kernel, "--radius", "3", "--repeat", "2",
+        )
+        assert code == 0
+        jsonschema.validate(report, SCHEMA)
+        assert report["params"]["filter"] == kernel
+        assert len(report["timings_s"]) == 2
+        assert report["median_s"] > 0
+
+    def test_ssim_too_small_is_usage_error(self, workdir, capsys):
+        code, _, err = run_cli(
+            capsys, "bench", "--width", "8", "--height", "64", "--filter", "ssim",
+        )
+        assert code == 2
+        assert "too small for SSIM" in err

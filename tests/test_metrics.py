@@ -1,10 +1,23 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.ndimage import correlate1d
 
 from gfkit.core import make_image
-from gfkit.metrics import SSIM_SIGMA, SSIM_WINDOW, _gaussian_window, mse, psnr, ssim
+from gfkit.metrics import (
+    _STRIP_BYTES,
+    SSIM_SIGMA,
+    SSIM_WINDOW,
+    _gaussian_window,
+    mse,
+    psnr,
+    ssim,
+)
 
 from oracles import naive_ssim
 
@@ -107,3 +120,95 @@ class TestSsim:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             ssim(np.ones((8, 8)), np.ones((8, 8)))
+
+
+def whole_plane_ssim(x, y, peak=1.0):
+    """SSIM as two zero-padded correlate1d passes per local mean over the
+    whole plane, cropped to the interior: the formula the strip-streamed
+    ``ssim`` must reproduce bit for bit."""
+    k = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
+    r = SSIM_WINDOW // 2
+
+    def local_mean(z):
+        z = correlate1d(correlate1d(z, k, axis=0, mode="constant"), k, axis=1, mode="constant")
+        return z[r:-r, r:-r]
+
+    c1, c2 = (0.01 * peak) ** 2, (0.03 * peak) ** 2
+    mu_x, mu_y = local_mean(x), local_mean(y)
+    var_x = local_mean(x * x) - mu_x * mu_x
+    var_y = local_mean(y * y) - mu_y * mu_y
+    cov = local_mean(x * y) - mu_x * mu_y
+    num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
+    den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+    return float(np.mean(num / den))
+
+
+def _strip_rows(width):
+    return max(1, _STRIP_BYTES // (8 * width))
+
+
+def _strip_boundary_shapes(width):
+    # interior heights one below, at and one above one and two strips
+    rows = _strip_rows(width)
+    return [(h + SSIM_WINDOW - 1, width) for n in (1, 2) for h in (n * rows - 1, n * rows, n * rows + 1)]
+
+
+class TestSsimStrips:
+    @pytest.mark.parametrize(
+        "shape",
+        [(11, 11), (11, 300), (300, 11), (12, 11), (11, 12)]
+        + _strip_boundary_shapes(300)
+        + _strip_boundary_shapes(2048),
+    )
+    def test_bit_equal_to_whole_plane_formula(self, shape):
+        rng = np.random.default_rng(shape[0] * 7919 + shape[1])
+        x, y = rng.random(shape), rng.random(shape)
+        assert ssim(x, y) == whole_plane_ssim(x, y)
+
+    @pytest.mark.parametrize("layout", ["transposed", "strided", "reversed"])
+    def test_bit_equal_on_views(self, layout):
+        rng = np.random.default_rng(11)
+        base_x, base_y = rng.random((140, 90)), rng.random((140, 90))
+        view = {
+            "transposed": lambda a: a.T,
+            "strided": lambda a: a[::2, ::3],
+            "reversed": lambda a: a[::-1, ::-1],
+        }[layout]
+        x, y = view(base_x), view(base_y)
+        assert ssim(x, y) == whole_plane_ssim(x, y)
+
+    def test_bit_equal_with_peak(self):
+        rng = np.random.default_rng(12)
+        x, y = 255.0 * rng.random((40, 70)), 255.0 * rng.random((40, 70))
+        assert ssim(x, y, peak=255.0) == whole_plane_ssim(x, y, peak=255.0)
+
+    def test_bit_equal_at_1080p(self):
+        rng = np.random.default_rng(13)
+        x = rng.random((1080, 1920))
+        y = np.clip(x + 0.1 * rng.standard_normal(x.shape), 0.0, 1.0)
+        assert ssim(x, y) == whole_plane_ssim(x, y)
+
+    def test_peak_memory_below_two_planes_at_1080p(self):
+        rng = np.random.default_rng(14)
+        x, y = rng.random((1080, 1920)), rng.random((1080, 1920))
+        tracemalloc.start()
+        try:
+            ssim(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * x.nbytes
+
+
+@st.composite
+def ssim_pairs(draw):
+    shape = (draw(st.integers(11, 22)), draw(st.integers(11, 22)))
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    return draw(arrays(np.float64, shape, elements=unit)), draw(arrays(np.float64, shape, elements=unit))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ssim_pairs())
+def test_ssim_matches_naive_property(pair):
+    x, y = pair
+    assert ssim(x, y) == pytest.approx(naive_ssim(x, y), abs=1e-10)

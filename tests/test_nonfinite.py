@@ -1,12 +1,14 @@
 """Every filter and rolling scheme rejects a NaN or an Inf in its input
-or its guide: box_sum raises, and nothing computes on past it."""
+or its guide: box_sum raises, and nothing computes on past it. The anchor
+g of cgf, cgf_roll and icgf is never box-summed, so those entry points
+check it themselves."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from gfkit.cgf import cgf
+from gfkit.cgf import cgf, cgf_roll
 from gfkit.core import Boundary, WindowSpec
 from gfkit.gf import gf
 from gfkit.igf import icgf, igf
@@ -41,3 +43,23 @@ def test_filter_rejects_non_finite(name, spoiled, bad):
         warnings.simplefilter("error")  # fails before any numpy RuntimeWarning
         with pytest.raises(ValueError, match="NaN or Inf in the input of a box sum"):
             FILTERS[name](p, guide)
+
+
+ANCHORED = {
+    "cgf": lambda p, g: cgf(p, p, g, TRUNC, 0.01, 0.5),
+    "cgf_roll": lambda p, g: cgf_roll(p, p, g, PERIODIC, 0.01, 0.5, 3),
+    "icgf": lambda p, g: icgf(p, p, g, TRUNC, 0.01, 0.5),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (5, 7), (11, 9)])
+@pytest.mark.parametrize("name", sorted(ANCHORED))
+def test_anchored_filter_rejects_non_finite_anchor(name, where, bad):
+    rng = np.random.default_rng(5)
+    p, g = rng.random((12, 10)), rng.random((12, 10))
+    g[where] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="NaN or Inf in the anchor g"):
+            ANCHORED[name](p, g)
