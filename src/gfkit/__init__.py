@@ -6,15 +6,7 @@ that minimization, which makes the descent of the exact objective a
 machine-checkable property (see the ``energy_*`` evaluators).
 """
 
-from .core import (
-    Boundary,
-    EnergyReport,
-    FilterParams,
-    Image,
-    WindowSpec,
-    make_image,
-    zip_map,
-)
+from .core import Boundary, EnergyReport, Image, WindowSpec, make_image
 from .boxops import box_cov, box_mean, box_sum, box_var, naive_box_sum, window_counts
 from .gf import GfCoeffs, energy_gf, gf, gf_apply, gf_coeffs, gf_roll
 from .tvgf import energy_tvgf, tv_denominator, tvgf, tvgf_roll, tvgf_solve_q
@@ -38,7 +30,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Boundary",
     "EnergyReport",
-    "FilterParams",
     "GfCoeffs",
     "Image",
     "MutualSnapshot",
@@ -84,5 +75,4 @@ __all__ = [
     "window_counts",
     "write_pnm",
     "write_pnm_file",
-    "zip_map",
 ]

@@ -9,7 +9,9 @@ per-pixel weight alpha = lam / (|w_i| + lam).
 
 The guide is fixed across a roll, so ``cgf_roll`` computes its window
 moments once and each pass costs 4 box passes: 2 + 4n for n passes, where
-n separate ``cgf`` calls cost 6n.
+n separate ``cgf`` calls cost 6n. When the input is the guide itself (the
+same object, as in the CLI's self-guided run), the first fit comes from
+the guide's own moments and the roll costs 4n: 4 for one ``cgf`` call.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import EnergyReport, Image, WindowSpec, as_image, require_finite, require_same_shape
-from .gf import GfCoeffs, GuideMoments, energy_gf, gf_pass, guide_moments
+from .gf import GfCoeffs, GuideMoments, as_input_and_guide, energy_gf, first_pass, gf_pass
 from .boxops import window_counts
 
 
@@ -51,12 +53,12 @@ def cgf_roll(
     """
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    p = as_image(p)
-    guide = as_image(guide)
+    p, guide = as_input_and_guide(p, guide)
     g = as_image(g)
     require_same_shape(p, guide, g)
     require_finite(g, "the anchor g")  # never box-summed, so box_sum cannot catch it
-    return cgf_roll_moments(p, guide, g, guide_moments(guide, w, eps), w, lam, iters, tol)
+    moments, first = first_pass(p, guide, w, eps)
+    return cgf_roll_moments(p, guide, g, moments, w, lam, iters, tol, first)
 
 
 def cgf_roll_moments(
@@ -68,11 +70,14 @@ def cgf_roll_moments(
     lam: float,
     iters: int,
     tol: float | None = None,
+    first: Image | None = None,
 ) -> list[Image]:
     """``cgf_roll`` against precomputed guide moments: 4 box passes per pass.
 
     Only the guide moments are held across passes; the anchor weight is
-    rebuilt from their window counts each pass.
+    rebuilt from their window counts each pass. ``first``, if given, is
+    gf(p, guide) already made by the caller; it becomes the first
+    iterate's buffer in place of a fresh pass.
     """
     if lam < 0:
         raise ValueError(f"lambda must be >= 0, got {lam}")
@@ -82,7 +87,8 @@ def cgf_roll_moments(
     q = p
     for _ in range(iters):
         alpha = lam / (moments.counts + lam)  # anchor_weight, from the held counts
-        q_next = gf_pass(q, guide, moments, w)
+        q_next = gf_pass(q, guide, moments, w) if first is None else first
+        first = None
         q_next *= 1.0 - alpha
         q_next += alpha * g
         out.append(q_next)

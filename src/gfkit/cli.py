@@ -80,8 +80,8 @@ def _add_io_args(sp, guidance=True, anchor=False):
     sp.add_argument("--dump-iterates", action="store_true",
                     help="also write every rolling iterate (16-bit)")
     sp.add_argument("--metrics-against", help="reference image to score the output against")
-    sp.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1,
-                    help="worker threads (results are identical for any value)")
+    sp.add_argument("--threads", type=_positive_int,
+                    help="deprecated; accepted but has no effect")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,7 +337,7 @@ def _run_filter_command(args) -> dict:
 
     params = {
         k: getattr(args, k)
-        for k in ("radius", "eps", "eps2", "lam", "beta", "tau", "iters", "maxval", "threads")
+        for k in ("radius", "eps", "eps2", "lam", "beta", "tau", "iters", "maxval")
         if hasattr(args, k)
     }
     params["boundary"] = boundary.value
@@ -427,6 +427,8 @@ def _run_synth(args) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "threads", None) is not None:
+        print("gfkit: warning: --threads is deprecated and has no effect", file=sys.stderr)
     t0 = time.perf_counter()
     try:
         if args.command == "metrics":

@@ -1,4 +1,4 @@
-"""Shared image container conventions, window spec and parameter bundle.
+"""Shared image container conventions, window spec and input checks.
 
 An image is a plain 2-D float64 numpy array of shape (height, width),
 row-major. Photographic data is normalized to [0, 1]; coefficient fields
@@ -46,36 +46,6 @@ class WindowSpec:
             )
 
 
-@dataclass(frozen=True)
-class FilterParams:
-    """Scalar knobs shared by the filter family.
-
-    eps/eps2 are the ridge regularizers of the two coefficient fits and must
-    stay positive (they guard the variance denominators); lam and beta weight
-    the fidelity anchors; tau scales detail re-injection; iters is the rolling
-    pass count.
-    """
-
-    eps: float = 0.1
-    lam: float = 0.0
-    beta: float = 0.0
-    eps2: float = 0.1
-    tau: float = 1.0
-    iters: int = 1
-
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
-        if not self.eps2 > 0:
-            raise ValueError(f"eps2 must be > 0, got {self.eps2}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.iters < 1:
-            raise ValueError(f"iters must be >= 1, got {self.iters}")
-
-
 @dataclass
 class EnergyReport:
     """Scalar objective value plus its per-term breakdown."""
@@ -113,11 +83,3 @@ def require_same_shape(*images: Image) -> None:
     shapes = {im.shape for im in images}
     if len(shapes) > 1:
         raise ValueError(f"shape mismatch: {sorted(shapes)}")
-
-
-def zip_map(x: Image, y: Image, f) -> Image:
-    """Pointwise f(x[i], y[i]); shapes must match."""
-    x = as_image(x)
-    y = as_image(y)
-    require_same_shape(x, y)
-    return f(x, y)

@@ -91,12 +91,15 @@ def read_pnm(data: bytes) -> list[Image]:
             "truncated", sc.pos + len(raster), f"raster needs {need} bytes, got {len(raster)}"
         )
     dtype = np.uint8 if maxval == 255 else np.dtype(">u2")
-    raw = np.frombuffer(raster, dtype=dtype).astype(np.float64) / maxval
-    raw = raw.reshape(height, width * channels)
-    if channels == 1:
-        return [np.ascontiguousarray(raw)]
-    interleaved = raw.reshape(height, width, 3)
-    return [np.ascontiguousarray(interleaved[:, :, c]) for c in range(3)]
+    raw = np.frombuffer(raster, dtype=dtype).reshape(height, width, channels)
+    # each channel converts straight from the integer raster into its own
+    # C-contiguous plane: no interleaved float copy of the whole image
+    out = []
+    for c in range(channels):
+        chan = raw[:, :, c].astype(np.float64)
+        chan /= maxval
+        out.append(chan)
+    return out
 
 
 def write_pnm(channels: list[Image], maxval: int = 255) -> bytes:

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .core import Image, as_image, require_same_shape
+from .core import Image, as_image, require_finite, require_same_shape
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -36,10 +36,12 @@ _STRIP_BYTES = 1 << 18
 
 
 def mse(x: Image, y: Image) -> float:
-    """Mean squared difference over all pixels."""
+    """Mean squared difference over all pixels; NaN or Inf raises ValueError."""
     x = as_image(x)
     y = as_image(y)
     require_same_shape(x, y)
+    require_finite(x, "x")
+    require_finite(y, "y")
     return float(np.mean((x - y) ** 2))
 
 
@@ -53,7 +55,8 @@ def psnr_from_mse(err: float, peak: float = 1.0) -> float:
 
 
 def psnr(x: Image, y: Image, peak: float = 1.0) -> float:
-    """10 log10(peak^2 / mse), +inf for identical images."""
+    """10 log10(peak^2 / mse), +inf for identical images; NaN or Inf raises
+    ValueError."""
     return psnr_from_mse(mse(x, y), peak)
 
 
@@ -81,7 +84,12 @@ def _window_pass(src: np.ndarray, step: int, kernel: np.ndarray, out: np.ndarray
 
 
 def ssim(x: Image, y: Image, peak: float = 1.0) -> float:
-    """Mean structural similarity between two images."""
+    """Mean structural similarity between two images.
+
+    NaN or Inf raises ValueError: each strip is checked as it is copied in,
+    before any arithmetic, so the check makes no pass of its own over the
+    images.
+    """
     x = as_image(x)
     y = as_image(y)
     require_same_shape(x, y)
@@ -110,6 +118,8 @@ def ssim(x: Image, y: Image, peak: float = 1.0) -> float:
         f = fields[:, : (h + 2 * r) * width]
         f[0].reshape(h + 2 * r, width)[...] = x[top : top + h + 2 * r]
         f[1].reshape(h + 2 * r, width)[...] = y[top : top + h + 2 * r]
+        require_finite(f[0], "x")
+        require_finite(f[1], "y")
         np.multiply(f[0], f[0], out=f[2])
         np.multiply(f[1], f[1], out=f[3])
         np.multiply(f[0], f[1], out=f[4])

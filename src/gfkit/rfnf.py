@@ -6,32 +6,38 @@ flash image each pass; the anchored variant is a conservative roll toward
 an enhanced flash image and subsumes the additive one in the small-weight
 limit. The flash image's window moments, and the detail and enhanced
 images built from them, depend only on the flash input and are computed
-once per call: the base layer and every rolling pass share one set of
-moments, so n passes cost 6 + 4n box passes.
+once per call. The base layer gf(flash, flash) is a self-guided fit, so
+it comes from the flash moments' own 2 box passes plus 2 for its
+aggregation, and every rolling pass shares those moments: n passes cost
+4 + 4n box passes.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .core import Image, WindowSpec, as_image, require_same_shape
-from .gf import GuideMoments, gf_pass, guide_moments
+from .gf import GuideMoments, first_pass, gf_pass
 from .cgf import cgf_roll_moments
 
 
-def _flash_moments(flash: Image, w: WindowSpec, eps: float) -> GuideMoments:
+def _flash_base(flash: Image, w: WindowSpec, eps: float) -> tuple[GuideMoments, Image]:
+    """The flash moments and the base layer gf(flash, flash): 4 box passes."""
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    return guide_moments(flash, w, eps)
+    return first_pass(flash, flash, w, eps)
 
 
-def _enhance(flash: Image, moments: GuideMoments, w: WindowSpec, tau: float) -> Image:
-    base = gf_pass(flash, flash, moments, w)
-    return base + tau * (flash - base)
+def _enhance(flash: Image, base: Image, tau: float) -> Image:
+    """base + tau * (flash - base), written into base."""
+    base += tau * (flash - base)
+    return base
 
 
 def detail_image(flash: Image, w: WindowSpec, eps: float) -> Image:
     """High-frequency layer of the flash image: flash - gf(flash, flash)."""
     flash = as_image(flash)
-    return flash - gf_pass(flash, flash, _flash_moments(flash, w, eps), w)
+    return flash - _flash_base(flash, w, eps)[1]
 
 
 def rfnf_seo(
@@ -43,8 +49,9 @@ def rfnf_seo(
     noflash = as_image(noflash)
     flash = as_image(flash)
     require_same_shape(noflash, flash)
-    moments = _flash_moments(flash, w, eps)
-    detail = lam * (flash - gf_pass(flash, flash, moments, w))
+    moments, detail = _flash_base(flash, w, eps)
+    np.subtract(flash, detail, out=detail)  # flash - base, in the base's buffer
+    detail *= lam
     q = noflash
     for _ in range(iters):
         q = gf_pass(q, flash, moments, w)
@@ -55,7 +62,7 @@ def rfnf_seo(
 def enhanced_flash(flash: Image, w: WindowSpec, eps: float, tau: float) -> Image:
     """Base layer of the flash image with its detail re-amplified by tau."""
     flash = as_image(flash)
-    return _enhance(flash, _flash_moments(flash, w, eps), w, tau)
+    return _enhance(flash, _flash_base(flash, w, eps)[1], tau)
 
 
 def rfnf_gen(
@@ -72,6 +79,6 @@ def rfnf_gen(
     noflash = as_image(noflash)
     flash = as_image(flash)
     require_same_shape(noflash, flash)
-    moments = _flash_moments(flash, w, eps)
-    anchor = _enhance(flash, moments, w, tau)
+    moments, base = _flash_base(flash, w, eps)
+    anchor = _enhance(flash, base, tau)
     return cgf_roll_moments(noflash, flash, anchor, moments, w, lam, iters)[-1]

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Boundary, EnergyReport, Image, WindowSpec, as_image, require_same_shape
-from .gf import GfCoeffs, energy_gf, fit_coeffs, gf_coeffs, guide_moments
+from .core import Boundary, EnergyReport, Image, WindowSpec, as_image
+from .gf import GfCoeffs, as_input_and_guide, energy_gf, fit_coeffs, gf_coeffs, guide_fit
 from .boxops import box_sum
 
 
@@ -72,12 +72,10 @@ def tvgf(p: Image, guide: Image, w: WindowSpec, eps: float, lam: float) -> Image
     """One TV-regularized guided-filter pass (periodic windows)."""
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    p = as_image(p)
-    guide = as_image(guide)
-    require_same_shape(p, guide)
+    p, guide = as_input_and_guide(p, guide)
     _require_periodic(w)
-    coeffs = gf_coeffs(p, guide, w, eps)
-    return tvgf_solve_q(_window_sum_estimate(coeffs, guide, w), w, lam)
+    f = _window_sum_estimate(gf_coeffs(p, guide, w, eps), guide, w)
+    return tvgf_solve_q(f, w, lam)  # the fit is released before the solve
 
 
 def tvgf_roll(
@@ -86,23 +84,27 @@ def tvgf_roll(
     """Iterates [q1 .. qN] of q <- tvgf(q, guide), starting from q0 = p.
 
     The guide moments and the Fourier denominator are built once, so each
-    pass costs 4 box passes and one half-spectrum solve.
+    pass costs 4 box passes and one half-spectrum solve, after 2 box
+    passes for the guide moments unless p is the guide itself.
     """
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
-    q = as_image(p)
-    guide = as_image(guide)
-    require_same_shape(q, guide)
+    p, guide = as_input_and_guide(p, guide)
     _require_periodic(w)
-    denominator = _half_denominator(q.shape, w, lam)
-    moments = guide_moments(guide, w, eps)
+    denominator = _half_denominator(p.shape, w, lam)
+    moments, coeffs = guide_fit(p, guide, w, eps)
+    # each pass drops its fit before the solve and its estimate before the
+    # next fit, so the roll holds only the guide moments and the iterates
     out = []
     for _ in range(iters):
-        coeffs = fit_coeffs(q, guide, moments, w)
-        q = _solve_half(_window_sum_estimate(coeffs, guide, w), denominator)
-        out.append(q)
+        if out:
+            coeffs = fit_coeffs(out[-1], guide, moments, w)
+        f = _window_sum_estimate(coeffs, guide, w)
+        del coeffs
+        out.append(_solve_half(f, denominator))
+        del f
     return out
 
 

@@ -163,6 +163,18 @@ class TestFilterCommands:
             assert code == 0
         assert Path("t1.pgm").read_bytes() == Path("t8.pgm").read_bytes()
 
+    def test_threads_is_deprecated(self, workdir, capsys):
+        make_inputs(workdir)
+        args = ["gf", "--input", "in.pgm", "--output", "out.pgm", "--radius", "3"]
+        code, report, err = run_cli(capsys, *args, "--threads", "4", "--threads", "2")
+        assert code == 0
+        assert err.count("--threads is deprecated") == 1
+        assert "threads" not in report["params"]
+        code, report, err = run_cli(capsys, *args)
+        assert code == 0
+        assert err == ""
+        assert "threads" not in report["params"]
+
 
 class TestExitCodes:
     def test_success_zero(self, workdir, capsys):

@@ -1,9 +1,7 @@
-import operator
-
 import numpy as np
 import pytest
 
-from gfkit.core import Boundary, FilterParams, WindowSpec, make_image, zip_map
+from gfkit.core import Boundary, WindowSpec, make_image
 
 
 class TestMakeImage:
@@ -33,33 +31,6 @@ class TestMakeImage:
             make_image(2, 2, float("nan"))
 
 
-class TestZipMap:
-    def test_add_constants(self):
-        out = zip_map(make_image(4, 4, 2.0), make_image(4, 4, 3.0), operator.add)
-        assert np.all(out == 5.0)
-
-    def test_add_zero_identity(self):
-        rng = np.random.default_rng(0)
-        x = rng.random((5, 7))
-        out = zip_map(x, make_image(7, 5, 0.0), operator.add)
-        np.testing.assert_array_equal(out, x)
-
-    def test_divide(self):
-        out = zip_map(make_image(2, 2, 6.0), make_image(2, 2, 3.0), operator.truediv)
-        assert np.all(out == 2.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            zip_map(make_image(2, 2, 1.0), make_image(3, 2, 1.0), operator.add)
-
-    def test_commutative_associative_within_tolerance(self):
-        rng = np.random.default_rng(1)
-        x, y, z = (rng.random((8, 8)) for _ in range(3))
-        for op in (operator.add, operator.mul):
-            np.testing.assert_allclose(op(x, y), op(y, x), atol=1e-12)
-            np.testing.assert_allclose(op(op(x, y), z), op(x, op(y, z)), atol=1e-12)
-
-
 class TestWindowSpec:
     def test_side(self):
         assert WindowSpec(3).side == 7
@@ -73,22 +44,3 @@ class TestWindowSpec:
         with pytest.raises(ValueError):
             WindowSpec(3, Boundary.PERIODIC).check_fits((6, 9))
 
-
-class TestFilterParams:
-    def test_defaults_valid(self):
-        FilterParams()
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"eps": 0.0},
-            {"eps": -1.0},
-            {"eps2": 0.0},
-            {"lam": -0.5},
-            {"beta": -0.1},
-            {"iters": 0},
-        ],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            FilterParams(**kwargs)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,38 @@ class TestRead:
         raster = (0x0102).to_bytes(2, "big") + (0xFFFF).to_bytes(2, "big")
         channels = read_pnm(b"P5\n2 1\n65535\n" + raster)
         np.testing.assert_allclose(channels[0], np.array([[0x0102 / 65535, 1.0]]))
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_channels_are_exact_contiguous_planes(self, channels, maxval):
+        rng = np.random.default_rng(channels)
+        dtype = np.uint8 if maxval == 255 else np.dtype(">u2")
+        samples = rng.integers(0, maxval + 1, size=(13, 7 * channels)).astype(dtype)
+        magic = b"P5" if channels == 1 else b"P6"
+        data = magic + b"\n7 13\n%d\n" % maxval + samples.tobytes()
+        got = read_pnm(data)
+        # the earlier decode: one interleaved float plane, then per-channel copies
+        interleaved = (samples.astype(np.float64) / maxval).reshape(13, 7, channels)
+        assert len(got) == channels
+        for c, chan in enumerate(got):
+            assert chan.dtype == np.float64 and chan.flags.c_contiguous and chan.flags.writeable
+            assert np.array_equal(chan, interleaved[:, :, c])
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_decode_peaks_at_its_planes_and_raster(self, maxval):
+        # three float planes plus the raster bytes: no interleaved float copy
+        rng = np.random.default_rng(7)
+        data = write_pnm([rng.random((128, 256)) for _ in range(3)], maxval)
+        read_pnm(data)
+        tracemalloc.start()
+        try:
+            read_pnm(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        plane = 128 * 256 * 8
+        raster = 3 * 128 * 256 * (1 if maxval == 255 else 2)
+        assert peak <= 3 * plane + raster + 16384
 
     @pytest.mark.parametrize("data,reason", MALFORMED)
     def test_malformed_rejected_with_reason(self, data, reason):

@@ -48,6 +48,23 @@ class TestMse:
             mse(np.ones((3, 3)), np.ones((3, 4)))
 
 
+@pytest.mark.filterwarnings("error")  # raised before numpy computes on the value
+class TestRejectsNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("spoiled", ["x", "y"])
+    @pytest.mark.parametrize("where", [(0, 0), (20, 1000), (-1, -1)])
+    @pytest.mark.parametrize("metric", [mse, psnr, ssim])
+    def test_non_finite_raises(self, metric, where, spoiled, bad):
+        # 40 rows at width 2048 make two SSIM strips; the spoiled pixel sits
+        # in the first row and a border column, mid-plane, or in the last
+        # row and column
+        rng = np.random.default_rng(6)
+        x, y = rng.random((40, 2048)), rng.random((40, 2048))
+        (x if spoiled == "x" else y)[where] = bad
+        with pytest.raises(ValueError, match=f"NaN or Inf in {spoiled}"):
+            metric(x, y)
+
+
 class TestPsnr:
     def test_identical_is_inf(self):
         x = np.random.default_rng(2).random((8, 8))

@@ -136,12 +136,13 @@ class TestBoxPasses:
     @pytest.mark.parametrize("iters", [1, 3])
     def test_flash_rolls_share_the_flash_moments(self, count_box_passes, iters):
         noflash, flash, _ = _images(8)
+        # the base layer gf(flash, flash) is a self-guided fit: 2 + 2
         assert count_box_passes(
             lambda: rfnf_gen(noflash, flash, TRUNC, 0.05, 0.4, 1.5, iters)
-        ) == 6 + 4 * iters
+        ) == 4 + 4 * iters
         assert count_box_passes(
             lambda: rfnf_seo(noflash, flash, TRUNC, 0.05, 0.7, iters)
-        ) == 6 + 4 * iters
+        ) == 4 + 4 * iters
 
     def test_tol_stop_counts_only_the_passes_run(self, count_box_passes):
         p, guide, g = _images(9)
