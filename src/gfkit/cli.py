@@ -16,6 +16,8 @@ import os
 import statistics
 import sys
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,13 +34,6 @@ from .metrics import mse, psnr_from_mse, ssim
 from .imgio import PnmError, read_pnm_file, write_pnm_file
 
 ITERATE_MAXVAL = 65535  # dumped iterates keep 16 bits to limit requantization
-
-FILTER_DEFAULTS = {
-    # mirrors the documented recommended settings per filter
-    "gf": {"radius": 10, "eps": 0.1},
-    "tvgf": {"radius": 10, "eps": 0.01, "lam": 45.0},
-    "cgf": {"radius": 6, "eps": 0.001, "lam": 0.01},
-}
 
 
 def _positive_int(text: str) -> int:
@@ -64,16 +59,115 @@ def _positive_float(text: str) -> float:
 
 def _nonneg_float(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
     return value
 
 
-def _add_io_args(sp, guidance=True, anchor=False):
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+# dest -> (flag, add_argument keywords); --help lists the flags in this order
+PARAM_FLAGS = {
+    "radius": ("--radius", {"type": _nonneg_int}),
+    "eps": ("--eps", {"type": _positive_float}),
+    "eps2": ("--eps2", {"type": _positive_float}),
+    "lam": ("--lambda", {"dest": "lam", "type": _nonneg_float}),
+    "beta": ("--beta", {"type": _nonneg_float}),
+    "tau": ("--tau", {"type": _finite_float}),
+    "boundary": ("--boundary", {"choices": ("truncate", "periodic")}),
+    "iters": ("--iters", {"type": _positive_int}),
+}
+
+
+@dataclass(frozen=True)
+class FilterCommand:
+    """One filter subcommand. ``params`` maps each parameter flag's dest to
+    its default; a fixed ``boundary`` replaces the --boundary flag.
+    ``run(channel, guide, anchor, w, args)`` returns the iterates, the last
+    being the output, and with ``g_output`` also the guidance track."""
+
+    help: str
+    params: dict
+    run: Callable
+    anchor: bool = False
+    g_output: bool = False
+    boundary: Boundary | None = None
+    description: str | None = None
+
+
+def _tracks(scheme, *args, dump: bool):
+    """An rmsf run's q iterates (every one if dump, else the last) and its G track."""
+    snaps = [] if dump else None
+    state = scheme(*args, snapshots=snaps)
+    return ([s.state.q for s in snaps] if snaps else [state.q]), state.G
+
+
+_INVERSE = (
+    "Estimates a guidance-like image from a smoothed input. "
+    "Standalone output is rarely visually meaningful; these exist mainly "
+    "as the structure-restoring half of the rmsf schemes."
+)
+
+# the defaults mirror the documented recommended settings per filter
+FILTER_COMMANDS = {
+    "gf": FilterCommand(
+        "guided filter", {"radius": 10, "eps": 0.1, "iters": 1},
+        lambda x, g, _, w, a: gf_roll(x, g, w, a.eps, a.iters)),
+    "tvgf": FilterCommand(
+        "TV-regularized guided filter (periodic windows)",
+        {"radius": 10, "eps": 0.01, "lam": 45.0, "iters": 1},
+        lambda x, g, _, w, a: tvgf_roll(x, g, w, a.eps, a.lam, a.iters),
+        boundary=Boundary.PERIODIC),
+    "cgf": FilterCommand(
+        "conservative guided filter (anchored)",
+        {"radius": 6, "eps": 0.001, "lam": 0.01, "iters": 1},
+        lambda x, g, anchor, w, a: cgf_roll(x, g, anchor, w, a.eps, a.lam, a.iters),
+        anchor=True),
+    "igf": FilterCommand(
+        "inverse guided filter", {"radius": 6, "eps": 0.01},
+        lambda x, g, _, w, a: [igf(x, g, w, a.eps)], description=_INVERSE),
+    "icgf": FilterCommand(
+        "inverse guided filter with anchor", {"radius": 6, "eps": 0.01, "lam": 0.01},
+        lambda x, g, anchor, w, a: [icgf(x, g, anchor, w, a.eps, a.lam)],
+        anchor=True, description=_INVERSE),
+    "rmsf-gf": FilterCommand(
+        "mutual-structure rolling (plain pair)",
+        {"radius": 6, "eps": 0.01, "eps2": 0.01, "iters": 5},
+        lambda x, g, _, w, a: _tracks(
+            gf_rmsf, x, g, a.eps, a.eps2, w, a.iters, dump=a.dump_iterates),
+        g_output=True),
+    "rmsf-cgf": FilterCommand(
+        "mutual-structure rolling (anchored pair)",
+        {"radius": 6, "eps": 0.001, "eps2": 0.001, "lam": 0.01, "beta": 0.01, "iters": 5},
+        lambda x, g, _, w, a: _tracks(
+            cgf_rmsf, x, g, a.eps, a.eps2, a.lam, a.beta, w, a.iters, dump=a.dump_iterates),
+        g_output=True),
+    "roll37": FilterCommand(
+        "cross-guided rolling without inverse terms "
+        "(documented failure baseline: wipes out detail)",
+        {"radius": 6, "eps": 0.01, "iters": 5},
+        lambda x, g, _, w, a: [naive_roll37(x, g, a.eps, w, a.iters).q]),
+    "rfnf-seo": FilterCommand(
+        "flash/no-flash rolling, additive detail",
+        {"radius": 10, "eps": 0.1, "lam": 1.0, "iters": 5},
+        lambda x, g, _, w, a: [rfnf_seo(x, g, w, a.eps, a.lam, a.iters)]),
+    "rfnf-gen": FilterCommand(
+        "flash/no-flash rolling, anchored",
+        {"radius": 10, "eps": 0.1, "lam": 1.0, "tau": 1.0, "iters": 5},
+        lambda x, g, _, w, a: [rfnf_gen(x, g, w, a.eps, a.lam, a.tau, a.iters)]),
+}
+
+
+def _add_filter_parser(sub, name: str, cmd: FilterCommand) -> None:
+    sp = sub.add_parser(name, help=cmd.help, description=cmd.description)
     sp.add_argument("--input", required=True, help="input image (PGM/PPM)")
-    if guidance:
-        sp.add_argument("--guidance", help="guidance image; defaults to the input")
-    if anchor:
+    sp.add_argument("--guidance", help="guidance image; defaults to the input")
+    if cmd.anchor:
         sp.add_argument("--anchor", help="anchor image g; defaults to the input")
     sp.add_argument("--output", required=True, help="output image path")
     sp.add_argument("--maxval", type=int, choices=(255, 65535), default=255)
@@ -82,6 +176,14 @@ def _add_io_args(sp, guidance=True, anchor=False):
     sp.add_argument("--metrics-against", help="reference image to score the output against")
     sp.add_argument("--threads", type=_positive_int,
                     help="deprecated; accepted but has no effect")
+    params = dict(cmd.params)
+    if cmd.boundary is None:
+        params["boundary"] = "truncate"
+    for dest, (flag, kwargs) in PARAM_FLAGS.items():
+        if dest in params:
+            sp.add_argument(flag, default=params[dest], **kwargs)
+    if cmd.g_output:
+        sp.add_argument("--g-output", help="also write the filtered guidance track")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,90 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Guided-filter family, rolling schemes, metrics and benchmarks.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("gf", help="guided filter")
-    _add_io_args(sp)
-    sp.add_argument("--radius", type=_nonneg_int, default=FILTER_DEFAULTS["gf"]["radius"])
-    sp.add_argument("--eps", type=_positive_float, default=FILTER_DEFAULTS["gf"]["eps"])
-    sp.add_argument("--boundary", choices=("truncate", "periodic"), default="truncate")
-    sp.add_argument("--iters", type=_positive_int, default=1)
-
-    sp = sub.add_parser("tvgf", help="TV-regularized guided filter (periodic windows)")
-    _add_io_args(sp)
-    sp.add_argument("--radius", type=_nonneg_int, default=FILTER_DEFAULTS["tvgf"]["radius"])
-    sp.add_argument("--eps", type=_positive_float, default=FILTER_DEFAULTS["tvgf"]["eps"])
-    sp.add_argument("--lambda", dest="lam", type=_nonneg_float,
-                    default=FILTER_DEFAULTS["tvgf"]["lam"])
-    sp.add_argument("--iters", type=_positive_int, default=1)
-
-    sp = sub.add_parser("cgf", help="conservative guided filter (anchored)")
-    _add_io_args(sp, anchor=True)
-    sp.add_argument("--radius", type=_nonneg_int, default=FILTER_DEFAULTS["cgf"]["radius"])
-    sp.add_argument("--eps", type=_positive_float, default=FILTER_DEFAULTS["cgf"]["eps"])
-    sp.add_argument("--lambda", dest="lam", type=_nonneg_float,
-                    default=FILTER_DEFAULTS["cgf"]["lam"])
-    sp.add_argument("--boundary", choices=("truncate", "periodic"), default="truncate")
-    sp.add_argument("--iters", type=_positive_int, default=1)
-
-    for name, anchored in (("igf", False), ("icgf", True)):
-        sp = sub.add_parser(
-            name,
-            help=f"inverse guided filter{' with anchor' if anchored else ''}",
-            description="Estimates a guidance-like image from a smoothed input. "
-            "Standalone output is rarely visually meaningful; these exist mainly "
-            "as the structure-restoring half of the rmsf schemes.",
-        )
-        _add_io_args(sp, anchor=anchored)
-        sp.add_argument("--radius", type=_nonneg_int, default=6)
-        sp.add_argument("--eps", type=_positive_float, default=0.01)
-        if anchored:
-            sp.add_argument("--lambda", dest="lam", type=_nonneg_float, default=0.01)
-        sp.add_argument("--boundary", choices=("truncate", "periodic"), default="truncate")
-
-    sp = sub.add_parser("rmsf-gf", help="mutual-structure rolling (plain pair)")
-    _add_io_args(sp)
-    sp.add_argument("--radius", type=_nonneg_int, default=6)
-    sp.add_argument("--eps", type=_positive_float, default=0.01)
-    sp.add_argument("--eps2", type=_positive_float, default=0.01)
-    sp.add_argument("--boundary", choices=("truncate", "periodic"), default="truncate")
-    sp.add_argument("--iters", type=_positive_int, default=5)
-    sp.add_argument("--g-output", help="also write the filtered guidance track")
-
-    sp = sub.add_parser("rmsf-cgf", help="mutual-structure rolling (anchored pair)")
-    _add_io_args(sp)
-    sp.add_argument("--radius", type=_nonneg_int, default=6)
-    sp.add_argument("--eps", type=_positive_float, default=0.001)
-    sp.add_argument("--eps2", type=_positive_float, default=0.001)
-    sp.add_argument("--lambda", dest="lam", type=_nonneg_float, default=0.01)
-    sp.add_argument("--beta", type=_nonneg_float, default=0.01)
-    sp.add_argument("--boundary", choices=("truncate", "periodic"), default="truncate")
-    sp.add_argument("--iters", type=_positive_int, default=5)
-    sp.add_argument("--g-output", help="also write the filtered guidance track")
-
-    sp = sub.add_parser("roll37", help="cross-guided rolling without inverse terms "
-                                       "(documented failure baseline: wipes out detail)")
-    _add_io_args(sp)
-    sp.add_argument("--radius", type=_nonneg_int, default=6)
-    sp.add_argument("--eps", type=_positive_float, default=0.01)
-    sp.add_argument("--boundary", choices=("truncate", "periodic"), default="truncate")
-    sp.add_argument("--iters", type=_positive_int, default=5)
-
-    sp = sub.add_parser("rfnf-seo", help="flash/no-flash rolling, additive detail")
-    _add_io_args(sp)
-    sp.add_argument("--radius", type=_nonneg_int, default=10)
-    sp.add_argument("--eps", type=_positive_float, default=0.1)
-    sp.add_argument("--lambda", dest="lam", type=_nonneg_float, default=1.0)
-    sp.add_argument("--boundary", choices=("truncate", "periodic"), default="truncate")
-    sp.add_argument("--iters", type=_positive_int, default=5)
-
-    sp = sub.add_parser("rfnf-gen", help="flash/no-flash rolling, anchored")
-    _add_io_args(sp)
-    sp.add_argument("--radius", type=_nonneg_int, default=10)
-    sp.add_argument("--eps", type=_positive_float, default=0.1)
-    sp.add_argument("--lambda", dest="lam", type=_nonneg_float, default=1.0)
-    sp.add_argument("--tau", type=float, default=1.0)
-    sp.add_argument("--boundary", choices=("truncate", "periodic"), default="truncate")
-    sp.add_argument("--iters", type=_positive_int, default=5)
+    for name, cmd in FILTER_COMMANDS.items():
+        _add_filter_parser(sub, name, cmd)
 
     sp = sub.add_parser("metrics", help="MSE / PSNR / SSIM between two images")
     sp.add_argument("--input", required=True)
@@ -238,34 +258,28 @@ def _run_filter_command(args) -> dict:
     in_channels = _load_channels(args.input)
     report_inputs = {"input": _channel_info(args.input, in_channels)}
 
-    guidance_path = getattr(args, "guidance", None)
-    if guidance_path:
-        g_channels = _load_channels(guidance_path)
+    guide = None  # self-guidance, per channel
+    if args.guidance:
+        g_channels = _load_channels(args.guidance)
         guide = _to_scalar_guidance(g_channels)
         if guide.shape != in_channels[0].shape:
             raise ValueError("guidance shape does not match the input")
-        report_inputs["guidance"] = _channel_info(guidance_path, g_channels)
-        per_channel_guide = None
-    else:
-        guide = None  # self-guidance, per channel
-        per_channel_guide = True
+        report_inputs["guidance"] = _channel_info(args.guidance, g_channels)
 
-    anchor_path = getattr(args, "anchor", None)
+    cmd = FILTER_COMMANDS[args.command]
     anchor_channels = None
-    if args.command in ("cgf", "icgf"):
-        if anchor_path:
-            anchor_channels = _load_channels(anchor_path)
+    if cmd.anchor:
+        if args.anchor:
+            anchor_channels = _load_channels(args.anchor)
             if len(anchor_channels) not in (1, len(in_channels)):
                 raise ValueError("anchor channel count does not match the input")
             if anchor_channels[0].shape != in_channels[0].shape:
                 raise ValueError("anchor shape does not match the input")
-            report_inputs["anchor"] = _channel_info(anchor_path, anchor_channels)
+            report_inputs["anchor"] = _channel_info(args.anchor, anchor_channels)
         else:
             anchor_channels = in_channels  # g defaults to the input
 
-    boundary = Boundary.PERIODIC if args.command == "tvgf" else Boundary(
-        getattr(args, "boundary", "truncate")
-    )
+    boundary = cmd.boundary or Boundary(args.boundary)
     w = WindowSpec(radius=args.radius, boundary=boundary)
 
     def anchor_for(idx):
@@ -277,40 +291,11 @@ def _run_filter_command(args) -> dict:
     g_track: list[Image] = []
     iterate_sets: list[list[Image]] = []
     for idx, chan in enumerate(in_channels):
-        g = chan if per_channel_guide else guide
-        iterates: list[Image] = []
-        if args.command == "gf":
-            iterates = gf_roll(chan, g, w, args.eps, args.iters)
-        elif args.command == "tvgf":
-            iterates = tvgf_roll(chan, g, w, args.eps, args.lam, args.iters)
-        elif args.command == "cgf":
-            iterates = cgf_roll(chan, g, anchor_for(idx), w, args.eps, args.lam, args.iters)
-        elif args.command == "igf":
-            iterates = [igf(chan, g, w, args.eps)]
-        elif args.command == "icgf":
-            iterates = [icgf(chan, g, anchor_for(idx), w, args.eps, args.lam)]
-        elif args.command == "roll37":
-            state = naive_roll37(chan, g, args.eps, w, args.iters)
-            iterates = [state.q]
-        elif args.command == "rmsf-gf":
-            snaps = [] if args.dump_iterates else None
-            state = gf_rmsf(chan, g, args.eps, args.eps2, w, args.iters, snapshots=snaps)
-            iterates = [s.state.q for s in snaps] if snaps else [state.q]
-            g_track.append(state.G)
-        elif args.command == "rmsf-cgf":
-            snaps = [] if args.dump_iterates else None
-            state = cgf_rmsf(
-                chan, g, args.eps, args.eps2, args.lam, args.beta, w, args.iters,
-                snapshots=snaps,
-            )
-            iterates = [s.state.q for s in snaps] if snaps else [state.q]
-            g_track.append(state.G)
-        elif args.command == "rfnf-seo":
-            iterates = [rfnf_seo(chan, g, w, args.eps, args.lam, args.iters)]
-        elif args.command == "rfnf-gen":
-            iterates = [rfnf_gen(chan, g, w, args.eps, args.lam, args.tau, args.iters)]
-        else:
-            raise ValueError(f"unhandled command {args.command}")
+        g = chan if guide is None else guide
+        iterates = cmd.run(chan, g, anchor_for(idx), w, args)
+        if cmd.g_output:
+            iterates, G = iterates
+            g_track.append(G)
         out_channels.append(iterates[-1])
         iterate_sets.append(iterates)
 
@@ -318,7 +303,7 @@ def _run_filter_command(args) -> dict:
     write_pnm_file(args.output, out_channels, args.maxval)
     outputs.append(_channel_info(args.output, out_channels))
 
-    if getattr(args, "g_output", None) and g_track:
+    if cmd.g_output and args.g_output:
         write_pnm_file(args.g_output, g_track, args.maxval)
         outputs.append(_channel_info(args.g_output, g_track))
 
@@ -335,11 +320,8 @@ def _run_filter_command(args) -> dict:
         report_inputs["metrics_against"] = _channel_info(args.metrics_against, ref_channels)
         metrics_obj = _metrics_report(out_channels, ref_channels)
 
-    params = {
-        k: getattr(args, k)
-        for k in ("radius", "eps", "eps2", "lam", "beta", "tau", "iters", "maxval")
-        if hasattr(args, k)
-    }
+    params = {k: getattr(args, k) for k in cmd.params}
+    params["maxval"] = args.maxval
     params["boundary"] = boundary.value
     return {"inputs": report_inputs, "outputs": outputs, "params": params,
             "metrics": metrics_obj}

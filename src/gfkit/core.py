@@ -8,6 +8,7 @@ handled as ordered lists of same-shape single-channel images.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -83,3 +84,23 @@ def require_same_shape(*images: Image) -> None:
     shapes = {im.shape for im in images}
     if len(shapes) > 1:
         raise ValueError(f"shape mismatch: {sorted(shapes)}")
+
+
+# keyword -> (name in the message, requirement, test); NaN fails every test
+_PARAM_RULES = {
+    "eps": ("eps", "> 0", lambda v: v > 0),
+    "eps2": ("eps2", "> 0", lambda v: v > 0),
+    "lam": ("lambda", "finite and >= 0", lambda v: 0 <= v < math.inf),
+    "beta": ("beta", "finite and >= 0", lambda v: 0 <= v < math.inf),
+    "tau": ("tau", "finite", math.isfinite),
+    "gain": ("lambda", "finite", math.isfinite),  # rfnf_seo's detail gain, either sign
+    "iters": ("iters", ">= 1", lambda v: v >= 1),
+}
+
+
+def require_params(**params) -> None:
+    """Reject a filter parameter outside its range, naming it (see _PARAM_RULES)."""
+    for key, value in params.items():
+        name, rule, ok = _PARAM_RULES[key]
+        if not ok(value):
+            raise ValueError(f"{name} must be {rule}, got {value}")

@@ -1,16 +1,26 @@
-"""The baseline guided filter as an alternating least-squares pass.
+"""The baseline guided filter, and the one roll every fixed-guide filter runs.
 
 One filtering pass fits per-window linear coefficients (a, b) of the
-guidance by ridge regression, then replaces each pixel by the average of
-its overlapping window estimates. Feeding the output back in (``gf_roll``)
-continues the same block-coordinate minimization, so the exact objective
-value (``energy_gf``) must never increase between passes.
+guidance by ridge regression, then solves each pixel from its overlapping
+window estimates. Every fixed-guide scheme shares that pixel step's
+numerator, the window-sum estimate f = sum_k (a_k * guide + b_k), and maps
+it to the exact per-pixel minimizer of its own objective:
+
+- ``gf``: f / n, n the pixel's window count;
+- ``cgf``: (f + lam * g) / (n + lam), anchored to g;
+- ``tvgf``: the Fourier solve of (n + lam * L) q = f;
+- ``rfnf_seo``: f / n plus a fixed detail layer.
+
+``anchored_update`` is the first two, and ``roll`` runs the loop for all of
+them. Feeding the output back in continues the same block-coordinate
+minimization, so the exact objective value (``energy_gf``) must never
+increase between passes; ``gf`` is the one-pass case of ``gf_roll``.
 
 The guide is a constant of that objective, so its window counts, mean and
 variance are constants of every pass. ``gf_coeffs`` is the composition of
 ``guide_moments`` (2 box passes) and ``fit_coeffs`` (2 box passes against
 those moments); a roll computes the guide moments once and then spends 4
-box passes per iteration (fit and aggregation), 2 + 4n in all instead of 6n.
+box passes per iteration (fit and window sums), 2 + 4n in all instead of 6n.
 
 When the input is the guide itself (p is guide, the edge-preserving
 smoothing case), the fit needs only the guide's own moments: mean(p) is
@@ -24,11 +34,12 @@ conversion; an equal copy takes the general route to the same bits.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EnergyReport, Image, WindowSpec, as_image, require_same_shape
+from .core import EnergyReport, Image, WindowSpec, as_image, require_params, require_same_shape
 from .boxops import box_sum, window_counts, window_values
 
 
@@ -66,7 +77,7 @@ def as_input_and_guide(p, guide) -> tuple[Image, Image]:
 
 
 def _check_eps(eps: float) -> None:
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
 
 
@@ -152,43 +163,78 @@ def gf_coeffs(p: Image, guide: Image, w: WindowSpec, eps: float) -> GfCoeffs:
     return guide_fit(p, guide, w, eps)[1]
 
 
-def _aggregate(coeffs: GfCoeffs, guide: Image, w: WindowSpec, counts: Image) -> Image:
-    out = box_sum(coeffs.a, w)
-    out /= counts
-    out *= guide
-    mean_b = box_sum(coeffs.b, w)
-    mean_b /= counts
-    out += mean_b
-    return out
+def window_sum_estimate(coeffs: GfCoeffs, guide: Image, w: WindowSpec) -> Image:
+    """f = sum(a) * guide + sum(b): every window's estimate of each pixel,
+    summed, the numerator of every forward pixel update. 2 box passes."""
+    f = box_sum(coeffs.a, w)
+    f *= guide
+    f += box_sum(coeffs.b, w)
+    return f
+
+
+def anchored_update(f: Image, counts: Image, g: Image | None = None, lam: float = 0.0) -> Image:
+    """The exact pixel minimizer (f + lam * g) / (n + lam), written into f.
+
+    n is the pixel's window count. At lam = 0 the anchor drops out (g is
+    not read) and this is the plain guided filter's f / n.
+    """
+    if lam:
+        f += lam * g
+        f /= counts + lam
+    else:
+        f /= counts
+    return f
 
 
 def gf_apply(coeffs: GfCoeffs, guide: Image, w: WindowSpec) -> Image:
-    """Aggregate the per-window estimates: mean(a) * guide + mean(b)."""
+    """Aggregate the per-window estimates: the lam = 0 update f / n."""
     guide = as_image(guide)
     require_same_shape(coeffs.a, coeffs.b, guide)
-    return _aggregate(coeffs, guide, w, window_counts(guide.shape, w))
+    return anchored_update(window_sum_estimate(coeffs, guide, w), window_counts(guide.shape, w))
 
 
-def gf_pass(q: Image, guide: Image, moments: GuideMoments, w: WindowSpec) -> Image:
-    """gf(q, guide) against precomputed guide moments: 4 box passes."""
-    return _aggregate(fit_coeffs(q, guide, moments, w), guide, w, moments.counts)
+def roll(
+    p: Image,
+    guide: Image,
+    fit: tuple[GuideMoments, GfCoeffs],
+    w: WindowSpec,
+    update: Callable[[Image, Image], Image],
+    iters: int,
+    tol: float | None = None,
+) -> Iterator[Image]:
+    """Yield the iterates q1 .. qN of a fixed-guide roll from q0 = p.
 
-
-def first_pass(p: Image, guide: Image, w: WindowSpec, eps: float) -> tuple[GuideMoments, Image]:
-    """The guide's moments and gf(p, guide), the first pass of a roll.
-
-    6 box passes, or 4 if p is the guide itself. The fit is released as
-    soon as it is aggregated, so a roll holds only the moments.
+    ``fit`` is the guide's moments and the fit of p against them (from
+    ``guide_fit``, or against moments the caller holds); every later pass
+    refits the current iterate against those moments. Each fit is dropped
+    once its window-sum estimate f is built (on the last pass the moments
+    too, all but the counts), and ``update(f, counts)`` maps f to the next
+    iterate: 4 box passes a pass after the first fit.
+    If tol is given, the roll stops after the first iterate with
+    max |q_{n+1} - q_n| < tol.
     """
-    moments, coeffs = guide_fit(p, guide, w, eps)
-    return moments, _aggregate(coeffs, guide, w, moments.counts)
+    moments, coeffs = fit
+    del fit
+    counts = moments.counts
+    q = p
+    for n in range(iters):
+        if coeffs is None:
+            coeffs = fit_coeffs(q, guide, moments, w)
+        if n == iters - 1:
+            moments = None  # no refit follows, so only the counts are needed
+        f = window_sum_estimate(coeffs, guide, w)
+        coeffs = None  # the fit is dropped before the update
+        q_next = update(f, counts)
+        del f  # an update that allocates its result frees f before the yield
+        yield q_next
+        if tol is not None and float(np.max(np.abs(q_next - q))) < tol:
+            return
+        q = q_next
 
 
 def gf(p: Image, guide: Image, w: WindowSpec, eps: float) -> Image:
     """One guided-filter pass of p steered by the guidance image."""
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    return gf_apply(gf_coeffs(p, guide, w, eps), guide, w)
+    return gf_roll(p, guide, w, eps, 1)[0]
 
 
 def gf_roll(p: Image, guide: Image, w: WindowSpec, eps: float, iters: int) -> list[Image]:
@@ -198,16 +244,9 @@ def gf_roll(p: Image, guide: Image, w: WindowSpec, eps: float, iters: int) -> li
     guide's moments are computed once, so each pass after the first costs
     4 box passes.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
+    require_params(eps=eps, iters=iters)
     p, guide = as_input_and_guide(p, guide)
-    moments, q = first_pass(p, guide, w, eps)
-    out = [q]
-    while len(out) < iters:
-        out.append(gf_pass(out[-1], guide, moments, w))
-    return out
+    return list(roll(p, guide, guide_fit(p, guide, w, eps), w, anchored_update, iters))
 
 
 def energy_gf(q: Image, coeffs: GfCoeffs, guide: Image, w: WindowSpec, eps: float) -> EnergyReport:

@@ -12,6 +12,14 @@ The G update consumes the freshly computed q (Gauss-Seidel ordering) while
 reusing the coefficients fit at the top of the iteration; every substep is
 then an exact block minimization of the shared objective.
 
+Both schemes run one loop. Its smoothing term is the forward anchored
+update (f + lam * anchor) / (n + lam) of ``gf.anchored_update`` and its
+inverse term ``igf.icgf_update``; the q track anchors to p with lam, the
+G track to the guide with beta. ``gf_rmsf`` is that loop at
+lam = beta = 0, so it equals ``cgf_rmsf(lam=0, beta=0)`` bit for bit. The
+descent guarantee above is for the plain pair; the anchored pair has no
+exact energy evaluator yet.
+
 ``naive_roll37`` is the cross-guided baseline without the inverse terms,
 kept as the documented failure mode: it wipes out detail on both tracks.
 """
@@ -22,11 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EnergyReport, Image, WindowSpec, as_image, require_same_shape
-from .gf import GfCoeffs, gf, gf_apply, gf_coeffs
-from .igf import icgf_update, igf_update
-from .cgf import anchor_weight
-from .boxops import box_mean, window_values
+from .core import EnergyReport, Image, WindowSpec, as_image, require_params, require_same_shape
+from .gf import GfCoeffs, anchored_update, gf, gf_coeffs, window_sum_estimate
+from .igf import icgf_update
+from .boxops import box_mean, window_counts, window_values
 
 
 @dataclass
@@ -67,6 +74,44 @@ def _blend(alpha: Image, x: Image, y: Image) -> Image:
     return x
 
 
+def _mutual_roll(
+    p: Image,
+    guide: Image,
+    eps: float,
+    eps2: float,
+    lam: float,
+    beta: float,
+    w: WindowSpec,
+    iters: int,
+    snapshots: list | None,
+) -> MutualState:
+    """The anchored mutual loop; lam = beta = 0 is the plain pair.
+
+    Each track blends its forward anchored update with the inverse update
+    of the other track's fit, anchored to the other track's origin: 20 box
+    passes per iteration (two fits 8, two alpha weights 2, two window-sum
+    estimates 4, two inverse updates 6).
+    """
+    p = as_image(p)
+    guide = as_image(guide)
+    require_same_shape(p, guide)
+    counts = window_counts(p.shape, w)
+    q, G = p, guide
+    for n in range(iters):
+        ab = gf_coeffs(q, G, w, eps)
+        cd = gf_coeffs(G, q, w, eps2)
+        alpha_q = alpha_weight(cd.a, w)
+        alpha_g = alpha_weight(ab.a, w)
+        fwd_q = anchored_update(window_sum_estimate(ab, G, w), counts, p, lam)
+        q_new = _blend(alpha_q, fwd_q, icgf_update(cd, G, guide, w, beta, prior=q))
+        fwd_g = anchored_update(window_sum_estimate(cd, q_new, w), counts, guide, beta)
+        G_new = _blend(alpha_g, fwd_g, icgf_update(ab, q_new, p, w, lam, prior=G))
+        q, G = q_new, G_new
+        if snapshots is not None:
+            snapshots.append(MutualSnapshot(MutualState(q, G, n + 1), ab, cd))
+    return MutualState(q=q, G=G, iteration=iters)
+
+
 def gf_rmsf(
     p: Image,
     guide: Image,
@@ -82,24 +127,8 @@ def gf_rmsf(
     Pass a list as ``snapshots`` to capture every iteration's state and
     coefficients (debug/testing; costs memory).
     """
-    if not (eps > 0 and eps2 > 0):
-        raise ValueError(f"eps and eps2 must be > 0, got {eps}, {eps2}")
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    q = as_image(p)
-    G = as_image(guide)
-    require_same_shape(q, G)
-    for n in range(iters):
-        ab = gf_coeffs(q, G, w, eps)
-        cd = gf_coeffs(G, q, w, eps2)
-        alpha_q = alpha_weight(cd.a, w)
-        alpha_g = alpha_weight(ab.a, w)
-        q_new = _blend(alpha_q, gf_apply(ab, G, w), igf_update(cd, G, w, prior=q))
-        G_new = _blend(alpha_g, gf_apply(cd, q_new, w), igf_update(ab, q_new, w, prior=G))
-        q, G = q_new, G_new
-        if snapshots is not None:
-            snapshots.append(MutualSnapshot(MutualState(q, G, n + 1), ab, cd))
-    return MutualState(q=q, G=G, iteration=iters)
+    require_params(eps=eps, eps2=eps2, iters=iters)
+    return _mutual_roll(p, guide, eps, eps2, 0.0, 0.0, w, iters, snapshots)
 
 
 def cgf_rmsf(
@@ -116,42 +145,11 @@ def cgf_rmsf(
     """Mutual-structure rolling built on the anchored (conservative) pair.
 
     The q track is anchored to the original input p with weight lam, the G
-    track to the original guidance with weight beta. lam = beta = 0 falls
-    back to the plain scheme.
+    track to the original guidance with weight beta. lam = beta = 0 is the
+    plain scheme, bit for bit.
     """
-    if not (eps > 0 and eps2 > 0):
-        raise ValueError(f"eps and eps2 must be > 0, got {eps}, {eps2}")
-    if lam < 0 or beta < 0:
-        raise ValueError(f"lambda and beta must be >= 0, got {lam}, {beta}")
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
-    p = as_image(p)
-    guide = as_image(guide)
-    require_same_shape(p, guide)
-    alpha_lam = anchor_weight(p.shape, w, lam)
-    alpha_beta = anchor_weight(p.shape, w, beta)
-    keep_lam = 1.0 - alpha_lam
-    keep_beta = 1.0 - alpha_beta
-    q, G = p, guide
-    for n in range(iters):
-        ab = gf_coeffs(q, G, w, eps)
-        cd = gf_coeffs(G, q, w, eps2)
-        alpha_q = alpha_weight(cd.a, w)
-        alpha_g = alpha_weight(ab.a, w)
-        cgf_q = gf_apply(ab, G, w)
-        cgf_q *= keep_lam
-        cgf_q += alpha_lam * p
-        icgf_q = icgf_update(cd, G, guide, w, beta, prior=q)
-        q_new = _blend(alpha_q, cgf_q, icgf_q)
-        cgf_g = gf_apply(cd, q_new, w)
-        cgf_g *= keep_beta
-        cgf_g += alpha_beta * guide
-        icgf_g = icgf_update(ab, q_new, p, w, lam, prior=G)
-        G_new = _blend(alpha_g, cgf_g, icgf_g)
-        q, G = q_new, G_new
-        if snapshots is not None:
-            snapshots.append(MutualSnapshot(MutualState(q, G, n + 1), ab, cd))
-    return MutualState(q=q, G=G, iteration=iters)
+    require_params(eps=eps, eps2=eps2, lam=lam, beta=beta, iters=iters)
+    return _mutual_roll(p, guide, eps, eps2, lam, beta, w, iters, snapshots)
 
 
 def naive_roll37(
@@ -159,8 +157,7 @@ def naive_roll37(
 ) -> MutualState:
     """Cross-guided rolling without the inverse terms (both updates read
     the previous state). Smooths both tracks toward constants."""
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
+    require_params(iters=iters)
     q = as_image(p)
     G = as_image(guide)
     require_same_shape(q, G)

@@ -1,19 +1,21 @@
 """Total-variation regularized guided filter.
 
 The pixel update of the plain guided filter is replaced by a screened
-linear solve: the aggregated window estimates are divided, in the Fourier
-domain, by |w| + lambda * D where D is the transfer function of the
-squared forward-difference gradient. Windows are forced periodic so that
-|w| is the constant scalar this diagonal solve requires.
+linear solve: the window-sum estimate f, the numerator every fixed-guide
+update shares, is divided in the Fourier domain by |w| + lambda * D, where
+D is the transfer function of the squared forward-difference gradient.
+Windows are forced periodic so that |w| is the constant scalar this
+diagonal solve requires. ``tvgf_roll`` is ``gf.roll`` with that solve as its
+update and the half-spectrum denominator built once; ``tvgf`` is its
+one-pass case.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Boundary, EnergyReport, Image, WindowSpec, as_image
-from .gf import GfCoeffs, as_input_and_guide, energy_gf, fit_coeffs, gf_coeffs, guide_fit
-from .boxops import box_sum
+from .core import Boundary, EnergyReport, Image, WindowSpec, as_image, require_params
+from .gf import GfCoeffs, as_input_and_guide, energy_gf, guide_fit, roll
 
 
 def _require_periodic(w: WindowSpec) -> None:
@@ -30,8 +32,7 @@ def tv_denominator(width: int, height: int, w: WindowSpec, lam: float) -> Image:
     """
     if width < 1 or height < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {width}x{height}")
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
+    require_params(lam=lam)
     u = np.arange(height, dtype=np.float64)
     v = np.arange(width, dtype=np.float64)
     d = (2.0 - 2.0 * np.cos(2.0 * np.pi * u / height))[:, None] + (
@@ -42,7 +43,8 @@ def tv_denominator(width: int, height: int, w: WindowSpec, lam: float) -> Image:
 
 def _half_denominator(shape, w: WindowSpec, lam: float) -> Image:
     h, width = shape
-    return tv_denominator(width, h, w, lam)[:, : width // 2 + 1]
+    # a copy, so that a roll holds half the grid rather than all of it
+    return tv_denominator(width, h, w, lam)[:, : width // 2 + 1].copy()
 
 
 def _solve_half(f: Image, denominator: Image) -> Image:
@@ -60,22 +62,9 @@ def tvgf_solve_q(f: Image, w: WindowSpec, lam: float) -> Image:
     return _solve_half(f, _half_denominator(f.shape, w, lam))
 
 
-def _window_sum_estimate(coeffs: GfCoeffs, guide: Image, w: WindowSpec) -> Image:
-    """sum(a) * guide + sum(b): the right-hand side of the TV solve."""
-    f = box_sum(coeffs.a, w)
-    f *= guide
-    f += box_sum(coeffs.b, w)
-    return f
-
-
 def tvgf(p: Image, guide: Image, w: WindowSpec, eps: float, lam: float) -> Image:
     """One TV-regularized guided-filter pass (periodic windows)."""
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    p, guide = as_input_and_guide(p, guide)
-    _require_periodic(w)
-    f = _window_sum_estimate(gf_coeffs(p, guide, w, eps), guide, w)
-    return tvgf_solve_q(f, w, lam)  # the fit is released before the solve
+    return tvgf_roll(p, guide, w, eps, lam, 1)[0]
 
 
 def tvgf_roll(
@@ -87,25 +76,14 @@ def tvgf_roll(
     pass costs 4 box passes and one half-spectrum solve, after 2 box
     passes for the guide moments unless p is the guide itself.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
+    require_params(eps=eps, lam=lam, iters=iters)
     p, guide = as_input_and_guide(p, guide)
     _require_periodic(w)
     denominator = _half_denominator(p.shape, w, lam)
-    moments, coeffs = guide_fit(p, guide, w, eps)
-    # each pass drops its fit before the solve and its estimate before the
-    # next fit, so the roll holds only the guide moments and the iterates
-    out = []
-    for _ in range(iters):
-        if out:
-            coeffs = fit_coeffs(out[-1], guide, moments, w)
-        f = _window_sum_estimate(coeffs, guide, w)
-        del coeffs
-        out.append(_solve_half(f, denominator))
-        del f
-    return out
+    return list(
+        roll(p, guide, guide_fit(p, guide, w, eps), w,
+             lambda f, counts: _solve_half(f, denominator), iters)
+    )
 
 
 def tv_squared(q: Image) -> Image:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 from pathlib import Path
@@ -6,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from gfkit.cli import main
+from gfkit.cli import build_parser, main
 from gfkit.imgio import read_pnm_file, write_pnm_file
 from gfkit.metrics import mse, ssim
 
@@ -214,6 +215,10 @@ class TestExitCodes:
             ("rmsf-cgf", "--eps2", "0"),
             ("rmsf-cgf", "--beta", "-0.5"),
             ("rfnf-gen", "--iters", "0"),
+            ("cgf", "--lambda", "nan"),
+            ("cgf", "--lambda", "inf"),
+            ("rfnf-gen", "--tau", "nan"),
+            ("rmsf-cgf", "--beta", "inf"),
         ],
     )
     def test_out_of_range_parameter_is_usage_error(self, workdir, capsys, cmd, flag, value):
@@ -231,6 +236,72 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "gf", "--input", "a.pgm", "--guidance", "b.pgm",
                              "--output", "o.pgm", "--radius", "2")
         assert code == 2
+
+
+# The filter subcommands' flags as the hand-written parser defined them:
+# (flag, dest, default, choices, required), in --help order.
+def _flag(flag, dest, default, choices=None, required=False):
+    return (flag, dest, default, choices, required)
+
+
+def _io(anchor=False):
+    head = [_flag("--input", "input", None, required=True), _flag("--guidance", "guidance", None)]
+    return head + [_flag("--anchor", "anchor", None)] * anchor + [
+        _flag("--output", "output", None, required=True),
+        _flag("--maxval", "maxval", 255, (255, 65535)),
+        _flag("--dump-iterates", "dump_iterates", False),
+        _flag("--metrics-against", "metrics_against", None),
+        _flag("--threads", "threads", None),
+    ]
+
+
+BOUNDARY = _flag("--boundary", "boundary", "truncate", ("truncate", "periodic"))
+G_OUTPUT = _flag("--g-output", "g_output", None)
+
+
+def _r(v): return _flag("--radius", "radius", v)  # noqa: E704
+def _eps(v): return _flag("--eps", "eps", v)  # noqa: E704
+def _eps2(v): return _flag("--eps2", "eps2", v)  # noqa: E704
+def _lam(v): return _flag("--lambda", "lam", v)  # noqa: E704
+def _beta(v): return _flag("--beta", "beta", v)  # noqa: E704
+def _tau(v): return _flag("--tau", "tau", v)  # noqa: E704
+def _iters(v): return _flag("--iters", "iters", v)  # noqa: E704
+
+
+FILTER_SURFACE = {
+    "gf": _io() + [_r(10), _eps(0.1), BOUNDARY, _iters(1)],
+    "tvgf": _io() + [_r(10), _eps(0.01), _lam(45.0), _iters(1)],
+    "cgf": _io(anchor=True) + [_r(6), _eps(0.001), _lam(0.01), BOUNDARY, _iters(1)],
+    "igf": _io() + [_r(6), _eps(0.01), BOUNDARY],
+    "icgf": _io(anchor=True) + [_r(6), _eps(0.01), _lam(0.01), BOUNDARY],
+    "rmsf-gf": _io() + [_r(6), _eps(0.01), _eps2(0.01), BOUNDARY, _iters(5), G_OUTPUT],
+    "rmsf-cgf": _io() + [
+        _r(6), _eps(0.001), _eps2(0.001), _lam(0.01), _beta(0.01), BOUNDARY, _iters(5), G_OUTPUT,
+    ],
+    "roll37": _io() + [_r(6), _eps(0.01), BOUNDARY, _iters(5)],
+    "rfnf-seo": _io() + [_r(10), _eps(0.1), _lam(1.0), BOUNDARY, _iters(5)],
+    "rfnf-gen": _io() + [_r(10), _eps(0.1), _lam(1.0), _tau(1.0), BOUNDARY, _iters(5)],
+}
+
+
+class TestParserSurface:
+    @staticmethod
+    def _subparsers():
+        ap = build_parser()
+        return next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_subcommands(self):
+        assert list(self._subparsers()) == [*FILTER_SURFACE, "metrics", "bench", "synth"]
+
+    @pytest.mark.parametrize("cmd", list(FILTER_SURFACE))
+    def test_filter_flags(self, cmd):
+        got = [
+            (a.option_strings[0], a.dest, a.default,
+             tuple(a.choices) if a.choices else None, a.required)
+            for a in self._subparsers()[cmd]._actions
+            if not isinstance(a, argparse._HelpAction)
+        ]
+        assert got == FILTER_SURFACE[cmd]
 
 
 class TestMetricsCommand:

@@ -1,7 +1,8 @@
 """Every filter and rolling scheme rejects a NaN or an Inf in its input
 or its guide: box_sum raises, and nothing computes on past it. The anchor
 g of cgf, cgf_roll and icgf is never box-summed, so those entry points
-check it themselves."""
+check it themselves. A NaN or Inf weight (lambda, beta, tau) or a NaN eps
+is rejected by name before any computation."""
 
 import warnings
 
@@ -12,7 +13,7 @@ from gfkit.cgf import cgf, cgf_roll
 from gfkit.core import Boundary, WindowSpec
 from gfkit.gf import gf
 from gfkit.igf import icgf, igf
-from gfkit.rfnf import rfnf_gen
+from gfkit.rfnf import enhanced_flash, rfnf_gen, rfnf_seo
 from gfkit.rmsf import cgf_rmsf, gf_rmsf
 from gfkit.tvgf import tvgf
 
@@ -63,3 +64,36 @@ def test_anchored_filter_rejects_non_finite_anchor(name, where, bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="NaN or Inf in the anchor g"):
             ANCHORED[name](p, g)
+
+
+NAN, INF = float("nan"), float("inf")
+
+# each entry runs one entry point on (p, g) with one weight out of range,
+# and names the parameter the error must blame
+WEIGHTS = {
+    "cgf-lambda-nan": (lambda p, g: cgf(p, p, g, TRUNC, 0.01, NAN), "lambda"),
+    "cgf-lambda-inf": (lambda p, g: cgf(p, p, g, TRUNC, 0.01, INF), "lambda"),
+    "cgf_roll-lambda-inf": (lambda p, g: cgf_roll(p, p, g, TRUNC, 0.01, INF, 2), "lambda"),
+    "icgf-lambda-nan": (lambda p, g: icgf(p, p, g, TRUNC, 0.01, NAN), "lambda"),
+    "tvgf-lambda-nan": (lambda p, g: tvgf(p, g, PERIODIC, 0.01, NAN), "lambda"),
+    "rfnf_gen-tau-nan": (lambda p, g: rfnf_gen(p, g, TRUNC, 0.01, 0.5, NAN, 1), "tau"),
+    "rfnf_gen-lambda-inf": (lambda p, g: rfnf_gen(p, g, TRUNC, 0.01, INF, 1.0, 1), "lambda"),
+    "rfnf_seo-lambda-nan": (lambda p, g: rfnf_seo(p, g, TRUNC, 0.01, NAN, 1), "lambda"),
+    "cgf_rmsf-beta-nan": (lambda p, g: cgf_rmsf(p, g, 0.01, 0.01, 0.5, NAN, TRUNC, 1), "beta"),
+    "cgf_rmsf-lambda-inf": (lambda p, g: cgf_rmsf(p, g, 0.01, 0.01, INF, 0.5, TRUNC, 1), "lambda"),
+    "enhanced_flash-tau-inf": (lambda p, g: enhanced_flash(g, TRUNC, 0.01, INF), "tau"),
+    "gf-eps-nan": (lambda p, g: gf(p, g, TRUNC, NAN), "eps"),
+    "igf-eps-nan": (lambda p, g: igf(p, g, TRUNC, NAN), "eps"),
+    "gf_rmsf-eps2-nan": (lambda p, g: gf_rmsf(p, g, 0.01, NAN, TRUNC, 1), "eps2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTS))
+def test_non_finite_weight_is_rejected_by_name(name):
+    rng = np.random.default_rng(6)
+    p, g = rng.random((12, 10)), rng.random((12, 10))
+    call, param = WEIGHTS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^{param} must be"):
+            call(p, g)

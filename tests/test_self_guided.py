@@ -12,19 +12,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gfkit.boxops import box_sum
-from gfkit.cgf import cgf, cgf_roll, cgf_roll_moments
+from gfkit.cgf import cgf, cgf_roll
 from gfkit.cli import main
 from gfkit.core import Boundary, WindowSpec, as_image
 from gfkit.gf import (
     GfCoeffs,
+    anchored_update,
     fit_coeffs,
     gf,
+    gf_apply,
     gf_coeffs,
-    gf_pass,
     gf_roll,
     guide_moments,
     self_fit,
+    window_sum_estimate,
 )
 from gfkit.igf import icgf, igf
 from gfkit.imgio import write_pnm_file
@@ -220,6 +221,25 @@ class TestPeakMemory:
             lambda: gf_coeffs(x, y, TRUNC, 0.05)
         )
 
+    def test_single_passes_hold_no_guide_moments(self):
+        # one pass needs no refit, so only the window counts may outlive the
+        # fit: the references build the fit, then the window sums, then solve.
+        # Holding the guide's mean and variance there adds about a plane to
+        # the peak; tvgf also holds its half-spectrum denominator, built
+        # before the fit.
+        x = np.random.default_rng(3).random((256, 256))
+        y = x.copy()
+        slack = x.nbytes // 2
+        denominator = x.shape[0] * (x.shape[1] // 2 + 1) * x.itemsize
+        assert _peak_bytes(lambda: gf(x, y, TRUNC, 0.05)) < _peak_bytes(
+            lambda: gf_apply(gf_coeffs(x, y, TRUNC, 0.05), y, TRUNC)
+        ) + slack
+        assert _peak_bytes(lambda: tvgf(x, y, PERIODIC, 0.05, 3.0)) < _peak_bytes(
+            lambda: tvgf_solve_q(
+                window_sum_estimate(gf_coeffs(x, y, PERIODIC, 0.05), y, PERIODIC), PERIODIC, 3.0
+            )
+        ) + denominator + slack
+
     @pytest.mark.parametrize("iters", [1, 3])
     def test_rolls_hold_only_the_guide_moments(self, iters):
         # the references hold the guide moments and the iterates and nothing
@@ -227,31 +247,22 @@ class TestPeakMemory:
         x = np.random.default_rng(2).random((256, 256))
         slack = x.nbytes // 2
 
-        def gf_reference():
-            moments = guide_moments(x, TRUNC, 0.05)
-            out = [gf_pass(x, x, moments, TRUNC)]
-            while len(out) < iters:
-                out.append(gf_pass(out[-1], x, moments, TRUNC))
-
-        assert _peak_bytes(lambda: gf_roll(x, x, TRUNC, 0.05, iters)) < (
-            _peak_bytes(gf_reference) + slack
-        )
-        assert _peak_bytes(lambda: cgf_roll(x, x, x, TRUNC, 0.05, 0.3, iters)) < _peak_bytes(
-            lambda: cgf_roll_moments(x, x, x, guide_moments(x, TRUNC, 0.05), TRUNC, 0.3, iters)
-        ) + slack
-
-        def tvgf_reference():
-            moments = guide_moments(x, PERIODIC, 0.05)
+        def reference(w, update):
+            moments = guide_moments(x, w, 0.05)
             out = []
             for _ in range(iters):
-                coeffs = fit_coeffs(out[-1] if out else x, x, moments, PERIODIC)
-                f = box_sum(coeffs.a, PERIODIC)
-                f *= x
-                f += box_sum(coeffs.b, PERIODIC)
+                coeffs = fit_coeffs(out[-1] if out else x, x, moments, w)
+                f = window_sum_estimate(coeffs, x, w)
                 del coeffs
-                out.append(tvgf_solve_q(f, PERIODIC, 3.0))
+                out.append(update(f, moments.counts))
                 del f
 
-        assert _peak_bytes(lambda: tvgf_roll(x, x, PERIODIC, 0.05, 3.0, iters)) < (
-            _peak_bytes(tvgf_reference) + slack
+        assert _peak_bytes(lambda: gf_roll(x, x, TRUNC, 0.05, iters)) < (
+            _peak_bytes(lambda: reference(TRUNC, anchored_update)) + slack
         )
+        assert _peak_bytes(lambda: cgf_roll(x, x, x, TRUNC, 0.05, 0.3, iters)) < _peak_bytes(
+            lambda: reference(TRUNC, lambda f, counts: anchored_update(f, counts, x, 0.3))
+        ) + slack
+        assert _peak_bytes(lambda: tvgf_roll(x, x, PERIODIC, 0.05, 3.0, iters)) < _peak_bytes(
+            lambda: reference(PERIODIC, lambda f, counts: tvgf_solve_q(f, PERIODIC, 3.0))
+        ) + slack
