@@ -23,7 +23,7 @@ from .rmsf import (
 )
 from .rfnf import detail_image, enhanced_flash, rfnf_gen, rfnf_seo
 from .metrics import mse, psnr, ssim
-from .imgio import PnmError, read_pnm, read_pnm_file, write_pnm, write_pnm_file
+from .imgio import PnmError, quantize, read_pnm, read_pnm_file, write_pnm, write_pnm_file
 
 __version__ = "0.1.0"
 
@@ -63,6 +63,7 @@ __all__ = [
     "naive_box_sum",
     "naive_roll37",
     "psnr",
+    "quantize",
     "read_pnm",
     "read_pnm_file",
     "rfnf_gen",

@@ -2,9 +2,11 @@
 plus metrics, a timing benchmark and synthetic scene generation.
 
 Images move through binary PNM (P5/P6). Color inputs are filtered per
-channel; a color guidance image collapses to its channel average. Every
-run prints a JSON report to stdout. Exit codes: 0 success, 2 usage error,
-3 I/O or parse error.
+channel, and the channels stream: as soon as a channel's filter returns,
+its outputs and dumped iterates become integer samples and its input
+plane is freed. A color guidance image collapses to its channel average.
+Every run prints a JSON report to stdout. Exit codes: 0 success, 2 usage
+error, 3 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 from collections.abc import Callable
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .igf import icgf, igf
 from .rmsf import cgf_rmsf, gf_rmsf, naive_roll37
 from .rfnf import rfnf_gen, rfnf_seo
 from .metrics import mse, psnr_from_mse, ssim
-from .imgio import PnmError, read_pnm_file, write_pnm_file
+from .imgio import PnmError, quantize, read_pnm_file, write_pnm_file
 
 ITERATE_MAXVAL = 65535  # dumped iterates keep 16 bits to limit requantization
 
@@ -88,8 +92,9 @@ PARAM_FLAGS = {
 class FilterCommand:
     """One filter subcommand. ``params`` maps each parameter flag's dest to
     its default; a fixed ``boundary`` replaces the --boundary flag.
-    ``run(channel, guide, anchor, w, args)`` returns the iterates, the last
-    being the output, and with ``g_output`` also the guidance track."""
+    ``run(channel, guide, anchor, w, args, dump)`` returns the output, or
+    with ``g_output`` the final MutualState (q and the guidance track G).
+    A rolling run appends each iterate to ``dump`` unless it is None."""
 
     help: str
     params: dict
@@ -100,11 +105,31 @@ class FilterCommand:
     description: str | None = None
 
 
-def _tracks(scheme, *args, dump: bool):
-    """An rmsf run's q iterates (every one if dump, else the last) and its G track."""
-    snaps = [] if dump else None
-    state = scheme(*args, snapshots=snaps)
-    return ([s.state.q for s in snaps] if snaps else [state.q]), state.G
+class _Dump:
+    """--dump-iterates sink: ``append`` keeps an iterate only as its 16-bit
+    samples, 2 bytes a sample instead of 8."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.planes: list[np.ndarray] = []
+
+    def append(self, image: Image) -> None:
+        self.planes.append(quantize(image, ITERATE_MAXVAL, self.name))
+
+
+def _last(iterates: list[Image], dump: _Dump | None) -> Image:
+    """A roll's output; every iterate also goes to ``dump`` if given."""
+    if dump is not None:
+        for image in iterates:
+            dump.append(image)
+    return iterates[-1]
+
+
+def _mutual(scheme, *args, dump: _Dump | None):
+    """An rmsf run whose snapshots pass only their q on to ``dump``, so each
+    snapshot's G and coefficient planes are freed at once."""
+    sink = None if dump is None else SimpleNamespace(append=lambda snap: dump.append(snap.state.q))
+    return scheme(*args, snapshots=sink)
 
 
 _INVERSE = (
@@ -117,49 +142,50 @@ _INVERSE = (
 FILTER_COMMANDS = {
     "gf": FilterCommand(
         "guided filter", {"radius": 10, "eps": 0.1, "iters": 1},
-        lambda x, g, _, w, a: gf_roll(x, g, w, a.eps, a.iters)),
+        lambda x, g, anchor, w, a, dump: _last(gf_roll(x, g, w, a.eps, a.iters), dump)),
     "tvgf": FilterCommand(
         "TV-regularized guided filter (periodic windows)",
         {"radius": 10, "eps": 0.01, "lam": 45.0, "iters": 1},
-        lambda x, g, _, w, a: tvgf_roll(x, g, w, a.eps, a.lam, a.iters),
+        lambda x, g, anchor, w, a, dump: _last(tvgf_roll(x, g, w, a.eps, a.lam, a.iters), dump),
         boundary=Boundary.PERIODIC),
     "cgf": FilterCommand(
         "conservative guided filter (anchored)",
         {"radius": 6, "eps": 0.001, "lam": 0.01, "iters": 1},
-        lambda x, g, anchor, w, a: cgf_roll(x, g, anchor, w, a.eps, a.lam, a.iters),
+        lambda x, g, anchor, w, a, dump: _last(
+            cgf_roll(x, g, anchor, w, a.eps, a.lam, a.iters), dump),
         anchor=True),
     "igf": FilterCommand(
         "inverse guided filter", {"radius": 6, "eps": 0.01},
-        lambda x, g, _, w, a: [igf(x, g, w, a.eps)], description=_INVERSE),
+        lambda x, g, anchor, w, a, dump: igf(x, g, w, a.eps), description=_INVERSE),
     "icgf": FilterCommand(
         "inverse guided filter with anchor", {"radius": 6, "eps": 0.01, "lam": 0.01},
-        lambda x, g, anchor, w, a: [icgf(x, g, anchor, w, a.eps, a.lam)],
+        lambda x, g, anchor, w, a, dump: icgf(x, g, anchor, w, a.eps, a.lam),
         anchor=True, description=_INVERSE),
     "rmsf-gf": FilterCommand(
         "mutual-structure rolling (plain pair)",
         {"radius": 6, "eps": 0.01, "eps2": 0.01, "iters": 5},
-        lambda x, g, _, w, a: _tracks(
-            gf_rmsf, x, g, a.eps, a.eps2, w, a.iters, dump=a.dump_iterates),
+        lambda x, g, anchor, w, a, dump: _mutual(
+            gf_rmsf, x, g, a.eps, a.eps2, w, a.iters, dump=dump),
         g_output=True),
     "rmsf-cgf": FilterCommand(
         "mutual-structure rolling (anchored pair)",
         {"radius": 6, "eps": 0.001, "eps2": 0.001, "lam": 0.01, "beta": 0.01, "iters": 5},
-        lambda x, g, _, w, a: _tracks(
-            cgf_rmsf, x, g, a.eps, a.eps2, a.lam, a.beta, w, a.iters, dump=a.dump_iterates),
+        lambda x, g, anchor, w, a, dump: _mutual(
+            cgf_rmsf, x, g, a.eps, a.eps2, a.lam, a.beta, w, a.iters, dump=dump),
         g_output=True),
     "roll37": FilterCommand(
         "cross-guided rolling without inverse terms "
         "(documented failure baseline: wipes out detail)",
         {"radius": 6, "eps": 0.01, "iters": 5},
-        lambda x, g, _, w, a: [naive_roll37(x, g, a.eps, w, a.iters).q]),
+        lambda x, g, anchor, w, a, dump: naive_roll37(x, g, a.eps, w, a.iters).q),
     "rfnf-seo": FilterCommand(
         "flash/no-flash rolling, additive detail",
         {"radius": 10, "eps": 0.1, "lam": 1.0, "iters": 5},
-        lambda x, g, _, w, a: [rfnf_seo(x, g, w, a.eps, a.lam, a.iters)]),
+        lambda x, g, anchor, w, a, dump: rfnf_seo(x, g, w, a.eps, a.lam, a.iters)),
     "rfnf-gen": FilterCommand(
         "flash/no-flash rolling, anchored",
         {"radius": 10, "eps": 0.1, "lam": 1.0, "tau": 1.0, "iters": 5},
-        lambda x, g, _, w, a: [rfnf_gen(x, g, w, a.eps, a.lam, a.tau, a.iters)]),
+        lambda x, g, anchor, w, a, dump: rfnf_gen(x, g, w, a.eps, a.lam, a.tau, a.iters)),
 }
 
 
@@ -226,11 +252,12 @@ def _load_channels(path) -> list[Image]:
     return read_pnm_file(path)
 
 
-def _to_scalar_guidance(channels: list[Image]) -> Image:
-    """Color guidance collapses to the channel average; gray passes through."""
-    if len(channels) == 1:
-        return channels[0]
-    return sum(channels) / len(channels)
+def _load_guidance(path) -> tuple[Image, dict]:
+    """The scalar guide: a color guidance image collapses to its channel
+    average, a gray one passes through."""
+    channels = _load_channels(path)
+    guide = channels[0] if len(channels) == 1 else sum(channels) / len(channels)
+    return guide, _channel_info(path, channels)
 
 
 def _channel_info(path, channels):
@@ -254,71 +281,94 @@ def _iterate_paths(output_path: str, count: int) -> list[str]:
     return [f"{stem}_iter{n:03d}{ext}" for n in range(1, count + 1)]
 
 
+@dataclass
+class _Channel:
+    """One filtered channel, held only as the outputs need it."""
+
+    # the float output when --metrics-against scores it (write_pnm then
+    # quantizes it), else its samples at --maxval
+    out: np.ndarray
+    g: np.ndarray | None  # guidance-track samples, for --g-output
+    dumps: list[np.ndarray]  # every iterate's 16-bit samples, for --dump-iterates
+
+
+def _take(planes: list, idx: int) -> Image:
+    """planes[idx], dropping the list's hold on it so that the plane is
+    freed as soon as its filter lets go of it."""
+    plane, planes[idx] = planes[idx], None
+    return plane
+
+
+def _filter_channel(cmd, args, w, idx, chan, guide, anchors) -> _Channel:
+    """Filters one channel and quantizes what it outputs at once; the float
+    iterates die here, apart from the output when metrics score it.
+
+    Quantizing that kept output too would add a small long-lived plane
+    between the rolls' large ones; on a 1080p RGB ``cgf --iters 3`` run
+    with dumps and metrics that fragmented the heap enough to raise peak
+    RSS from 262 to 278 MB."""
+    if anchors is None:
+        anchor = chan  # g defaults to the input
+    else:
+        anchor = anchors[0] if len(anchors) == 1 else _take(anchors, idx)
+    name = f"channel {idx}"
+    dump = _Dump(name) if args.dump_iterates else None
+    result = cmd.run(chan, chan if guide is None else guide, anchor, w, args, dump)
+    final, G = (result.q, result.G) if cmd.g_output else (result, None)
+    return _Channel(
+        out=final if args.metrics_against else quantize(final, args.maxval, name),
+        g=quantize(G, args.maxval, name) if G is not None and args.g_output else None,
+        dumps=[] if dump is None else dump.planes,
+    )
+
+
 def _run_filter_command(args) -> dict:
     in_channels = _load_channels(args.input)
     report_inputs = {"input": _channel_info(args.input, in_channels)}
+    shape = in_channels[0].shape
 
     guide = None  # self-guidance, per channel
     if args.guidance:
-        g_channels = _load_channels(args.guidance)
-        guide = _to_scalar_guidance(g_channels)
-        if guide.shape != in_channels[0].shape:
+        guide, report_inputs["guidance"] = _load_guidance(args.guidance)
+        if guide.shape != shape:
             raise ValueError("guidance shape does not match the input")
-        report_inputs["guidance"] = _channel_info(args.guidance, g_channels)
 
     cmd = FILTER_COMMANDS[args.command]
-    anchor_channels = None
-    if cmd.anchor:
-        if args.anchor:
-            anchor_channels = _load_channels(args.anchor)
-            if len(anchor_channels) not in (1, len(in_channels)):
-                raise ValueError("anchor channel count does not match the input")
-            if anchor_channels[0].shape != in_channels[0].shape:
-                raise ValueError("anchor shape does not match the input")
-            report_inputs["anchor"] = _channel_info(args.anchor, anchor_channels)
-        else:
-            anchor_channels = in_channels  # g defaults to the input
+    anchors = None  # the anchor is the input itself, or unused
+    if cmd.anchor and args.anchor:
+        anchors = _load_channels(args.anchor)
+        if len(anchors) not in (1, len(in_channels)):
+            raise ValueError("anchor channel count does not match the input")
+        if anchors[0].shape != shape:
+            raise ValueError("anchor shape does not match the input")
+        report_inputs["anchor"] = _channel_info(args.anchor, anchors)
 
     boundary = cmd.boundary or Boundary(args.boundary)
     w = WindowSpec(radius=args.radius, boundary=boundary)
-
-    def anchor_for(idx):
-        if anchor_channels is None:
-            return None
-        return anchor_channels[idx if len(anchor_channels) > 1 else 0]
-
-    out_channels = []
-    g_track: list[Image] = []
-    iterate_sets: list[list[Image]] = []
-    for idx, chan in enumerate(in_channels):
-        g = chan if guide is None else guide
-        iterates = cmd.run(chan, g, anchor_for(idx), w, args)
-        if cmd.g_output:
-            iterates, G = iterates
-            g_track.append(G)
-        out_channels.append(iterates[-1])
-        iterate_sets.append(iterates)
+    done = [
+        _filter_channel(cmd, args, w, idx, _take(in_channels, idx), guide, anchors)
+        for idx in range(len(in_channels))
+    ]
 
     outputs = []
-    write_pnm_file(args.output, out_channels, args.maxval)
-    outputs.append(_channel_info(args.output, out_channels))
 
+    def emit(path, planes, maxval):
+        write_pnm_file(path, planes, maxval)
+        outputs.append(_channel_info(path, planes))
+
+    emit(args.output, [c.out for c in done], args.maxval)
     if cmd.g_output and args.g_output:
-        write_pnm_file(args.g_output, g_track, args.maxval)
-        outputs.append(_channel_info(args.g_output, g_track))
-
-    if args.dump_iterates and len(iterate_sets[0]) > 1:
-        for n, path in enumerate(_iterate_paths(args.output, len(iterate_sets[0]))):
-            write_pnm_file(path, [its[n] for its in iterate_sets], ITERATE_MAXVAL)
-            outputs.append({"path": path, "width": out_channels[0].shape[1],
-                            "height": out_channels[0].shape[0],
-                            "channels": len(out_channels)})
+        emit(args.g_output, [c.g for c in done], args.maxval)
+    dumped = len(done[0].dumps)
+    if dumped > 1:
+        for n, path in enumerate(_iterate_paths(args.output, dumped)):
+            emit(path, [c.dumps[n] for c in done], ITERATE_MAXVAL)
 
     metrics_obj = None
     if args.metrics_against:
         ref_channels = _load_channels(args.metrics_against)
         report_inputs["metrics_against"] = _channel_info(args.metrics_against, ref_channels)
-        metrics_obj = _metrics_report(out_channels, ref_channels)
+        metrics_obj = _metrics_report([c.out for c in done], ref_channels)
 
     params = {k: getattr(args, k) for k in cmd.params}
     params["maxval"] = args.maxval
@@ -362,6 +412,12 @@ def _run_bench(args) -> dict:
         t0 = time.perf_counter()
         task()
         times.append(time.perf_counter() - t0)
+    tracemalloc.start()  # one more call, untimed, for its allocation peak
+    try:
+        task()
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     return {
         "inputs": {},
         "outputs": [],
@@ -373,6 +429,7 @@ def _run_bench(args) -> dict:
         "metrics": None,
         "timings_s": times,
         "median_s": statistics.median(times),
+        "peak_mb": peak_bytes / 1e6,
     }
 
 

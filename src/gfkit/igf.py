@@ -25,16 +25,11 @@ from .boxops import box_sum, window_counts
 DEGENERATE_EPS = 1e-12
 
 
-def icgf_update(
+def inverse_update(
     coeffs: GfCoeffs, p: Image, g: Image, w: WindowSpec, lam: float, prior: Image
 ) -> Image:
-    """Anchored per-pixel solve of the inverted window models.
-
-    G_i = (sum(a) * p_i - sum(a*b) + lam * g_i) / (sum(a^2) + lam), falling
-    back to the prior pixel wherever sum(a^2) + lam < n_i * DEGENERATE_EPS,
-    n_i the pixel's window count. At lam = 0 the anchor drops out and g is
-    not read.
-    """
+    """``icgf_update`` without its scan of ``prior``, for a caller whose
+    prior already went through a box pass (the rmsf loop's tracks)."""
     p = as_image(p)
     prior = as_image(prior)
     require_same_shape(p, prior, coeffs.a, coeffs.b)
@@ -54,6 +49,22 @@ def icgf_update(
     num /= den
     np.copyto(num, prior, where=degenerate)
     return num
+
+
+def icgf_update(
+    coeffs: GfCoeffs, p: Image, g: Image, w: WindowSpec, lam: float, prior: Image
+) -> Image:
+    """Anchored per-pixel solve of the inverted window models.
+
+    G_i = (sum(a) * p_i - sum(a*b) + lam * g_i) / (sum(a^2) + lam), falling
+    back to the prior pixel wherever sum(a^2) + lam < n_i * DEGENERATE_EPS,
+    n_i the pixel's window count. At lam = 0 the anchor drops out and g is
+    not read. ``prior`` is never box-summed, so a NaN or Inf in it raises
+    ValueError here instead of reaching the output.
+    """
+    prior = as_image(prior)
+    require_finite(prior, "prior")
+    return inverse_update(coeffs, p, g, w, lam, prior)
 
 
 def igf_update(coeffs: GfCoeffs, p: Image, w: WindowSpec, prior: Image) -> Image:

@@ -1,9 +1,10 @@
-"""Binary PNM (PGM P5 / PPM P6) reading and writing, 8- and 16-bit.
+"""Binary PNM (PGM P5 / PPM P6) reading and writing, any maxval 1-65535.
 
-Pixels map to floats in [0, 1] as raw / maxval; 16-bit rasters are
-big-endian per the format. Comments (# to end of line) are allowed
-anywhere whitespace is. Parse failures raise PnmError carrying a reason
-code and the byte offset where decoding stopped.
+Pixels map to floats in [0, 1] as raw / maxval. Below maxval 256 a
+sample takes 1 byte, from 256 up 2 bytes, big-endian per the format.
+Comments (# to end of line) are allowed anywhere whitespace is. Parse
+failures raise PnmError carrying a reason code and the byte offset where
+decoding stopped.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import numpy as np
 
 from .core import Image, as_image
 
-SUPPORTED_MAXVALS = (255, 65535)
+MAX_MAXVAL = 65535
 
 
 class PnmError(ValueError):
@@ -77,21 +78,28 @@ def read_pnm(data: bytes) -> list[Image]:
         raise PnmError("dimension", sc.pos, f"bad dimensions {width}x{height}")
     maxval_at = sc.pos
     maxval = sc.read_int("maxval")
-    if maxval not in SUPPORTED_MAXVALS:
+    if not 1 <= maxval <= MAX_MAXVAL:
         raise PnmError("maxval", maxval_at, f"unsupported maxval {maxval}")
     # exactly one whitespace byte separates the header from the raster
     if sc.pos >= len(data) or data[sc.pos] not in b" \t\r\n\x0b\x0c":
         raise PnmError("header", sc.pos, "missing whitespace before raster")
     sc.pos += 1
-    bytes_per_sample = 1 if maxval == 255 else 2
-    need = width * height * channels * bytes_per_sample
+    dtype = _sample_dtype(maxval).newbyteorder(">")
+    need = width * height * channels * dtype.itemsize
     raster = data[sc.pos : sc.pos + need]
     if len(raster) < need:
         raise PnmError(
             "truncated", sc.pos + len(raster), f"raster needs {need} bytes, got {len(raster)}"
         )
-    dtype = np.uint8 if maxval == 255 else np.dtype(">u2")
     raw = np.frombuffer(raster, dtype=dtype).reshape(height, width, channels)
+    if maxval < np.iinfo(dtype).max:  # only then can a sample exceed maxval
+        over = raw > maxval
+        if over.any():
+            first = int(np.argmax(over.reshape(-1)))
+            raise PnmError(
+                "sample", sc.pos + first * dtype.itemsize,
+                f"sample {raw.reshape(-1)[first]} exceeds maxval {maxval}",
+            )
     # each channel converts straight from the integer raster into its own
     # C-contiguous plane: no interleaved float copy of the whole image
     out = []
@@ -102,32 +110,57 @@ def read_pnm(data: bytes) -> list[Image]:
     return out
 
 
-def write_pnm(channels: list[Image], maxval: int = 255) -> bytes:
-    """Encode 1 (P5) or 3 (P6) channels; values are clamped to [0, 1] and
-    quantized with round-half-away-from-zero. NaN and +-Inf samples are
-    rejected with ValueError rather than written as 0 or maxval."""
-    if maxval not in SUPPORTED_MAXVALS:
-        raise ValueError(f"unsupported maxval {maxval}, use one of {SUPPORTED_MAXVALS}")
+def _sample_dtype(maxval: int) -> np.dtype:
+    """uint8 below maxval 256, uint16 from 256 up."""
+    if not 1 <= maxval <= MAX_MAXVAL:
+        raise ValueError(f"unsupported maxval {maxval}, use 1 to {MAX_MAXVAL}")
+    return np.dtype(np.uint8 if maxval < 256 else np.uint16)
+
+
+def quantize(channel: Image, maxval: int = 255, name: str = "image") -> np.ndarray:
+    """A float plane's integer samples: clamped to [0, 1], scaled by maxval,
+    plus 0.5, floored (round half away from zero). Returns uint8 below
+    maxval 256, uint16 from 256 up. NaN and +-Inf samples are rejected with
+    ValueError naming ``name`` rather than written as 0 or maxval."""
+    dtype = _sample_dtype(maxval)
+    c = as_image(channel)
+    bad = c.size - int(np.count_nonzero(np.isfinite(c)))
+    if bad:
+        raise ValueError(f"{name} has {bad} non-finite samples (NaN or Inf)")
+    level = np.clip(c, 0.0, 1.0)
+    level *= maxval
+    level += 0.5
+    return np.floor(level, out=level).astype(dtype)
+
+
+def _samples(channel, maxval: int, dtype: np.dtype, name: str) -> np.ndarray:
+    """An integer plane of the sample type as it is, anything else quantized."""
+    if not (isinstance(channel, np.ndarray) and channel.dtype == dtype):
+        return quantize(channel, maxval, name)
+    if channel.ndim != 2 or channel.size == 0:
+        raise ValueError(f"{name} is not a 2-D image (shape {channel.shape})")
+    if maxval < np.iinfo(dtype).max and channel.max() > maxval:
+        raise ValueError(f"{name} has samples above maxval {maxval}")
+    return channel
+
+
+def write_pnm(channels: list, maxval: int = 255) -> bytes:
+    """Encode 1 (P5) or 3 (P6) channels. A float channel goes through
+    ``quantize``; an integer plane of the sample type (uint8 below maxval
+    256, uint16 from 256 up, as ``quantize`` returns) is written as it is."""
+    dtype = _sample_dtype(maxval)
     if len(channels) not in (1, 3):
         raise ValueError(f"need 1 or 3 channels, got {len(channels)}")
-    chans = [as_image(c) for c in channels]
-    shape = chans[0].shape
-    if any(c.shape != shape for c in chans):
+    planes = [_samples(c, maxval, dtype, f"channel {idx}") for idx, c in enumerate(channels)]
+    shape = planes[0].shape
+    if any(c.shape != shape for c in planes):
         raise ValueError("channel shape mismatch")
-    for idx, c in enumerate(chans):
-        bad = c.size - int(np.count_nonzero(np.isfinite(c)))
-        if bad:
-            raise ValueError(f"channel {idx} has {bad} non-finite samples (NaN or Inf)")
     height, width = shape
-    dtype = np.uint8 if maxval == 255 else np.dtype(">u2")
     # P6 interleaves the channels sample by sample within each row
-    samples = np.empty((height, width * len(chans)), dtype=dtype)
-    for idx, c in enumerate(chans):
-        level = np.clip(c, 0.0, 1.0)
-        level *= maxval
-        level += 0.5
-        samples[:, idx :: len(chans)] = np.floor(level, out=level)
-    magic = b"P5" if len(chans) == 1 else b"P6"
+    samples = np.empty((height, width * len(planes)), dtype=dtype.newbyteorder(">"))
+    for idx, plane in enumerate(planes):
+        samples[:, idx :: len(planes)] = plane
+    magic = b"P5" if len(planes) == 1 else b"P6"
     header = magic + b"\n%d %d\n%d\n" % (width, height, maxval)
     return header + samples.tobytes()
 
@@ -137,6 +170,8 @@ def read_pnm_file(path) -> list[Image]:
         return read_pnm(fh.read())
 
 
-def write_pnm_file(path, channels: list[Image], maxval: int = 255) -> None:
+def write_pnm_file(path, channels: list, maxval: int = 255) -> None:
+    # encoded before the open, so a rejected image leaves the file as it was
+    data = write_pnm(channels, maxval)
     with open(path, "wb") as fh:
-        fh.write(write_pnm(channels, maxval))
+        fh.write(data)

@@ -14,8 +14,9 @@ then an exact block minimization of the shared objective.
 
 Both schemes run one loop. Its smoothing term is the forward anchored
 update (f + lam * anchor) / (n + lam) of ``gf.anchored_update`` and its
-inverse term ``igf.icgf_update``; the q track anchors to p with lam, the
-G track to the guide with beta. ``gf_rmsf`` is that loop at
+inverse term ``igf.inverse_update`` (``icgf_update`` without the scan of
+its prior, which here is a box-summed track); the q track anchors to p
+with lam, the G track to the guide with beta. ``gf_rmsf`` is that loop at
 lam = beta = 0, so it equals ``cgf_rmsf(lam=0, beta=0)`` bit for bit. The
 descent guarantee above is for the plain pair; the anchored pair has no
 exact energy evaluator yet.
@@ -27,12 +28,13 @@ kept as the documented failure mode: it wipes out detail on both tracks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
 from .core import EnergyReport, Image, WindowSpec, as_image, require_params, require_same_shape
 from .gf import GfCoeffs, anchored_update, gf, gf_coeffs, window_sum_estimate
-from .igf import icgf_update
+from .igf import inverse_update
 from .boxops import box_mean, window_counts, window_values
 
 
@@ -52,6 +54,12 @@ class MutualSnapshot:
     state: MutualState
     ab: GfCoeffs  # forward fit: q regressed on G
     cd: GfCoeffs  # inverse fit: G regressed on q
+
+
+class SnapshotSink(Protocol):
+    """What ``snapshots`` takes: a list, or any object with ``append``."""
+
+    def append(self, snapshot: MutualSnapshot) -> None: ...
 
 
 def alpha_weight(x: Image, w: WindowSpec) -> Image:
@@ -83,7 +91,7 @@ def _mutual_roll(
     beta: float,
     w: WindowSpec,
     iters: int,
-    snapshots: list | None,
+    snapshots: SnapshotSink | None,
 ) -> MutualState:
     """The anchored mutual loop; lam = beta = 0 is the plain pair.
 
@@ -103,9 +111,9 @@ def _mutual_roll(
         alpha_q = alpha_weight(cd.a, w)
         alpha_g = alpha_weight(ab.a, w)
         fwd_q = anchored_update(window_sum_estimate(ab, G, w), counts, p, lam)
-        q_new = _blend(alpha_q, fwd_q, icgf_update(cd, G, guide, w, beta, prior=q))
+        q_new = _blend(alpha_q, fwd_q, inverse_update(cd, G, guide, w, beta, prior=q))
         fwd_g = anchored_update(window_sum_estimate(cd, q_new, w), counts, guide, beta)
-        G_new = _blend(alpha_g, fwd_g, icgf_update(ab, q_new, p, w, lam, prior=G))
+        G_new = _blend(alpha_g, fwd_g, inverse_update(ab, q_new, p, w, lam, prior=G))
         q, G = q_new, G_new
         if snapshots is not None:
             snapshots.append(MutualSnapshot(MutualState(q, G, n + 1), ab, cd))
@@ -119,13 +127,15 @@ def gf_rmsf(
     eps2: float,
     w: WindowSpec,
     iters: int,
-    snapshots: list | None = None,
+    snapshots: SnapshotSink | None = None,
 ) -> MutualState:
     """Mutual-structure rolling built on the plain filter pair.
 
     eps regularizes the forward fit (q on G), eps2 the inverse fit (G on q).
-    Pass a list as ``snapshots`` to capture every iteration's state and
-    coefficients (debug/testing; costs memory).
+    Pass ``snapshots`` (a list, or any object with ``append``) to receive
+    every iteration's MutualSnapshot: its state and the coefficients that
+    produced it. A list keeps them all (debug/testing; costs memory); a
+    sink that keeps only part of each snapshot frees the rest.
     """
     require_params(eps=eps, eps2=eps2, iters=iters)
     return _mutual_roll(p, guide, eps, eps2, 0.0, 0.0, w, iters, snapshots)
@@ -140,13 +150,13 @@ def cgf_rmsf(
     beta: float,
     w: WindowSpec,
     iters: int,
-    snapshots: list | None = None,
+    snapshots: SnapshotSink | None = None,
 ) -> MutualState:
     """Mutual-structure rolling built on the anchored (conservative) pair.
 
     The q track is anchored to the original input p with weight lam, the G
     track to the original guidance with weight beta. lam = beta = 0 is the
-    plain scheme, bit for bit.
+    plain scheme, bit for bit. ``snapshots`` works as in ``gf_rmsf``.
     """
     require_params(eps=eps, eps2=eps2, lam=lam, beta=beta, iters=iters)
     return _mutual_roll(p, guide, eps, eps2, lam, beta, w, iters, snapshots)

@@ -207,6 +207,21 @@ class TestExitCodes:
         assert code == 3
         assert "byte" in err
 
+    def test_sample_above_maxval_is_parse_error(self, workdir, capsys):
+        Path("bad.pgm").write_bytes(b"P5\n2 2\n1023\n" + bytes([0, 1, 4, 0, 0, 2, 3, 255]))
+        code, _, err = run_cli(capsys, "gf", "--input", "bad.pgm", "--output", "o.pgm")
+        assert code == 3
+        assert "sample 1024 exceeds maxval 1023 (at byte 14)" in err
+        assert not os.path.exists("o.pgm")
+
+    def test_any_input_maxval_is_read(self, workdir, capsys):
+        rng = np.random.default_rng(3)
+        write_pnm_file("in.pgm", [rng.random((16, 16))], 4095)
+        code, report, _ = run_cli(capsys, "gf", "--input", "in.pgm", "--output", "o.pgm",
+                                  "--radius", "2")
+        assert code == 0
+        assert Path("o.pgm").read_bytes().startswith(b"P5\n16 16\n255\n")
+
     @pytest.mark.parametrize(
         "cmd,flag,value",
         [
@@ -375,6 +390,8 @@ class TestBenchCommand:
         jsonschema.validate(report, SCHEMA)
         assert len(report["timings_s"]) == 2
         assert report["median_s"] > 0
+        # one untimed 64x64 gf call: at least its output plane, at most 16 planes
+        assert 64 * 64 * 8 <= report["peak_mb"] * 1e6 <= 16 * 64 * 64 * 8
 
     @pytest.mark.parametrize("kernel", ["box", "tvgf", "ssim"])
     def test_every_kernel_reports(self, workdir, capsys, kernel):
@@ -387,6 +404,7 @@ class TestBenchCommand:
         assert report["params"]["filter"] == kernel
         assert len(report["timings_s"]) == 2
         assert report["median_s"] > 0
+        assert report["peak_mb"] > 0
 
     def test_ssim_too_small_is_usage_error(self, workdir, capsys):
         code, _, err = run_cli(

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gfkit.imgio import PnmError, read_pnm, write_pnm
+from gfkit.imgio import PnmError, quantize, read_pnm, write_pnm, write_pnm_file
 
 VALID_P5 = b"P5\n2 2\n255\n" + bytes([0, 128, 255, 64])
 
@@ -25,9 +25,9 @@ MALFORMED = [
     (b"P5\n2 2\nmax\n" + bytes(4), "header"),
     (b"P5\n0 2\n255\n", "dimension"),
     (b"P5\n2 0\n255\n", "dimension"),
-    (b"P5\n2 2\n300\n" + bytes(4), "maxval"),
+    (b"P5\n2 2\n65536\n" + bytes(8), "maxval"),
     (b"P5\n2 2\n0\n" + bytes(4), "maxval"),
-    (b"P5\n2 2\n65534\n" + bytes(8), "maxval"),
+    (b"P5\n2 2\n99999\n" + bytes(8), "maxval"),
     (b"P5\n2 2\n255\n" + bytes(3), "truncated"),
 ]
 
@@ -127,9 +127,10 @@ class TestWrite:
         data = write_pnm([np.array([[-1.0, 2.0]])], maxval=255)
         assert data[-2:] == bytes([0, 255])
 
-    def test_bad_maxval(self):
-        with pytest.raises(ValueError):
-            write_pnm([np.ones((2, 2))], maxval=1023)
+    @pytest.mark.parametrize("maxval", [0, 65536])
+    def test_bad_maxval(self, maxval):
+        with pytest.raises(ValueError, match="unsupported maxval"):
+            write_pnm([np.ones((2, 2))], maxval=maxval)
 
     def test_bad_channel_count(self):
         with pytest.raises(ValueError):
@@ -143,6 +144,14 @@ class TestWrite:
         imgs[-1][0, 0] = imgs[-1][1, 2] = bad
         with pytest.raises(ValueError, match=rf"channel {channels - 1} has 2 non-finite"):
             write_pnm(imgs, maxval)
+
+    def test_rejected_image_leaves_the_file_alone(self, tmp_path):
+        path = tmp_path / "kept.pgm"
+        write_pnm_file(path, [np.full((2, 2), 0.5)])
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="non-finite"):
+            write_pnm_file(path, [np.full((2, 2), np.nan)])
+        assert path.read_bytes() == before
 
 
 def _stacked_encoder(channels, maxval):
@@ -192,3 +201,68 @@ class TestRoundTrip:
         once = write_pnm([img], 65535)
         twice = write_pnm(read_pnm(once), 65535)
         assert once == twice
+
+
+class TestAnyMaxval:
+    @pytest.mark.parametrize("maxval,width", [(1, 1), (15, 1), (255, 1), (256, 2), (1023, 2), (4095, 2)])
+    def test_sample_width(self, maxval, width):
+        data = write_pnm([np.full((2, 3), 1.0)], maxval)
+        header = b"P5\n3 2\n%d\n" % maxval
+        assert data == header + maxval.to_bytes(width, "big") * 6
+
+    @pytest.mark.parametrize("maxval", [1, 15, 1023, 4095])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_round_trip(self, maxval, channels):
+        rng = np.random.default_rng(maxval + channels)
+        imgs = [rng.random((9, 7)) for _ in range(channels)]
+        data = write_pnm(imgs, maxval)
+        back = read_pnm(data)
+        for orig, rec in zip(imgs, back):
+            assert np.max(np.abs(orig - rec)) <= 0.5 / maxval + 1e-12
+            assert np.array_equal(rec * maxval, np.round(rec * maxval))
+        assert write_pnm(back, maxval) == data
+
+    def test_decodes_raw_over_maxval(self):
+        raster = b"".join(v.to_bytes(2, "big") for v in (0, 1, 999, 1000))
+        chan = read_pnm(b"P5\n4 1\n1000\n" + raster)[0]
+        assert np.array_equal(chan, np.array([[0, 1, 999, 1000]]) / 1000)
+
+    @pytest.mark.parametrize("maxval,bad_at", [(1, 2), (15, 3), (1023, 1), (4095, 4)])
+    def test_sample_above_maxval_rejected(self, maxval, bad_at):
+        width = 1 if maxval < 256 else 2
+        values = [maxval] * 6
+        values[bad_at] = maxval + 1
+        header = b"P6\n2 1\n%d\n" % maxval
+        data = header + b"".join(v.to_bytes(width, "big") for v in values)
+        with pytest.raises(PnmError) as err:
+            read_pnm(data)
+        assert err.value.reason == "sample"
+        assert err.value.offset == len(header) + bad_at * width
+
+
+class TestQuantize:
+    @pytest.mark.parametrize("maxval,dtype", [(1, np.uint8), (255, np.uint8), (256, np.uint16), (65535, np.uint16)])
+    def test_sample_type(self, maxval, dtype):
+        q = quantize(np.array([[-0.5, 0.0, 0.5, 1.0, 2.0]]), maxval)
+        assert q.dtype == dtype
+        assert q.tolist() == [[0, 0, (maxval + 1) // 2, maxval, maxval]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_by_name(self, bad):
+        img = np.full((3, 4), 0.5)
+        img[1, 1] = bad
+        with pytest.raises(ValueError, match=r"channel 2 has 1 non-finite samples"):
+            quantize(img, 65535, "channel 2")
+
+    @pytest.mark.parametrize("maxval", [15, 255, 1023, 65535])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_write_takes_samples_as_they_are(self, maxval, channels):
+        rng = np.random.default_rng(maxval)
+        imgs = [rng.random((5, 6)) for _ in range(channels)]
+        mixed = [quantize(c, maxval) if i % 2 == 0 else c for i, c in enumerate(imgs)]
+        assert write_pnm(mixed, maxval) == write_pnm(imgs, maxval)
+
+    def test_write_rejects_samples_above_maxval(self):
+        samples = np.array([[3, 16]], dtype=np.uint8)
+        with pytest.raises(ValueError, match="channel 0 has samples above maxval 15"):
+            write_pnm([samples], 15)

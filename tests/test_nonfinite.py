@@ -1,9 +1,11 @@
 """Every filter and rolling scheme rejects a NaN or an Inf in its input
 or its guide: box_sum raises, and nothing computes on past it. The anchor
 g of cgf, cgf_roll and icgf is never box-summed, so those entry points
-check it themselves. A NaN or Inf weight (lambda, beta, tau) or a NaN eps
-is rejected by name before any computation."""
+check it themselves, and so do igf_update and icgf_update for their
+prior. A NaN or Inf weight (lambda, beta, tau) or a NaN eps is rejected
+by name before any computation."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -12,7 +14,8 @@ import pytest
 from gfkit.cgf import cgf, cgf_roll
 from gfkit.core import Boundary, WindowSpec
 from gfkit.gf import gf
-from gfkit.igf import icgf, igf
+from gfkit.gf import GfCoeffs
+from gfkit.igf import icgf, icgf_update, igf, igf_update
 from gfkit.rfnf import enhanced_flash, rfnf_gen, rfnf_seo
 from gfkit.rmsf import cgf_rmsf, gf_rmsf
 from gfkit.tvgf import tvgf
@@ -97,3 +100,36 @@ def test_non_finite_weight_is_rejected_by_name(name):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=rf"^{param} must be"):
             call(p, g)
+
+
+# zero coefficients make every pixel degenerate, so the prior is the output
+UPDATES = {
+    "igf_update": lambda c, p, prior: igf_update(c, p, TRUNC, prior),
+    "icgf_update": lambda c, p, prior: icgf_update(c, p, p, TRUNC, 0.0, prior),
+    "icgf_update-anchored": lambda c, p, prior: icgf_update(c, p, p, TRUNC, 0.5, prior),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", sorted(UPDATES))
+def test_inverse_update_rejects_non_finite_prior(name, bad):
+    rng = np.random.default_rng(7)
+    p, prior = rng.random((32, 32)), rng.random((32, 32))
+    zeros = GfCoeffs(np.zeros_like(p), np.zeros_like(p))
+    assert np.array_equal(UPDATES["igf_update"](zeros, p, prior), prior)
+    prior[3, 4] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="NaN or Inf in prior"):
+            UPDATES[name](zeros, p, prior)
+
+
+@pytest.mark.parametrize("scheme", ["gf_rmsf", "cgf_rmsf"])
+def test_rmsf_loop_adds_no_prior_scan(scheme, monkeypatch):
+    # the loop's priors are its tracks, already box-summed in every fit
+    scans = []
+    monkeypatch.setattr(sys.modules["gfkit.igf"], "require_finite", lambda x, what: scans.append(what))
+    rng = np.random.default_rng(8)
+    p, g = rng.random((12, 10)), rng.random((12, 10))
+    FILTERS[scheme](p, g)
+    assert scans == []
