@@ -12,14 +12,26 @@ the periodic one. A NaN or Inf in the input survives to the last row of
 its column, so one row test rejects it. ``naive_box_sum`` re-derives
 the same quantity by direct per-offset summation and serves as the test
 oracle.
+
+Every filter step that follows a box pass is pointwise: each output pixel
+is a few arithmetic operations on the window sums, the inputs and the
+pixel's window count |w_i|. Those steps run in place over row strips of
+a fixed byte budget (``row_strips``, ``WindowCounts.strips``), so their
+temporaries are a few cache-sized blocks and never a whole plane. The
+window count is the product of two 1-D factors (``WindowCounts``); each
+strip multiplies its block out afresh, which gives the same exact
+integers as the full count plane ``window_counts`` and never holds one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from dataclasses import dataclass
+
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 
-from .core import Boundary, Image, WindowSpec, as_image, require_same_shape
+from .core import STRIP_BYTES, Boundary, Image, WindowSpec, as_image, require_same_shape
 
 _NON_FINITE = "NaN or Inf in the input of a box sum"
 
@@ -91,18 +103,60 @@ def _counts_1d(n: int, w: WindowSpec) -> np.ndarray:
     return (np.minimum(i + w.radius, n - 1) - np.maximum(i - w.radius, 0) + 1).astype(np.float64)
 
 
+def row_strips(shape, scratch: int = 1) -> Iterator[tuple]:
+    """Yield (rows, *tmp) for the row strips of a (height, width) grid.
+
+    ``rows`` is the strip's slice of rows, ``tmp`` ``scratch`` blocks of
+    the strip's shape, shared by every strip and so overwritten by the next.
+    A strip spans at most a quarter of the rows, so that on a small plane
+    the scratch blocks stay a small share of the memory a filter holds.
+    """
+    h, width = shape
+    step = max(1, min(-(-h // 4), STRIP_BYTES // (8 * width)))
+    buf = np.empty((scratch, step, width))
+    for top in range(0, h, step):
+        stop = min(top + step, h)
+        yield (slice(top, stop), *buf[:, : stop - top])
+
+
+@dataclass(frozen=True, eq=False)
+class WindowCounts:
+    """Per-pixel window size |w_i| as its two 1-D factors: the count at
+    (y, x) is rows[y] * cols[x], a product of small integers and so exact."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+
+    @classmethod
+    def of(cls, shape, w: WindowSpec) -> WindowCounts:
+        w.check_fits(shape)
+        h, width = shape
+        return cls(_counts_1d(h, w), _counts_1d(width, w))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.rows), len(self.cols)
+
+    def strips(self, scratch: int = 1) -> Iterator[tuple]:
+        """``row_strips`` with the strip's window counts first: yields
+        (rows, n, *tmp), n a fresh block the caller may overwrite."""
+        for rows, n, *tmp in row_strips(self.shape, scratch + 1):
+            np.multiply(self.rows[rows, None], self.cols, out=n)
+            yield (rows, n, *tmp)
+
+
 def window_counts(shape, w: WindowSpec) -> Image:
     """Per-pixel window size |w_i| (constant under the periodic boundary)."""
-    h, width = shape
-    w.check_fits(shape)
-    return np.outer(_counts_1d(h, w), _counts_1d(width, w))
+    counts = WindowCounts.of(shape, w)
+    return np.outer(counts.rows, counts.cols)
 
 
 def box_mean(x: Image, w: WindowSpec) -> Image:
     """Windowed average of x, normalized by the actual per-pixel window size."""
     x = _validate(x, w)
     out = box_sum(x, w)
-    out /= window_counts(x.shape, w)
+    for rows, n in WindowCounts.of(x.shape, w).strips(0):
+        out[rows] /= n
     return out
 
 

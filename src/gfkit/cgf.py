@@ -19,6 +19,7 @@ one ``cgf`` call.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import partial
 
 import numpy as np
@@ -48,6 +49,30 @@ def cgf(p: Image, guide: Image, g: Image, w: WindowSpec, eps: float, lam: float)
     return cgf_roll(p, guide, g, w, eps, lam, 1)[0]
 
 
+def cgf_iterates(
+    p: Image,
+    guide: Image,
+    g: Image,
+    w: WindowSpec,
+    eps: float,
+    lam: float,
+    iters: int,
+    tol: float | None = None,
+) -> Iterator[Image]:
+    """The iterates of ``cgf_roll``, each yielded as soon as it exists.
+
+    Parameters and the anchor are checked and the first fit is made at the
+    call.
+    """
+    require_params(eps=eps, lam=lam, iters=iters)
+    p, guide = as_input_and_guide(p, guide)
+    g = as_image(g)
+    require_same_shape(p, guide, g)
+    require_finite(g, "the anchor g")  # never box-summed, so box_sum cannot catch it
+    update = partial(anchored_update, g=g, lam=lam)
+    return roll(p, guide, guide_fit(p, guide, w, eps), w, update, iters, tol)
+
+
 def cgf_roll(
     p: Image,
     guide: Image,
@@ -63,13 +88,7 @@ def cgf_roll(
     Runs a fixed number of passes; if tol is given, stops early once
     max |q_{n+1} - q_n| < tol.
     """
-    require_params(eps=eps, lam=lam, iters=iters)
-    p, guide = as_input_and_guide(p, guide)
-    g = as_image(g)
-    require_same_shape(p, guide, g)
-    require_finite(g, "the anchor g")  # never box-summed, so box_sum cannot catch it
-    update = partial(anchored_update, g=g, lam=lam)
-    return list(roll(p, guide, guide_fit(p, guide, w, eps), w, update, iters, tol))
+    return list(cgf_iterates(p, guide, g, w, eps, lam, iters, tol))
 
 
 def energy_cgf(

@@ -19,7 +19,7 @@ import statistics
 import sys
 import time
 import tracemalloc
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -28,9 +28,9 @@ import numpy as np
 from . import synth
 from .core import Boundary, Image, WindowSpec
 from .boxops import box_sum
-from .gf import gf, gf_roll
-from .tvgf import tvgf, tvgf_roll
-from .cgf import cgf_roll
+from .gf import gf, gf_iterates, last_iterate
+from .tvgf import tvgf, tvgf_iterates
+from .cgf import cgf_iterates
 from .igf import icgf, igf
 from .rmsf import cgf_rmsf, gf_rmsf, naive_roll37
 from .rfnf import rfnf_gen, rfnf_seo
@@ -117,12 +117,10 @@ class _Dump:
         self.planes.append(quantize(image, ITERATE_MAXVAL, self.name))
 
 
-def _last(iterates: list[Image], dump: _Dump | None) -> Image:
-    """A roll's output; every iterate also goes to ``dump`` if given."""
-    if dump is not None:
-        for image in iterates:
-            dump.append(image)
-    return iterates[-1]
+def _last(iterates: Iterator[Image], iters: int, dump: _Dump | None) -> Image:
+    """A roll's output; every iterate also goes to ``dump`` if given, as
+    soon as the roll yields it, and one float iterate is held at a time."""
+    return last_iterate(iterates, iters, None if dump is None else dump.append)
 
 
 def _mutual(scheme, *args, dump: _Dump | None):
@@ -142,17 +140,19 @@ _INVERSE = (
 FILTER_COMMANDS = {
     "gf": FilterCommand(
         "guided filter", {"radius": 10, "eps": 0.1, "iters": 1},
-        lambda x, g, anchor, w, a, dump: _last(gf_roll(x, g, w, a.eps, a.iters), dump)),
+        lambda x, g, anchor, w, a, dump: _last(
+            gf_iterates(x, g, w, a.eps, a.iters), a.iters, dump)),
     "tvgf": FilterCommand(
         "TV-regularized guided filter (periodic windows)",
         {"radius": 10, "eps": 0.01, "lam": 45.0, "iters": 1},
-        lambda x, g, anchor, w, a, dump: _last(tvgf_roll(x, g, w, a.eps, a.lam, a.iters), dump),
+        lambda x, g, anchor, w, a, dump: _last(
+            tvgf_iterates(x, g, w, a.eps, a.lam, a.iters), a.iters, dump),
         boundary=Boundary.PERIODIC),
     "cgf": FilterCommand(
         "conservative guided filter (anchored)",
         {"radius": 6, "eps": 0.001, "lam": 0.01, "iters": 1},
         lambda x, g, anchor, w, a, dump: _last(
-            cgf_roll(x, g, anchor, w, a.eps, a.lam, a.iters), dump),
+            cgf_iterates(x, g, anchor, w, a.eps, a.lam, a.iters), a.iters, dump),
         anchor=True),
     "igf": FilterCommand(
         "inverse guided filter", {"radius": 6, "eps": 0.01},
@@ -228,8 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="wall-time benchmark on a synthetic image")
     sp.add_argument("--width", type=_positive_int, default=1000)
     sp.add_argument("--height", type=_positive_int, default=1000)
-    sp.add_argument("--filter", choices=("box", "gf", "tvgf", "ssim"), default="gf",
-                    help="kernel to time; ssim scores the image against the guide")
+    sp.add_argument("--filter", choices=("box", "gf", "tvgf", "ssim", *BENCH_ROLLING),
+                    default="gf",
+                    help="kernel to time; ssim scores the image against the guide, "
+                         f"the rolling schemes run {BENCH_ITERS} iterations")
     sp.add_argument("--radius", type=_nonneg_int, default=10)
     sp.add_argument("--eps", type=_positive_float, default=0.1)
     sp.add_argument("--lambda", dest="lam", type=_nonneg_float, default=45.0)
@@ -392,20 +394,32 @@ def _run_metrics(args) -> dict:
     }
 
 
-def _run_bench(args) -> dict:
+# rolling schemes are timed at a fixed iteration count
+BENCH_ITERS = 3
+BENCH_ROLLING = ("rmsf-gf", "rmsf-cgf", "rfnf-gen")
+
+
+def _bench_task(args) -> Callable[[], object]:
+    """The call ``bench`` times. The rolling schemes take --eps for both
+    fits, --lambda for both anchors and tau = 1."""
     img = synth.random_image(args.width, args.height, args.seed)
     guide = synth.random_image(args.width, args.height, args.seed + 1)
-    if args.filter == "box":
-        w = WindowSpec(args.radius, Boundary.TRUNCATE)
-        task = lambda: box_sum(img, w)
-    elif args.filter == "gf":
-        w = WindowSpec(args.radius, Boundary.TRUNCATE)
-        task = lambda: gf(img, guide, w, args.eps)
-    elif args.filter == "tvgf":
-        w = WindowSpec(args.radius, Boundary.PERIODIC)
-        task = lambda: tvgf(img, guide, w, args.eps, args.lam)
-    else:
-        task = lambda: ssim(img, guide)
+    trunc = WindowSpec(args.radius, Boundary.TRUNCATE)
+    periodic = WindowSpec(args.radius, Boundary.PERIODIC)
+    eps, lam = args.eps, args.lam
+    return {
+        "box": lambda: box_sum(img, trunc),
+        "gf": lambda: gf(img, guide, trunc, eps),
+        "tvgf": lambda: tvgf(img, guide, periodic, eps, lam),
+        "ssim": lambda: ssim(img, guide),
+        "rmsf-gf": lambda: gf_rmsf(img, guide, eps, eps, trunc, BENCH_ITERS),
+        "rmsf-cgf": lambda: cgf_rmsf(img, guide, eps, eps, lam, lam, trunc, BENCH_ITERS),
+        "rfnf-gen": lambda: rfnf_gen(img, guide, trunc, eps, lam, 1.0, BENCH_ITERS),
+    }[args.filter]
+
+
+def _run_bench(args) -> dict:
+    task = _bench_task(args)
     task()  # warm-up pass
     times = []
     for _ in range(args.repeat):
@@ -425,6 +439,7 @@ def _run_bench(args) -> dict:
             "filter": args.filter, "width": args.width, "height": args.height,
             "radius": args.radius, "eps": args.eps, "lam": args.lam,
             "repeat": args.repeat, "seed": args.seed,
+            **({"iters": BENCH_ITERS} if args.filter in BENCH_ROLLING else {}),
         },
         "metrics": None,
         "timings_s": times,

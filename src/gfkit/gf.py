@@ -21,6 +21,9 @@ variance are constants of every pass. ``gf_coeffs`` is the composition of
 ``guide_moments`` (2 box passes) and ``fit_coeffs`` (2 box passes against
 those moments); a roll computes the guide moments once and then spends 4
 box passes per iteration (fit and window sums), 2 + 4n in all instead of 6n.
+The pointwise arithmetic after each box pass runs over row strips against
+the window counts' 1-D factors (see ``boxops``), so a roll holds the
+guide's mean and variance but no plane of counts.
 
 When the input is the guide itself (p is guide, the edge-preserving
 smoothing case), the fit needs only the guide's own moments: mean(p) is
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EnergyReport, Image, WindowSpec, as_image, require_params, require_same_shape
-from .boxops import box_sum, window_counts, window_values
+from .boxops import WindowCounts, box_sum, window_values
 
 
 @dataclass
@@ -59,7 +62,7 @@ class GuideMoments:
     the denominator of every slope fit.
     """
 
-    counts: Image
+    counts: WindowCounts
     mean: Image
     var_eps: Image
 
@@ -81,45 +84,48 @@ def _check_eps(eps: float) -> None:
         raise ValueError(f"eps must be >= 0, got {eps}")
 
 
-def _window_variance(guide: Image, w: WindowSpec) -> tuple[Image, Image, Image]:
-    """Window counts, mean and unclamped variance of the guide: 2 box passes."""
-    # the in-place steps below only touch arrays box_sum just allocated
-    counts = window_counts(guide.shape, w)
+def _moments(
+    guide: Image, w: WindowSpec, eps: float, fit: bool
+) -> tuple[GuideMoments, GfCoeffs | None]:
+    """The guide's window moments from 2 box passes and, with ``fit``, the
+    fit of the guide against itself from the same passes.
+
+    With p = guide, cov(guide, p) is the guide's unclamped window variance,
+    so a = var / var_eps and b = mean - a * mean need no box pass of their
+    own; both routes share every operation up to that variance.
+    """
+    _check_eps(eps)
+    counts = WindowCounts.of(guide.shape, w)
     mean = box_sum(guide, w)
-    mean /= counts
-    var = box_sum(guide * guide, w)
-    var /= counts
-    var -= mean * mean
-    return counts, mean, var
+    var = box_sum(guide * guide, w)  # window sums of guide^2, then the variance
+    var_eps = np.empty_like(var) if fit else var
+    b = np.empty_like(var) if fit else None
+    for rows, n, t in counts.strips():
+        m, v, ve = mean[rows], var[rows], var_eps[rows]
+        m /= n
+        v /= n
+        v -= np.multiply(m, m, out=t)
+        np.maximum(v, 0.0, out=ve)
+        ve += eps
+        if fit:  # a = var / var_eps in the variance's buffer
+            v /= ve
+            np.subtract(m, np.multiply(v, m, out=b[rows]), out=b[rows])
+    moments = GuideMoments(counts=counts, mean=mean, var_eps=var_eps)
+    return moments, GfCoeffs(a=var, b=b) if fit else None
 
 
 def guide_moments(guide: Image, w: WindowSpec, eps: float) -> GuideMoments:
     """Window counts, mean and var + eps of the guidance: 2 box passes."""
-    guide = as_image(guide)
-    _check_eps(eps)
-    counts, mean, var = _window_variance(guide, w)
-    np.maximum(var, 0.0, out=var)
-    var += eps
-    return GuideMoments(counts=counts, mean=mean, var_eps=var)
+    return _moments(as_image(guide), w, eps, fit=False)[0]
 
 
 def self_fit(guide: Image, w: WindowSpec, eps: float) -> tuple[GuideMoments, GfCoeffs]:
     """The guide's moments and the fit of the guide against itself: 2 box passes.
 
-    With p = guide, cov(guide, p) is the guide's unclamped window variance,
-    so a = var / var_eps and b = mean - a * mean need no box pass of their
-    own. The operation order is that of ``guide_moments`` followed by
+    The operation order is that of ``guide_moments`` followed by
     ``fit_coeffs``, so both results are bit-identical to that route's.
     """
-    guide = as_image(guide)
-    _check_eps(eps)
-    counts, mean, a = _window_variance(guide, w)  # a holds cov(guide, guide)
-    var_eps = np.maximum(a, 0.0)
-    var_eps += eps
-    a /= var_eps
-    b = a * mean
-    np.subtract(mean, b, out=b)  # mean - a * mean
-    return GuideMoments(counts=counts, mean=mean, var_eps=var_eps), GfCoeffs(a=a, b=b)
+    return _moments(as_image(guide), w, eps, fit=True)
 
 
 def fit_coeffs(p: Image, guide: Image, moments: GuideMoments, w: WindowSpec) -> GfCoeffs:
@@ -127,15 +133,16 @@ def fit_coeffs(p: Image, guide: Image, moments: GuideMoments, w: WindowSpec) -> 
 
     p and guide must already be float images of the moments' shape.
     """
-    mean_p = box_sum(p, w)
-    mean_p /= moments.counts
-    a = box_sum(guide * p, w)  # cov(guide, p), then a
-    a /= moments.counts
-    a -= moments.mean * mean_p
-    a /= moments.var_eps
-    b = mean_p  # mean(p) - a * mean(guide)
-    b -= a * moments.mean
-    return GfCoeffs(a=a, b=b)
+    mean_p = box_sum(p, w)  # then b
+    a = box_sum(guide * p, w)  # window sums of guide * p, then cov(guide, p), then a
+    for rows, n, t in moments.counts.strips():
+        mp, ar, mg = mean_p[rows], a[rows], moments.mean[rows]
+        mp /= n
+        ar /= n
+        ar -= np.multiply(mg, mp, out=t)
+        ar /= moments.var_eps[rows]
+        mp -= np.multiply(ar, mg, out=t)  # mean(p) - a * mean(guide)
+    return GfCoeffs(a=a, b=mean_p)
 
 
 def guide_fit(p: Image, guide: Image, w: WindowSpec, eps: float) -> tuple[GuideMoments, GfCoeffs]:
@@ -172,17 +179,19 @@ def window_sum_estimate(coeffs: GfCoeffs, guide: Image, w: WindowSpec) -> Image:
     return f
 
 
-def anchored_update(f: Image, counts: Image, g: Image | None = None, lam: float = 0.0) -> Image:
+def anchored_update(
+    f: Image, counts: WindowCounts, g: Image | None = None, lam: float = 0.0
+) -> Image:
     """The exact pixel minimizer (f + lam * g) / (n + lam), written into f.
 
     n is the pixel's window count. At lam = 0 the anchor drops out (g is
     not read) and this is the plain guided filter's f / n.
     """
-    if lam:
-        f += lam * g
-        f /= counts + lam
-    else:
-        f /= counts
+    for rows, n, t in counts.strips():
+        if lam:
+            f[rows] += np.multiply(g[rows], lam, out=t)
+            n += lam
+        f[rows] /= n
     return f
 
 
@@ -190,7 +199,8 @@ def gf_apply(coeffs: GfCoeffs, guide: Image, w: WindowSpec) -> Image:
     """Aggregate the per-window estimates: the lam = 0 update f / n."""
     guide = as_image(guide)
     require_same_shape(coeffs.a, coeffs.b, guide)
-    return anchored_update(window_sum_estimate(coeffs, guide, w), window_counts(guide.shape, w))
+    counts = WindowCounts.of(guide.shape, w)
+    return anchored_update(window_sum_estimate(coeffs, guide, w), counts)
 
 
 def roll(
@@ -198,7 +208,7 @@ def roll(
     guide: Image,
     fit: tuple[GuideMoments, GfCoeffs],
     w: WindowSpec,
-    update: Callable[[Image, Image], Image],
+    update: Callable[[Image, WindowCounts], Image],
     iters: int,
     tol: float | None = None,
 ) -> Iterator[Image]:
@@ -209,7 +219,9 @@ def roll(
     refits the current iterate against those moments. Each fit is dropped
     once its window-sum estimate f is built (on the last pass the moments
     too, all but the counts), and ``update(f, counts)`` maps f to the next
-    iterate: 4 box passes a pass after the first fit.
+    iterate: 4 box passes a pass after the first fit. Without tol the roll
+    lets go of each iterate once it is fit, so a consumer that drops the
+    iterates it was given holds one at a time.
     If tol is given, the roll stops after the first iterate with
     max |q_{n+1} - q_n| < tol.
     """
@@ -220,21 +232,51 @@ def roll(
     for n in range(iters):
         if coeffs is None:
             coeffs = fit_coeffs(q, guide, moments, w)
+        if tol is None:
+            q = None  # after its fit only the tol test reads an iterate
         if n == iters - 1:
             moments = None  # no refit follows, so only the counts are needed
         f = window_sum_estimate(coeffs, guide, w)
         coeffs = None  # the fit is dropped before the update
-        q_next = update(f, counts)
+        prev, q = q, update(f, counts)
         del f  # an update that allocates its result frees f before the yield
-        yield q_next
-        if tol is not None and float(np.max(np.abs(q_next - q))) < tol:
+        yield q
+        if prev is not None and float(np.max(np.abs(q - prev))) < tol:
             return
-        q = q_next
+        prev = None
+
+
+def last_iterate(
+    iterates: Iterator[Image], iters: int, each: Callable[[Image], None] | None = None
+) -> Image:
+    """The last of a roll's ``iters`` iterates (a roll without tol).
+
+    Each earlier iterate is let go of before the roll computes the next,
+    so that one is held at a time; ``each``, if given, sees every iterate
+    as the roll yields it.
+    """
+    for n in range(iters):
+        q = next(iterates)
+        if each is not None:
+            each(q)
+        if n < iters - 1:
+            del q
+    return q
 
 
 def gf(p: Image, guide: Image, w: WindowSpec, eps: float) -> Image:
     """One guided-filter pass of p steered by the guidance image."""
     return gf_roll(p, guide, w, eps, 1)[0]
+
+
+def gf_iterates(p: Image, guide: Image, w: WindowSpec, eps: float, iters: int) -> Iterator[Image]:
+    """The iterates of ``gf_roll``, each yielded as soon as it exists.
+
+    Parameters are checked and the first fit is made at the call.
+    """
+    require_params(eps=eps, iters=iters)
+    p, guide = as_input_and_guide(p, guide)
+    return roll(p, guide, guide_fit(p, guide, w, eps), w, anchored_update, iters)
 
 
 def gf_roll(p: Image, guide: Image, w: WindowSpec, eps: float, iters: int) -> list[Image]:
@@ -244,9 +286,7 @@ def gf_roll(p: Image, guide: Image, w: WindowSpec, eps: float, iters: int) -> li
     guide's moments are computed once, so each pass after the first costs
     4 box passes.
     """
-    require_params(eps=eps, iters=iters)
-    p, guide = as_input_and_guide(p, guide)
-    return list(roll(p, guide, guide_fit(p, guide, w, eps), w, anchored_update, iters))
+    return list(gf_iterates(p, guide, w, eps, iters))
 
 
 def energy_gf(q: Image, coeffs: GfCoeffs, guide: Image, w: WindowSpec, eps: float) -> EnergyReport:

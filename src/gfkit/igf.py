@@ -16,8 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Image, WindowSpec, as_image, require_finite, require_params, require_same_shape
-from .gf import GfCoeffs, gf_coeffs
-from .boxops import box_sum, window_counts
+from .gf import GfCoeffs, as_input_and_guide, gf_coeffs
+from .boxops import WindowCounts, box_sum
 
 # Below this mean of sum(a^2) + lam over the pixel's windows, the quadratic
 # in G_i is flat and any value minimizes it; we keep the prior pixel instead
@@ -28,26 +28,36 @@ DEGENERATE_EPS = 1e-12
 def inverse_update(
     coeffs: GfCoeffs, p: Image, g: Image, w: WindowSpec, lam: float, prior: Image
 ) -> Image:
-    """``icgf_update`` without its scan of ``prior``, for a caller whose
-    prior already went through a box pass (the rmsf loop's tracks)."""
+    """``icgf_update`` without its scans of ``p``, ``g`` and ``prior``, for a
+    caller whose inputs already went through a box pass or a scan (the
+    one-shot inverse filters and the rmsf loop's tracks)."""
     p = as_image(p)
     prior = as_image(prior)
     require_same_shape(p, prior, coeffs.a, coeffs.b)
-    num = box_sum(coeffs.a, w)
-    num *= p
-    num -= box_sum(coeffs.a * coeffs.b, w)
-    den = box_sum(coeffs.a * coeffs.a, w)
     if lam:
         g = as_image(g)
         require_same_shape(p, g)
-        num += lam * g
-        den += lam
-    threshold = window_counts(p.shape, w)
-    threshold *= DEGENERATE_EPS
-    degenerate = den < threshold
-    np.copyto(den, 1.0, where=degenerate)
-    num /= den
-    np.copyto(num, prior, where=degenerate)
+    a, b = coeffs.a, coeffs.b
+    # each window sum is folded in as soon as it exists; a caller that
+    # hands over its only reference to the fit lets b die once a * b exists
+    del coeffs
+    num = box_sum(a, w)
+    num *= p
+    ab = a * b
+    del b
+    num -= box_sum(ab, w)
+    del ab
+    den = box_sum(a * a, w)
+    for rows, n, t in WindowCounts.of(p.shape, w).strips():
+        num_r, den_r = num[rows], den[rows]
+        if lam:
+            num_r += np.multiply(g[rows], lam, out=t)
+            den_r += lam
+        n *= DEGENERATE_EPS
+        degenerate = den_r < n
+        np.copyto(den_r, 1.0, where=degenerate)
+        num_r /= den_r
+        np.copyto(num_r, prior[rows], where=degenerate)
     return num
 
 
@@ -59,9 +69,15 @@ def icgf_update(
     G_i = (sum(a) * p_i - sum(a*b) + lam * g_i) / (sum(a^2) + lam), falling
     back to the prior pixel wherever sum(a^2) + lam < n_i * DEGENERATE_EPS,
     n_i the pixel's window count. At lam = 0 the anchor drops out and g is
-    not read. ``prior`` is never box-summed, so a NaN or Inf in it raises
-    ValueError here instead of reaching the output.
+    not read. ``p``, ``g`` and ``prior`` are never box-summed here, so a
+    NaN or Inf in any of them (in g only at lam > 0) raises ValueError
+    naming it instead of reaching the output.
     """
+    p = as_image(p)
+    require_finite(p, "p")
+    if lam:
+        g = as_image(g)
+        require_finite(g, "the anchor g")
     prior = as_image(prior)
     require_finite(prior, "prior")
     return inverse_update(coeffs, p, g, w, lam, prior)
@@ -77,8 +93,9 @@ def igf(p: Image, guess: Image, w: WindowSpec, eps: float) -> Image:
 
     guess is the initial guidance estimate the coefficients are fit against.
     """
-    coeffs = gf_coeffs(p, guess, w, eps)
-    return igf_update(coeffs, p, w, prior=guess)
+    p, guess = as_input_and_guide(p, guess)
+    # the fit box-sums p and guess, so neither needs a scan of its own
+    return inverse_update(gf_coeffs(p, guess, w, eps), p, None, w, 0.0, prior=guess)
 
 
 def icgf(p: Image, guess: Image, g: Image, w: WindowSpec, eps: float, lam: float) -> Image:
@@ -86,6 +103,6 @@ def icgf(p: Image, guess: Image, g: Image, w: WindowSpec, eps: float, lam: float
     require_params(lam=lam)
     g = as_image(g)
     require_finite(g, "the anchor g")  # never box-summed, so box_sum cannot catch it
-    coeffs = gf_coeffs(p, guess, w, eps)
-    require_same_shape(coeffs.a, g)  # checked even at lam = 0, where g is not read
-    return icgf_update(coeffs, p, g, w, lam, prior=guess)
+    p, guess = as_input_and_guide(p, guess)
+    require_same_shape(p, g)  # checked even at lam = 0, where g is not read
+    return inverse_update(gf_coeffs(p, guess, w, eps), p, g, w, lam, prior=guess)

@@ -21,18 +21,12 @@ import math
 
 import numpy as np
 
-from .core import Image, as_image, require_finite, require_same_shape
+from .core import STRIP_BYTES, Image, as_image, require_finite, require_same_shape
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
-
-# bytes of one strip row block of one plane. One field's strip with its
-# halo, its column pass and the scratch row block then stay inside a 2 MB
-# L2 cache; among budgets from 64 KiB to 1 MiB, 256-384 KiB ran fastest on
-# 1080p and 1 MP planes
-_STRIP_BYTES = 1 << 18
 
 
 def mse(x: Image, y: Image) -> float:
@@ -103,7 +97,7 @@ def ssim(x: Image, y: Image, peak: float = 1.0) -> float:
     r = SSIM_WINDOW // 2
     height, width = x.shape
     interior = np.empty((height - 2 * r, width - 2 * r))
-    rows = min(max(1, _STRIP_BYTES // (8 * width)), len(interior))
+    rows = min(max(1, STRIP_BYTES // (8 * width)), len(interior))
     # flat strip buffers: a row-wise pass is a contiguous pass with step
     # `width`, a column-wise pass one with step 1 whose outputs that straddle
     # two rows fall in the border columns and are never read

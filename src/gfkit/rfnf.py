@@ -16,13 +16,21 @@ passes cost 4 + 4n box passes.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import partial
 
 import numpy as np
 
 from .core import Image, WindowSpec, as_image, require_params, require_same_shape
-from .gf import GuideMoments, anchored_update, fit_coeffs, guide_fit, roll, window_sum_estimate
+from .boxops import row_strips
+from .gf import (
+    GuideMoments,
+    anchored_update,
+    fit_coeffs,
+    guide_fit,
+    last_iterate,
+    roll,
+    window_sum_estimate,
+)
 
 
 def _flash_base(flash: Image, w: WindowSpec, eps: float) -> tuple[GuideMoments, Image]:
@@ -34,17 +42,20 @@ def _flash_base(flash: Image, w: WindowSpec, eps: float) -> tuple[GuideMoments, 
 
 def _enhance(flash: Image, base: Image, tau: float) -> Image:
     """base + tau * (flash - base), written into base."""
-    base += tau * (flash - base)
+    for rows, t in row_strips(base.shape):
+        np.subtract(flash[rows], base[rows], out=t)
+        t *= tau
+        base[rows] += t
     return base
 
 
-def _last_iterate(noflash, flash, moments, w, update, iters) -> Image:
+def _noflash_roll(noflash, flash, moments, w, update, iters) -> Image:
     """The last iterate of the roll of noflash against the held flash moments."""
     # the first fit goes straight to the roll, which drops it after one pass
     iterates = roll(
         noflash, flash, (moments, fit_coeffs(noflash, flash, moments, w)), w, update, iters
     )
-    return deque(iterates, maxlen=1).pop()
+    return last_iterate(iterates, iters)
 
 
 def detail_image(flash: Image, w: WindowSpec, eps: float) -> Image:
@@ -70,7 +81,7 @@ def rfnf_seo(
         q += detail
         return q
 
-    return _last_iterate(noflash, flash, moments, w, update, iters)
+    return _noflash_roll(noflash, flash, moments, w, update, iters)
 
 
 def enhanced_flash(flash: Image, w: WindowSpec, eps: float, tau: float) -> Image:
@@ -97,4 +108,4 @@ def rfnf_gen(
     require_same_shape(noflash, flash)
     moments, base = _flash_base(flash, w, eps)
     update = partial(anchored_update, g=_enhance(flash, base, tau), lam=lam)
-    return _last_iterate(noflash, flash, moments, w, update, iters)
+    return _noflash_roll(noflash, flash, moments, w, update, iters)

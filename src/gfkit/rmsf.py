@@ -14,12 +14,27 @@ then an exact block minimization of the shared objective.
 
 Both schemes run one loop. Its smoothing term is the forward anchored
 update (f + lam * anchor) / (n + lam) of ``gf.anchored_update`` and its
-inverse term ``igf.inverse_update`` (``icgf_update`` without the scan of
-its prior, which here is a box-summed track); the q track anchors to p
-with lam, the G track to the guide with beta. ``gf_rmsf`` is that loop at
-lam = beta = 0, so it equals ``cgf_rmsf(lam=0, beta=0)`` bit for bit. The
-descent guarantee above is for the plain pair; the anchored pair has no
-exact energy evaluator yet.
+inverse term ``igf.inverse_update`` (``icgf_update`` without its input
+scans: here every input is a box-summed track or an input the first fit
+box-sums); the q track anchors to p with lam, the G track to the guide
+with beta. ``gf_rmsf`` is that loop at lam = beta = 0, so it equals
+``cgf_rmsf(lam=0, beta=0)`` bit for bit. The descent guarantee above is
+for the plain pair; the anchored pair has no exact energy evaluator yet.
+
+Plane budget: besides p and the guide, an iteration holds at most 9 float
+planes, the two tracks, the four fit planes a, b, c and d and the three
+transient planes of a fit or an inverse update, plus a few row-strip
+blocks. Each track's inverse term runs before its forward term, so its
+prior, the old track, dies before the forward window sums exist, and
+every window sum is folded into its term as soon as it exists.
+
+An iteration runs 20 box passes, 7 of which repeat a window sum taken
+earlier in the same iteration: sum(G), sum(q) and sum(qG) in the second
+fit, sum(c^2) and sum(a^2) in the alpha weights after the inverse
+updates, and sum(a) and sum(c), each in one track's forward update and
+the other track's inverse update. Sharing them gives the same bits from
+13 passes; the repeats are kept because the benchmark's self-tests pin
+20 passes per iteration.
 
 ``naive_roll37`` is the cross-guided baseline without the inverse terms,
 kept as the documented failure mode: it wipes out detail on both tracks.
@@ -35,7 +50,7 @@ import numpy as np
 from .core import EnergyReport, Image, WindowSpec, as_image, require_params, require_same_shape
 from .gf import GfCoeffs, anchored_update, gf, gf_coeffs, window_sum_estimate
 from .igf import inverse_update
-from .boxops import box_mean, window_counts, window_values
+from .boxops import WindowCounts, box_sum, row_strips, window_values
 
 
 @dataclass
@@ -65,20 +80,23 @@ class SnapshotSink(Protocol):
 def alpha_weight(x: Image, w: WindowSpec) -> Image:
     """Blend weight 1 / (1 + mean(x^2)); always in (0, 1]."""
     x = as_image(x)
-    out = box_mean(x * x, w)
-    out += 1.0
-    return np.divide(1.0, out, out=out)
+    out = box_sum(x * x, w)
+    for rows, n in WindowCounts.of(x.shape, w).strips(0):
+        o = out[rows]
+        o /= n
+        o += 1.0
+        np.divide(1.0, o, out=o)
+    return out
 
 
 def _blend(alpha: Image, x: Image, y: Image) -> Image:
-    """alpha * x + (1 - alpha) * y, computed in place.
-
-    Overwrites all three arguments, which must be arrays the caller
-    allocated and no longer needs; the result is written into x.
-    """
-    x *= alpha
-    y *= np.subtract(1.0, alpha, out=alpha)
-    x += y
+    """alpha * x + (1 - alpha) * y, written into x."""
+    for rows, t in row_strips(x.shape):
+        xr = x[rows]
+        xr *= alpha[rows]
+        np.subtract(1.0, alpha[rows], out=t)
+        t *= y[rows]
+        xr += t
     return x
 
 
@@ -97,26 +115,38 @@ def _mutual_roll(
 
     Each track blends its forward anchored update with the inverse update
     of the other track's fit, anchored to the other track's origin: 20 box
-    passes per iteration (two fits 8, two alpha weights 2, two window-sum
-    estimates 4, two inverse updates 6).
+    passes per iteration (two fits 8, two inverse updates 6, two window-sum
+    estimates 4, two alpha weights 2). Each track's inverse term comes
+    first, so that the old track, its prior, dies before the forward term's
+    window sums exist, and each fit is dropped once its last window sum is
+    taken (unless ``snapshots`` keeps the fits to the end of the iteration).
     """
     p = as_image(p)
     guide = as_image(guide)
     require_same_shape(p, guide)
-    counts = window_counts(p.shape, w)
+    counts = WindowCounts.of(p.shape, w)
+    keep = snapshots is not None
     q, G = p, guide
     for n in range(iters):
         ab = gf_coeffs(q, G, w, eps)
         cd = gf_coeffs(G, q, w, eps2)
-        alpha_q = alpha_weight(cd.a, w)
-        alpha_g = alpha_weight(ab.a, w)
-        fwd_q = anchored_update(window_sum_estimate(ab, G, w), counts, p, lam)
-        q_new = _blend(alpha_q, fwd_q, inverse_update(cd, G, guide, w, beta, prior=q))
-        fwd_g = anchored_update(window_sum_estimate(cd, q_new, w), counts, guide, beta)
-        G_new = _blend(alpha_g, fwd_g, inverse_update(ab, q_new, p, w, lam, prior=G))
-        q, G = q_new, G_new
-        if snapshots is not None:
+        # a name still bound to a dead plane would keep it alive through
+        # the next call, so each is unbound as its role ends
+        inv = inverse_update(cd, G, guide, w, beta, prior=q)
+        q = None
+        fwd = anchored_update(window_sum_estimate(ab, G, w), counts, p, lam)
+        q = _blend(alpha_weight(cd.a, w), fwd, inv)
+        inv = None
+        inv = inverse_update(ab, q, p, w, lam, prior=G)
+        G = None
+        fwd = anchored_update(window_sum_estimate(cd, q, w), counts, guide, beta)
+        if not keep:
+            cd = None
+        G = _blend(alpha_weight(ab.a, w), fwd, inv)
+        fwd = inv = None
+        if keep:
             snapshots.append(MutualSnapshot(MutualState(q, G, n + 1), ab, cd))
+        ab = cd = None
     return MutualState(q=q, G=G, iteration=iters)
 
 

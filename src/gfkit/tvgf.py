@@ -12,6 +12,8 @@ one-pass case.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 import numpy as np
 
 from .core import Boundary, EnergyReport, Image, WindowSpec, as_image, require_params
@@ -67,6 +69,21 @@ def tvgf(p: Image, guide: Image, w: WindowSpec, eps: float, lam: float) -> Image
     return tvgf_roll(p, guide, w, eps, lam, 1)[0]
 
 
+def tvgf_iterates(
+    p: Image, guide: Image, w: WindowSpec, eps: float, lam: float, iters: int
+) -> Iterator[Image]:
+    """The iterates of ``tvgf_roll``, each yielded as soon as it exists.
+
+    Parameters are checked and the first fit is made at the call.
+    """
+    require_params(eps=eps, lam=lam, iters=iters)
+    p, guide = as_input_and_guide(p, guide)
+    _require_periodic(w)
+    denominator = _half_denominator(p.shape, w, lam)
+    return roll(p, guide, guide_fit(p, guide, w, eps), w,
+                lambda f, counts: _solve_half(f, denominator), iters)
+
+
 def tvgf_roll(
     p: Image, guide: Image, w: WindowSpec, eps: float, lam: float, iters: int
 ) -> list[Image]:
@@ -76,14 +93,7 @@ def tvgf_roll(
     pass costs 4 box passes and one half-spectrum solve, after 2 box
     passes for the guide moments unless p is the guide itself.
     """
-    require_params(eps=eps, lam=lam, iters=iters)
-    p, guide = as_input_and_guide(p, guide)
-    _require_periodic(w)
-    denominator = _half_denominator(p.shape, w, lam)
-    return list(
-        roll(p, guide, guide_fit(p, guide, w, eps), w,
-             lambda f, counts: _solve_half(f, denominator), iters)
-    )
+    return list(tvgf_iterates(p, guide, w, eps, lam, iters))
 
 
 def tv_squared(q: Image) -> Image:

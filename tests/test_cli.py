@@ -393,7 +393,7 @@ class TestBenchCommand:
         # one untimed 64x64 gf call: at least its output plane, at most 16 planes
         assert 64 * 64 * 8 <= report["peak_mb"] * 1e6 <= 16 * 64 * 64 * 8
 
-    @pytest.mark.parametrize("kernel", ["box", "tvgf", "ssim"])
+    @pytest.mark.parametrize("kernel", ["box", "tvgf", "ssim", "rmsf-gf", "rmsf-cgf", "rfnf-gen"])
     def test_every_kernel_reports(self, workdir, capsys, kernel):
         code, report, _ = run_cli(
             capsys, "bench", "--width", "64", "--height", "48",
@@ -402,6 +402,8 @@ class TestBenchCommand:
         assert code == 0
         jsonschema.validate(report, SCHEMA)
         assert report["params"]["filter"] == kernel
+        # the rolling schemes run a fixed number of iterations
+        assert report["params"].get("iters") == (3 if kernel[:4] in ("rmsf", "rfnf") else None)
         assert len(report["timings_s"]) == 2
         assert report["median_s"] > 0
         assert report["peak_mb"] > 0

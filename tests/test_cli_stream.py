@@ -3,7 +3,9 @@
 Each channel's outputs become integer samples as soon as its filter
 returns, so the files and the report must be exactly what the library's
 float iterates give through write_pnm, and the peak memory of an RGB run
-must stay near that of a one-channel run.
+must stay near that of a one-channel run. A fixed-guide roll's iterates
+are dumped as the roll yields them, so a longer roll keeps no more float
+iterates.
 """
 
 import json
@@ -25,6 +27,7 @@ from gfkit.metrics import mse, psnr_from_mse, ssim
 from gfkit.rfnf import rfnf_gen, rfnf_seo
 from gfkit.rmsf import cgf_rmsf, gf_rmsf, naive_roll37
 from gfkit.tvgf import tvgf_roll
+from oracles import frozen_cgf_roll, frozen_gf_roll, frozen_tvgf_roll
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report.schema.json").read_text()
@@ -191,3 +194,38 @@ def test_rmsf_dump_peak_grows_by_samples_per_iteration(workdir, capsys):
     capsys.readouterr()
     # six more iterations keep six more sample planes, not six snapshots
     assert long - short <= 6 * SAMPLES + SLACK, (short, long)
+
+
+@pytest.mark.parametrize("dump", [False, True])
+def test_fixed_guide_roll_keeps_one_float_iterate(workdir, capsys, dump):
+    write_pnm_file("p.pgm", [np.random.default_rng(14).random((SIZE, SIZE))], 255)
+
+    def peak(iters):
+        extra = ["--dump-iterates"] if dump else []
+        return peak_of(["cgf", "--input", "p.pgm", "--output", "o.pgm", "--radius", str(R),
+                        "--iters", str(iters), *extra])
+
+    short, long = peak(2), peak(8)
+    capsys.readouterr()
+    # six more passes keep no float iterate, and with dumps six sample planes
+    assert long - short <= PLANE + (6 * SAMPLES if dump else 0), (short, long)
+
+
+@pytest.mark.parametrize("name", ["gf", "tvgf", "cgf"])
+def test_fixed_guide_roll_bytes_match_the_whole_plane_arithmetic(workdir, capsys, name):
+    rng = np.random.default_rng(15)
+    write_pnm_file("in.ppm", [rng.random((20, 24)) for _ in range(3)], 255)
+    write_pnm_file("guide.pgm", [rng.random((20, 24))], 65535)
+    run_cli(capsys, [name, "--input", "in.ppm", "--guidance", "guide.pgm", "--output", "out.ppm",
+                     "--radius", str(R), "--iters", str(ITERS), "--dump-iterates"])
+    guide = read_pnm_file("guide.pgm")[0]
+    frozen = {
+        "gf": lambda x: frozen_gf_roll(x, guide, TRUNC, 0.1, ITERS),
+        "tvgf": lambda x: frozen_tvgf_roll(x, guide, PERIODIC, 0.01, 45.0, ITERS),
+        "cgf": lambda x: frozen_cgf_roll(x, guide, x, TRUNC, 0.001, 0.01, ITERS),
+    }[name]
+    runs = [frozen(x) for x in read_pnm_file("in.ppm")]
+    assert Path("out.ppm").read_bytes() == write_pnm([its[-1] for its in runs], 255)
+    for n in range(1, ITERS + 1):
+        assert Path(f"out_iter{n:03d}.ppm").read_bytes() == write_pnm(
+            [its[n - 1] for its in runs], 65535)

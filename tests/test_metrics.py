@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.ndimage import correlate1d
 
-from gfkit.core import make_image
+from gfkit.core import STRIP_BYTES, make_image
 from gfkit.metrics import (
-    _STRIP_BYTES,
     SSIM_SIGMA,
     SSIM_WINDOW,
     _gaussian_window,
@@ -161,7 +160,7 @@ def whole_plane_ssim(x, y, peak=1.0):
 
 
 def _strip_rows(width):
-    return max(1, _STRIP_BYTES // (8 * width))
+    return max(1, STRIP_BYTES // (8 * width))
 
 
 def _strip_boundary_shapes(width):

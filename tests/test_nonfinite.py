@@ -1,9 +1,10 @@
 """Every filter and rolling scheme rejects a NaN or an Inf in its input
 or its guide: box_sum raises, and nothing computes on past it. The anchor
 g of cgf, cgf_roll and icgf is never box-summed, so those entry points
-check it themselves, and so do igf_update and icgf_update for their
-prior. A NaN or Inf weight (lambda, beta, tau) or a NaN eps is rejected
-by name before any computation."""
+check it themselves, and so do igf_update and icgf_update for their p,
+their prior and (at lambda > 0) their anchor g. A NaN or Inf weight
+(lambda, beta, tau) or a NaN eps is rejected by name before any
+computation."""
 
 import sys
 import warnings
@@ -13,8 +14,7 @@ import pytest
 
 from gfkit.cgf import cgf, cgf_roll
 from gfkit.core import Boundary, WindowSpec
-from gfkit.gf import gf
-from gfkit.gf import GfCoeffs
+from gfkit.gf import GfCoeffs, gf, gf_coeffs
 from gfkit.igf import icgf, icgf_update, igf, igf_update
 from gfkit.rfnf import enhanced_flash, rfnf_gen, rfnf_seo
 from gfkit.rmsf import cgf_rmsf, gf_rmsf
@@ -133,3 +133,49 @@ def test_rmsf_loop_adds_no_prior_scan(scheme, monkeypatch):
     p, g = rng.random((12, 10)), rng.random((12, 10))
     FILTERS[scheme](p, g)
     assert scans == []
+
+
+# each entry calls one update on (coeffs, p, g, prior) and names the
+# inputs it must scan
+DIRECT = {
+    "igf_update": (lambda c, p, g, prior: igf_update(c, p, TRUNC, prior), ("p",)),
+    "icgf_update": (lambda c, p, g, prior: icgf_update(c, p, g, TRUNC, 0.0, prior), ("p",)),
+    "icgf_update-anchored": (
+        lambda c, p, g, prior: icgf_update(c, p, g, TRUNC, 0.5, prior), ("p", "g")),
+}
+MESSAGES = {"p": "NaN or Inf in p", "g": "NaN or Inf in the anchor g"}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (16, 13), (31, 31)], ids=["corner", "mid", "last"])
+@pytest.mark.parametrize("spoiled", ["p", "g"])
+@pytest.mark.parametrize("name", sorted(DIRECT))
+def test_inverse_update_rejects_non_finite_input(name, spoiled, where, bad):
+    rng = np.random.default_rng(9)
+    p, g, prior = rng.random((32, 32)), rng.random((32, 32)), rng.random((32, 32))
+    coeffs = gf_coeffs(p, prior, TRUNC, 0.01)  # finite, not degenerate: p reaches every pixel
+    call, scanned = DIRECT[name]
+    clean = call(coeffs, p, g, prior)
+    (p if spoiled == "p" else g)[where] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if spoiled in scanned:
+            with pytest.raises(ValueError, match=MESSAGES[spoiled]):
+                call(coeffs, p, g, prior)
+        else:  # an anchor at lambda = 0 is never read
+            assert np.array_equal(call(coeffs, p, g, prior), clean)
+
+
+@pytest.mark.parametrize("name,scans", [
+    ("igf", []),
+    ("icgf", ["the anchor g"]),
+])
+def test_one_shot_inverse_scans_only_what_no_box_pass_reads(name, scans, monkeypatch):
+    # p and the guess go through the fit's box passes; only icgf's anchor does not
+    seen = []
+    monkeypatch.setattr(sys.modules["gfkit.igf"], "require_finite",
+                        lambda x, what: seen.append(what))
+    rng = np.random.default_rng(10)
+    p, g = rng.random((12, 10)), rng.random((12, 10))
+    FILTERS[name](p, g)
+    assert seen == scans
