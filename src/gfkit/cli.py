@@ -26,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import synth
-from .core import Boundary, Image, WindowSpec
+from .core import Boundary, Image, WindowSpec, require_params
 from .boxops import box_sum
 from .gf import gf, gf_iterates, last_iterate
 from .tvgf import tvgf, tvgf_iterates
@@ -54,37 +54,32 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
+def _param(key: str, parse=float):
+    """argparse type of a parameter flag: the text through ``parse``, then
+    held to ``core.require_params``'s rule for ``key``, whose message the
+    usage error carries."""
+    def convert(text: str):
+        value = parse(text)
+        try:
+            require_params(**{key: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
 
-
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
-    return value
+    convert.__name__ = parse.__name__  # argparse: "invalid float value: 'x'"
+    return convert
 
 
 # dest -> (flag, add_argument keywords); --help lists the flags in this order
 PARAM_FLAGS = {
     "radius": ("--radius", {"type": _nonneg_int}),
-    "eps": ("--eps", {"type": _positive_float}),
-    "eps2": ("--eps2", {"type": _positive_float}),
-    "lam": ("--lambda", {"dest": "lam", "type": _nonneg_float}),
-    "beta": ("--beta", {"type": _nonneg_float}),
-    "tau": ("--tau", {"type": _finite_float}),
+    "eps": ("--eps", {"type": _param("eps")}),
+    "eps2": ("--eps2", {"type": _param("eps2")}),
+    "lam": ("--lambda", {"dest": "lam", "type": _param("lam")}),
+    "beta": ("--beta", {"type": _param("beta")}),
+    "tau": ("--tau", {"type": _param("tau")}),
     "boundary": ("--boundary", {"choices": ("truncate", "periodic")}),
-    "iters": ("--iters", {"type": _positive_int}),
+    "iters": ("--iters", {"type": _param("iters", int)}),
 }
 
 
@@ -94,13 +89,15 @@ class FilterCommand:
     its default; a fixed ``boundary`` replaces the --boundary flag.
     ``run(channel, guide, anchor, w, args, dump)`` returns the output, or
     with ``g_output`` the final MutualState (q and the guidance track G).
-    A rolling run appends each iterate to ``dump`` unless it is None."""
+    With ``dump_iterates`` a rolling run appends each iterate to ``dump``
+    unless it is None; the other rows get None."""
 
     help: str
     params: dict
     run: Callable
     anchor: bool = False
     g_output: bool = False
+    dump_iterates: bool = False
     boundary: Boundary | None = None
     description: str | None = None
 
@@ -141,19 +138,20 @@ FILTER_COMMANDS = {
     "gf": FilterCommand(
         "guided filter", {"radius": 10, "eps": 0.1, "iters": 1},
         lambda x, g, anchor, w, a, dump: _last(
-            gf_iterates(x, g, w, a.eps, a.iters), a.iters, dump)),
+            gf_iterates(x, g, w, a.eps, a.iters), a.iters, dump),
+        dump_iterates=True),
     "tvgf": FilterCommand(
         "TV-regularized guided filter (periodic windows)",
         {"radius": 10, "eps": 0.01, "lam": 45.0, "iters": 1},
         lambda x, g, anchor, w, a, dump: _last(
             tvgf_iterates(x, g, w, a.eps, a.lam, a.iters), a.iters, dump),
-        boundary=Boundary.PERIODIC),
+        boundary=Boundary.PERIODIC, dump_iterates=True),
     "cgf": FilterCommand(
         "conservative guided filter (anchored)",
         {"radius": 6, "eps": 0.001, "lam": 0.01, "iters": 1},
         lambda x, g, anchor, w, a, dump: _last(
             cgf_iterates(x, g, anchor, w, a.eps, a.lam, a.iters), a.iters, dump),
-        anchor=True),
+        anchor=True, dump_iterates=True),
     "igf": FilterCommand(
         "inverse guided filter", {"radius": 6, "eps": 0.01},
         lambda x, g, anchor, w, a, dump: igf(x, g, w, a.eps), description=_INVERSE),
@@ -166,13 +164,13 @@ FILTER_COMMANDS = {
         {"radius": 6, "eps": 0.01, "eps2": 0.01, "iters": 5},
         lambda x, g, anchor, w, a, dump: _mutual(
             gf_rmsf, x, g, a.eps, a.eps2, w, a.iters, dump=dump),
-        g_output=True),
+        g_output=True, dump_iterates=True),
     "rmsf-cgf": FilterCommand(
         "mutual-structure rolling (anchored pair)",
         {"radius": 6, "eps": 0.001, "eps2": 0.001, "lam": 0.01, "beta": 0.01, "iters": 5},
         lambda x, g, anchor, w, a, dump: _mutual(
             cgf_rmsf, x, g, a.eps, a.eps2, a.lam, a.beta, w, a.iters, dump=dump),
-        g_output=True),
+        g_output=True, dump_iterates=True),
     "roll37": FilterCommand(
         "cross-guided rolling without inverse terms "
         "(documented failure baseline: wipes out detail)",
@@ -197,11 +195,10 @@ def _add_filter_parser(sub, name: str, cmd: FilterCommand) -> None:
         sp.add_argument("--anchor", help="anchor image g; defaults to the input")
     sp.add_argument("--output", required=True, help="output image path")
     sp.add_argument("--maxval", type=int, choices=(255, 65535), default=255)
-    sp.add_argument("--dump-iterates", action="store_true",
-                    help="also write every rolling iterate (16-bit)")
+    if cmd.dump_iterates:
+        sp.add_argument("--dump-iterates", action="store_true",
+                        help="also write every rolling iterate (16-bit)")
     sp.add_argument("--metrics-against", help="reference image to score the output against")
-    sp.add_argument("--threads", type=_positive_int,
-                    help="deprecated; accepted but has no effect")
     params = dict(cmd.params)
     if cmd.boundary is None:
         params["boundary"] = "truncate"
@@ -210,6 +207,7 @@ def _add_filter_parser(sub, name: str, cmd: FilterCommand) -> None:
             sp.add_argument(flag, default=params[dest], **kwargs)
     if cmd.g_output:
         sp.add_argument("--g-output", help="also write the filtered guidance track")
+    sp.set_defaults(handler=lambda args: _run_filter_command(cmd, args))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,6 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("metrics", help="MSE / PSNR / SSIM between two images")
     sp.add_argument("--input", required=True)
     sp.add_argument("--metrics-against", required=True)
+    sp.set_defaults(handler=_run_metrics)
 
     sp = sub.add_parser("bench", help="wall-time benchmark on a synthetic image")
     sp.add_argument("--width", type=_positive_int, default=1000)
@@ -233,31 +232,28 @@ def build_parser() -> argparse.ArgumentParser:
                     help="kernel to time; ssim scores the image against the guide, "
                          f"the rolling schemes run {BENCH_ITERS} iterations")
     sp.add_argument("--radius", type=_nonneg_int, default=10)
-    sp.add_argument("--eps", type=_positive_float, default=0.1)
-    sp.add_argument("--lambda", dest="lam", type=_nonneg_float, default=45.0)
+    sp.add_argument("--eps", type=_param("eps"), default=0.1)
+    sp.add_argument("--lambda", dest="lam", type=_param("lam"), default=45.0)
     sp.add_argument("--repeat", type=_positive_int, default=5)
     sp.add_argument("--seed", type=int, default=0)
+    sp.set_defaults(handler=_run_bench)
 
     sp = sub.add_parser("synth", help="write deterministic synthetic test scenes")
-    sp.add_argument("--kind", required=True,
-                    choices=("noise", "piecewise", "texture", "flash-pair"))
+    sp.add_argument("--kind", required=True, choices=tuple(SYNTH_KINDS))
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--width", type=_positive_int, default=256)
     sp.add_argument("--height", type=_positive_int, default=256)
-    sp.add_argument("--sigma", type=_nonneg_float, default=0.05)
+    sp.add_argument("--sigma", type=_param("sigma"), default=0.05)
     sp.add_argument("--output", required=True, help="output path or stem for pairs")
+    sp.set_defaults(handler=_run_synth)
 
     return ap
-
-
-def _load_channels(path) -> list[Image]:
-    return read_pnm_file(path)
 
 
 def _load_guidance(path) -> tuple[Image, dict]:
     """The scalar guide: a color guidance image collapses to its channel
     average, a gray one passes through."""
-    channels = _load_channels(path)
+    channels = read_pnm_file(path)
     guide = channels[0] if len(channels) == 1 else sum(channels) / len(channels)
     return guide, _channel_info(path, channels)
 
@@ -314,7 +310,7 @@ def _filter_channel(cmd, args, w, idx, chan, guide, anchors) -> _Channel:
     else:
         anchor = anchors[0] if len(anchors) == 1 else _take(anchors, idx)
     name = f"channel {idx}"
-    dump = _Dump(name) if args.dump_iterates else None
+    dump = _Dump(name) if cmd.dump_iterates and args.dump_iterates else None
     result = cmd.run(chan, chan if guide is None else guide, anchor, w, args, dump)
     final, G = (result.q, result.G) if cmd.g_output else (result, None)
     return _Channel(
@@ -324,8 +320,8 @@ def _filter_channel(cmd, args, w, idx, chan, guide, anchors) -> _Channel:
     )
 
 
-def _run_filter_command(args) -> dict:
-    in_channels = _load_channels(args.input)
+def _run_filter_command(cmd: FilterCommand, args) -> dict:
+    in_channels = read_pnm_file(args.input)
     report_inputs = {"input": _channel_info(args.input, in_channels)}
     shape = in_channels[0].shape
 
@@ -335,10 +331,9 @@ def _run_filter_command(args) -> dict:
         if guide.shape != shape:
             raise ValueError("guidance shape does not match the input")
 
-    cmd = FILTER_COMMANDS[args.command]
     anchors = None  # the anchor is the input itself, or unused
     if cmd.anchor and args.anchor:
-        anchors = _load_channels(args.anchor)
+        anchors = read_pnm_file(args.anchor)
         if len(anchors) not in (1, len(in_channels)):
             raise ValueError("anchor channel count does not match the input")
         if anchors[0].shape != shape:
@@ -368,7 +363,7 @@ def _run_filter_command(args) -> dict:
 
     metrics_obj = None
     if args.metrics_against:
-        ref_channels = _load_channels(args.metrics_against)
+        ref_channels = read_pnm_file(args.metrics_against)
         report_inputs["metrics_against"] = _channel_info(args.metrics_against, ref_channels)
         metrics_obj = _metrics_report([c.out for c in done], ref_channels)
 
@@ -380,8 +375,8 @@ def _run_filter_command(args) -> dict:
 
 
 def _run_metrics(args) -> dict:
-    a = _load_channels(args.input)
-    b = _load_channels(args.metrics_against)
+    a = read_pnm_file(args.input)
+    b = read_pnm_file(args.metrics_against)
     report = _metrics_report(a, b)
     return {
         "inputs": {
@@ -448,27 +443,25 @@ def _run_bench(args) -> dict:
     }
 
 
+# --kind -> (the scene's planes from the parsed args, one file suffix per plane)
+SYNTH_KINDS = {
+    "noise": (lambda a: synth.noise_pair(a.width, a.height, a.seed, a.sigma),
+              ("_clean", "_noisy")),
+    "piecewise": (lambda a: [synth.piecewise(a.width, a.height, a.seed)], ("",)),
+    "texture": (lambda a: [synth.texture_scene(a.width, a.height, a.seed)], ("",)),
+    "flash-pair": (lambda a: synth.flash_pair(a.width, a.height, a.seed),
+                   ("_flash", "_noflash")),
+}
+
+
 def _run_synth(args) -> dict:
-    outputs = []
-
-    def emit(path, channels):
-        write_pnm_file(path, channels, ITERATE_MAXVAL)
-        outputs.append(_channel_info(path, channels))
-
+    make, suffixes = SYNTH_KINDS[args.kind]
     stem, ext = os.path.splitext(args.output)
-    ext = ext or ".pgm"
-    if args.kind == "piecewise":
-        emit(stem + ext, [synth.piecewise(args.width, args.height, args.seed)])
-    elif args.kind == "texture":
-        emit(stem + ext, [synth.texture_scene(args.width, args.height, args.seed)])
-    elif args.kind == "noise":
-        clean, noisy = synth.noise_pair(args.width, args.height, args.seed, args.sigma)
-        emit(f"{stem}_clean{ext}", [clean])
-        emit(f"{stem}_noisy{ext}", [noisy])
-    else:  # flash-pair
-        flash, noflash = synth.flash_pair(args.width, args.height, args.seed)
-        emit(f"{stem}_flash{ext}", [flash])
-        emit(f"{stem}_noflash{ext}", [noflash])
+    outputs = []
+    for suffix, plane in zip(suffixes, make(args)):
+        path = f"{stem}{suffix}{ext or '.pgm'}"
+        write_pnm_file(path, [plane], ITERATE_MAXVAL)
+        outputs.append(_channel_info(path, [plane]))
     return {
         "inputs": {},
         "outputs": outputs,
@@ -479,20 +472,10 @@ def _run_synth(args) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is not None:
-        print("gfkit: warning: --threads is deprecated and has no effect", file=sys.stderr)
+    args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        if args.command == "metrics":
-            report = _run_metrics(args)
-        elif args.command == "bench":
-            report = _run_bench(args)
-        elif args.command == "synth":
-            report = _run_synth(args)
-        else:
-            report = _run_filter_command(args)
+        report = args.handler(args)
     except (PnmError, OSError) as exc:
         print(f"gfkit: error: {exc}", file=sys.stderr)
         return 3

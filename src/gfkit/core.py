@@ -102,6 +102,7 @@ _PARAM_RULES = {
     "tau": ("tau", "finite", math.isfinite),
     "gain": ("lambda", "finite", math.isfinite),  # rfnf_seo's detail gain, either sign
     "iters": ("iters", ">= 1", lambda v: v >= 1),
+    "sigma": ("sigma", "finite and >= 0", lambda v: 0 <= v < math.inf),  # synth noise level
 }
 
 

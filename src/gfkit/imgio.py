@@ -134,9 +134,12 @@ def quantize(channel: Image, maxval: int = 255, name: str = "image") -> np.ndarr
 
 
 def _samples(channel, maxval: int, dtype: np.dtype, name: str) -> np.ndarray:
-    """An integer plane of the sample type as it is, anything else quantized."""
-    if not (isinstance(channel, np.ndarray) and channel.dtype == dtype):
+    """An integer plane of the sample type as it is, anything else quantized;
+    an integer plane of another type is rejected, not read as [0, 1] levels."""
+    if not (isinstance(channel, np.ndarray) and channel.dtype.kind in "iu"):
         return quantize(channel, maxval, name)
+    if channel.dtype != dtype:
+        raise ValueError(f"{name} has dtype {channel.dtype}, expected {dtype} at maxval {maxval}")
     if channel.ndim != 2 or channel.size == 0:
         raise ValueError(f"{name} is not a 2-D image (shape {channel.shape})")
     if maxval < np.iinfo(dtype).max and channel.max() > maxval:
@@ -147,7 +150,8 @@ def _samples(channel, maxval: int, dtype: np.dtype, name: str) -> np.ndarray:
 def write_pnm(channels: list, maxval: int = 255) -> bytes:
     """Encode 1 (P5) or 3 (P6) channels. A float channel goes through
     ``quantize``; an integer plane of the sample type (uint8 below maxval
-    256, uint16 from 256 up, as ``quantize`` returns) is written as it is."""
+    256, uint16 from 256 up, as ``quantize`` returns) is written as it is,
+    and one of any other integer type raises ValueError."""
     dtype = _sample_dtype(maxval)
     if len(channels) not in (1, 3):
         raise ValueError(f"need 1 or 3 channels, got {len(channels)}")

@@ -36,8 +36,9 @@ def piecewise(width: int, height: int, seed: int) -> Image:
         x1 = min(width - margin_x, x0 + wid)
         img[y0:y1, x0:x1] = levels[i]
     yy, xx = np.mgrid[0:height, 0:width]
-    cy = rng.integers(height // 3, 2 * height // 3)
-    cx = rng.integers(width // 3, 2 * width // 3)
+    # the upper bounds equal 2n // 3 from n = 2 up and keep n = 1 drawable
+    cy = rng.integers(height // 3, max(height // 3 + 1, 2 * height // 3))
+    cx = rng.integers(width // 3, max(width // 3 + 1, 2 * width // 3))
     rad = min(width, height) // 5
     img[(yy - cy) ** 2 + (xx - cx) ** 2 <= rad * rad] = levels[n_rects]
     if min(width, height) >= 32:

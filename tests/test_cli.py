@@ -154,28 +154,6 @@ class TestFilterCommands:
         assert code == 0
         assert set(report["metrics"]) == {"mse", "psnr_db", "ssim"}
 
-    def test_thread_count_does_not_change_output(self, workdir, capsys):
-        make_inputs(workdir)
-        for threads, out in (("1", "t1.pgm"), ("8", "t8.pgm")):
-            code, _, _ = run_cli(
-                capsys, "gf", "--input", "in.pgm", "--output", out,
-                "--radius", "3", "--threads", threads,
-            )
-            assert code == 0
-        assert Path("t1.pgm").read_bytes() == Path("t8.pgm").read_bytes()
-
-    def test_threads_is_deprecated(self, workdir, capsys):
-        make_inputs(workdir)
-        args = ["gf", "--input", "in.pgm", "--output", "out.pgm", "--radius", "3"]
-        code, report, err = run_cli(capsys, *args, "--threads", "4", "--threads", "2")
-        assert code == 0
-        assert err.count("--threads is deprecated") == 1
-        assert "threads" not in report["params"]
-        code, report, err = run_cli(capsys, *args)
-        assert code == 0
-        assert err == ""
-        assert "threads" not in report["params"]
-
 
 class TestExitCodes:
     def test_success_zero(self, workdir, capsys):
@@ -244,6 +222,27 @@ class TestExitCodes:
         assert flag in capsys.readouterr().err
         assert not os.path.exists("o.pgm")
 
+    @pytest.mark.parametrize(
+        "argv,flag,rule",
+        [
+            (["gf", "--input", "in.pgm", "--output", "o.pgm"], "--eps", "eps must be > 0"),
+            (["rfnf-seo", "--input", "in.pgm", "--output", "o.pgm"], "--lambda",
+             "lambda must be finite and >= 0"),
+            (["roll37", "--input", "in.pgm", "--output", "o.pgm"], "--iters", "iters must be >= 1"),
+            (["bench"], "--eps", "eps must be > 0"),
+            (["bench"], "--lambda", "lambda must be finite and >= 0"),
+            (["synth", "--kind", "noise", "--output", "o.pgm"], "--sigma",
+             "sigma must be finite and >= 0"),
+        ],
+    )
+    def test_out_of_range_message_carries_the_core_rule(self, workdir, capsys, argv, flag, rule):
+        make_inputs(workdir)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, "-1"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {rule}, got -1" in capsys.readouterr().err
+        assert not os.path.exists("o.pgm")
+
     def test_shape_mismatch_is_usage_error(self, workdir, capsys):
         rng = np.random.default_rng(2)
         write_pnm_file("a.pgm", [rng.random((8, 8))], 255)
@@ -259,14 +258,13 @@ def _flag(flag, dest, default, choices=None, required=False):
     return (flag, dest, default, choices, required)
 
 
-def _io(anchor=False):
+def _io(anchor=False, dump=False):
     head = [_flag("--input", "input", None, required=True), _flag("--guidance", "guidance", None)]
     return head + [_flag("--anchor", "anchor", None)] * anchor + [
         _flag("--output", "output", None, required=True),
         _flag("--maxval", "maxval", 255, (255, 65535)),
-        _flag("--dump-iterates", "dump_iterates", False),
+    ] + [_flag("--dump-iterates", "dump_iterates", False)] * dump + [
         _flag("--metrics-against", "metrics_against", None),
-        _flag("--threads", "threads", None),
     ]
 
 
@@ -284,13 +282,13 @@ def _iters(v): return _flag("--iters", "iters", v)  # noqa: E704
 
 
 FILTER_SURFACE = {
-    "gf": _io() + [_r(10), _eps(0.1), BOUNDARY, _iters(1)],
-    "tvgf": _io() + [_r(10), _eps(0.01), _lam(45.0), _iters(1)],
-    "cgf": _io(anchor=True) + [_r(6), _eps(0.001), _lam(0.01), BOUNDARY, _iters(1)],
+    "gf": _io(dump=True) + [_r(10), _eps(0.1), BOUNDARY, _iters(1)],
+    "tvgf": _io(dump=True) + [_r(10), _eps(0.01), _lam(45.0), _iters(1)],
+    "cgf": _io(anchor=True, dump=True) + [_r(6), _eps(0.001), _lam(0.01), BOUNDARY, _iters(1)],
     "igf": _io() + [_r(6), _eps(0.01), BOUNDARY],
     "icgf": _io(anchor=True) + [_r(6), _eps(0.01), _lam(0.01), BOUNDARY],
-    "rmsf-gf": _io() + [_r(6), _eps(0.01), _eps2(0.01), BOUNDARY, _iters(5), G_OUTPUT],
-    "rmsf-cgf": _io() + [
+    "rmsf-gf": _io(dump=True) + [_r(6), _eps(0.01), _eps2(0.01), BOUNDARY, _iters(5), G_OUTPUT],
+    "rmsf-cgf": _io(dump=True) + [
         _r(6), _eps(0.001), _eps2(0.001), _lam(0.01), _beta(0.01), BOUNDARY, _iters(5), G_OUTPUT,
     ],
     "roll37": _io() + [_r(6), _eps(0.01), BOUNDARY, _iters(5)],
@@ -317,6 +315,21 @@ class TestParserSurface:
             if not isinstance(a, argparse._HelpAction)
         ]
         assert got == FILTER_SURFACE[cmd]
+
+    @pytest.mark.parametrize(
+        "cmd,flag",
+        [(cmd, ["--threads", "2"]) for cmd in FILTER_SURFACE]
+        + [(cmd, ["--dump-iterates"]) for cmd in ("igf", "icgf", "roll37", "rfnf-seo", "rfnf-gen")],
+    )
+    def test_removed_flag_is_usage_error(self, workdir, capsys, cmd, flag):
+        # --threads had no effect, and these five wrote no iterate
+        make_inputs(workdir)
+        before = set(os.listdir())
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--input", "in.pgm", "--output", "o.pgm", "--radius", "2", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert set(os.listdir()) == before
 
 
 class TestMetricsCommand:
@@ -373,6 +386,22 @@ class TestSynthCommand:
         )
         assert code == 0
         assert os.path.exists("fp_flash.pgm") and os.path.exists("fp_noflash.pgm")
+
+    @pytest.mark.parametrize("width,height", [(1, 1), (1, 7), (7, 1)])
+    @pytest.mark.parametrize("kind,suffixes", [
+        ("piecewise", [""]), ("texture", [""]),
+        ("noise", ["_clean", "_noisy"]), ("flash-pair", ["_flash", "_noflash"]),
+    ])
+    def test_thin_scenes(self, workdir, capsys, kind, suffixes, width, height):
+        code, report, _ = run_cli(
+            capsys, "synth", "--kind", kind, "--width", str(width), "--height", str(height),
+            "--output", "t.pgm",
+        )
+        assert code == 0
+        assert [o["path"] for o in report["outputs"]] == [f"t{s}.pgm" for s in suffixes]
+        for s in suffixes:
+            (plane,) = read_pnm_file(f"t{s}.pgm")
+            assert plane.shape == (height, width)
 
     def test_unknown_kind_usage_error(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:

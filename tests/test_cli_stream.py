@@ -90,7 +90,9 @@ def test_files_and_report_match_the_library(workdir, capsys, name, guided):
     write_pnm_file("guide.pgm", [rng.random((20, 24))], 65535)
     cmd = FILTER_COMMANDS[name]
     argv = [name, "--input", "in.ppm", "--output", "out.ppm", "--radius", str(R),
-            "--dump-iterates", "--metrics-against", "ref.ppm"]
+            "--metrics-against", "ref.ppm"]
+    if cmd.dump_iterates:
+        argv += ["--dump-iterates"]
     if "iters" in cmd.params:
         argv += ["--iters", str(ITERS)]
     if guided:
@@ -146,15 +148,21 @@ SAMPLES = SIZE * SIZE * 2
 SLACK = 16384  # file buffers, report and bookkeeping beyond the planes
 
 
-def peak_of(argv):
-    """tracemalloc peak of one CLI run, the report printed to a string."""
+def peak_of(argv, runs=3):
+    """Least tracemalloc peak of ``runs`` CLI runs, the report printed to a
+    string. Identical runs in one process peak up to 30 KiB apart (a
+    96x96 rmsf-gf run: 921 to 951 KiB), too wide a spread for a bound a
+    few sample planes wide when each side of it is one run."""
     main(argv)  # warm-up: lazy imports and caches stay out of the peak
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peaks = []
+    for _ in range(runs):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
 
 
 @pytest.mark.parametrize("scored", [False, True])

@@ -266,3 +266,16 @@ class TestQuantize:
         samples = np.array([[3, 16]], dtype=np.uint8)
         with pytest.raises(ValueError, match="channel 0 has samples above maxval 15"):
             write_pnm([samples], 15)
+
+    @pytest.mark.parametrize(
+        "dtype,maxval,expected",
+        [(np.uint8, 65535, "uint16"), (np.uint16, 255, "uint8"),
+         (np.int64, 255, "uint8"), (np.int64, 65535, "uint16"), (np.int32, 15, "uint8")],
+    )
+    def test_write_rejects_integer_planes_of_another_type(self, dtype, maxval, expected):
+        # read as [0, 1] levels, every sample above 1 would clip to maxval
+        samples = np.array([[0, 1, 100, 255]], dtype=dtype)
+        ok = np.zeros((1, 4))
+        with pytest.raises(ValueError, match=f"channel 1 has dtype {np.dtype(dtype)}, "
+                                             f"expected {expected} at maxval {maxval}"):
+            write_pnm([ok, samples, ok], maxval)
