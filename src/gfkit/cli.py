@@ -19,9 +19,8 @@ import statistics
 import sys
 import time
 import tracemalloc
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,8 +31,8 @@ from .gf import gf, gf_iterates, last_iterate
 from .tvgf import tvgf, tvgf_iterates
 from .cgf import cgf_iterates
 from .igf import icgf, igf
-from .rmsf import cgf_rmsf, gf_rmsf, naive_roll37
-from .rfnf import rfnf_gen, rfnf_seo
+from .rmsf import cgf_rmsf, cgf_rmsf_iterates, gf_rmsf, gf_rmsf_iterates, naive_roll37_iterates
+from .rfnf import rfnf_gen, rfnf_gen_iterates, rfnf_seo_iterates
 from .metrics import mse, psnr_from_mse, ssim
 from .imgio import PnmError, quantize, read_pnm_file, write_pnm_file
 
@@ -87,44 +86,19 @@ PARAM_FLAGS = {
 class FilterCommand:
     """One filter subcommand. ``params`` maps each parameter flag's dest to
     its default; a fixed ``boundary`` replaces the --boundary flag.
-    ``run(channel, guide, anchor, w, args, dump)`` returns the output, or
-    with ``g_output`` the final MutualState (q and the guidance track G).
-    With ``dump_iterates`` a rolling run appends each iterate to ``dump``
-    unless it is None; the other rows get None."""
+    ``run(channel, guide, anchor, w, args)`` returns an iterator of the
+    filter's iterates, the last of them its output: one per pass of a
+    rolling scheme (a command with --iters, which alone takes
+    --dump-iterates), else just the output. With ``g_output`` every
+    iterate is a MutualState (q and the guidance track G)."""
 
     help: str
     params: dict
     run: Callable
     anchor: bool = False
     g_output: bool = False
-    dump_iterates: bool = False
     boundary: Boundary | None = None
     description: str | None = None
-
-
-class _Dump:
-    """--dump-iterates sink: ``append`` keeps an iterate only as its 16-bit
-    samples, 2 bytes a sample instead of 8."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.planes: list[np.ndarray] = []
-
-    def append(self, image: Image) -> None:
-        self.planes.append(quantize(image, ITERATE_MAXVAL, self.name))
-
-
-def _last(iterates: Iterator[Image], iters: int, dump: _Dump | None) -> Image:
-    """A roll's output; every iterate also goes to ``dump`` if given, as
-    soon as the roll yields it, and one float iterate is held at a time."""
-    return last_iterate(iterates, iters, None if dump is None else dump.append)
-
-
-def _mutual(scheme, *args, dump: _Dump | None):
-    """An rmsf run whose snapshots pass only their q on to ``dump``, so each
-    snapshot's G and coefficient planes are freed at once."""
-    sink = None if dump is None else SimpleNamespace(append=lambda snap: dump.append(snap.state.q))
-    return scheme(*args, snapshots=sink)
 
 
 _INVERSE = (
@@ -137,53 +111,49 @@ _INVERSE = (
 FILTER_COMMANDS = {
     "gf": FilterCommand(
         "guided filter", {"radius": 10, "eps": 0.1, "iters": 1},
-        lambda x, g, anchor, w, a, dump: _last(
-            gf_iterates(x, g, w, a.eps, a.iters), a.iters, dump),
-        dump_iterates=True),
+        lambda x, g, anchor, w, a: gf_iterates(x, g, w, a.eps, a.iters)),
     "tvgf": FilterCommand(
         "TV-regularized guided filter (periodic windows)",
         {"radius": 10, "eps": 0.01, "lam": 45.0, "iters": 1},
-        lambda x, g, anchor, w, a, dump: _last(
-            tvgf_iterates(x, g, w, a.eps, a.lam, a.iters), a.iters, dump),
-        boundary=Boundary.PERIODIC, dump_iterates=True),
+        lambda x, g, anchor, w, a: tvgf_iterates(x, g, w, a.eps, a.lam, a.iters),
+        boundary=Boundary.PERIODIC),
     "cgf": FilterCommand(
         "conservative guided filter (anchored)",
         {"radius": 6, "eps": 0.001, "lam": 0.01, "iters": 1},
-        lambda x, g, anchor, w, a, dump: _last(
-            cgf_iterates(x, g, anchor, w, a.eps, a.lam, a.iters), a.iters, dump),
-        anchor=True, dump_iterates=True),
+        lambda x, g, anchor, w, a: cgf_iterates(x, g, anchor, w, a.eps, a.lam, a.iters),
+        anchor=True),
     "igf": FilterCommand(
         "inverse guided filter", {"radius": 6, "eps": 0.01},
-        lambda x, g, anchor, w, a, dump: igf(x, g, w, a.eps), description=_INVERSE),
+        lambda x, g, anchor, w, a: iter([igf(x, g, w, a.eps)]), description=_INVERSE),
     "icgf": FilterCommand(
         "inverse guided filter with anchor", {"radius": 6, "eps": 0.01, "lam": 0.01},
-        lambda x, g, anchor, w, a, dump: icgf(x, g, anchor, w, a.eps, a.lam),
+        lambda x, g, anchor, w, a: iter([icgf(x, g, anchor, w, a.eps, a.lam)]),
         anchor=True, description=_INVERSE),
     "rmsf-gf": FilterCommand(
         "mutual-structure rolling (plain pair)",
         {"radius": 6, "eps": 0.01, "eps2": 0.01, "iters": 5},
-        lambda x, g, anchor, w, a, dump: _mutual(
-            gf_rmsf, x, g, a.eps, a.eps2, w, a.iters, dump=dump),
-        g_output=True, dump_iterates=True),
+        lambda x, g, anchor, w, a: gf_rmsf_iterates(x, g, a.eps, a.eps2, w, a.iters),
+        g_output=True),
     "rmsf-cgf": FilterCommand(
         "mutual-structure rolling (anchored pair)",
         {"radius": 6, "eps": 0.001, "eps2": 0.001, "lam": 0.01, "beta": 0.01, "iters": 5},
-        lambda x, g, anchor, w, a, dump: _mutual(
-            cgf_rmsf, x, g, a.eps, a.eps2, a.lam, a.beta, w, a.iters, dump=dump),
-        g_output=True, dump_iterates=True),
+        lambda x, g, anchor, w, a: cgf_rmsf_iterates(
+            x, g, a.eps, a.eps2, a.lam, a.beta, w, a.iters),
+        g_output=True),
     "roll37": FilterCommand(
         "cross-guided rolling without inverse terms "
         "(documented failure baseline: wipes out detail)",
         {"radius": 6, "eps": 0.01, "iters": 5},
-        lambda x, g, anchor, w, a, dump: naive_roll37(x, g, a.eps, w, a.iters).q),
+        lambda x, g, anchor, w, a: naive_roll37_iterates(x, g, a.eps, w, a.iters),
+        g_output=True),
     "rfnf-seo": FilterCommand(
         "flash/no-flash rolling, additive detail",
         {"radius": 10, "eps": 0.1, "lam": 1.0, "iters": 5},
-        lambda x, g, anchor, w, a, dump: rfnf_seo(x, g, w, a.eps, a.lam, a.iters)),
+        lambda x, g, anchor, w, a: rfnf_seo_iterates(x, g, w, a.eps, a.lam, a.iters)),
     "rfnf-gen": FilterCommand(
         "flash/no-flash rolling, anchored",
         {"radius": 10, "eps": 0.1, "lam": 1.0, "tau": 1.0, "iters": 5},
-        lambda x, g, anchor, w, a, dump: rfnf_gen(x, g, w, a.eps, a.lam, a.tau, a.iters)),
+        lambda x, g, anchor, w, a: rfnf_gen_iterates(x, g, w, a.eps, a.lam, a.tau, a.iters)),
 }
 
 
@@ -195,7 +165,7 @@ def _add_filter_parser(sub, name: str, cmd: FilterCommand) -> None:
         sp.add_argument("--anchor", help="anchor image g; defaults to the input")
     sp.add_argument("--output", required=True, help="output image path")
     sp.add_argument("--maxval", type=int, choices=(255, 65535), default=255)
-    if cmd.dump_iterates:
+    if "iters" in cmd.params:
         sp.add_argument("--dump-iterates", action="store_true",
                         help="also write every rolling iterate (16-bit)")
     sp.add_argument("--metrics-against", help="reference image to score the output against")
@@ -310,13 +280,22 @@ def _filter_channel(cmd, args, w, idx, chan, guide, anchors) -> _Channel:
     else:
         anchor = anchors[0] if len(anchors) == 1 else _take(anchors, idx)
     name = f"channel {idx}"
-    dump = _Dump(name) if cmd.dump_iterates and args.dump_iterates else None
-    result = cmd.run(chan, chan if guide is None else guide, anchor, w, args, dump)
-    final, G = (result.q, result.G) if cmd.g_output else (result, None)
+    dumps: list[np.ndarray] = []
+
+    def dump(iterate) -> None:  # keeps an iterate's q only as its 16-bit samples
+        dumps.append(quantize(iterate.q if cmd.g_output else iterate, ITERATE_MAXVAL, name))
+
+    rolling = "iters" in cmd.params
+    final = last_iterate(
+        cmd.run(chan, chan if guide is None else guide, anchor, w, args),
+        args.iters if rolling else 1,
+        dump if rolling and args.dump_iterates else None,
+    )
+    final, G = (final.q, final.G) if cmd.g_output else (final, None)
     return _Channel(
         out=final if args.metrics_against else quantize(final, args.maxval, name),
         g=quantize(G, args.maxval, name) if G is not None and args.g_output else None,
-        dumps=[] if dump is None else dump.planes,
+        dumps=dumps,
     )
 
 
@@ -347,6 +326,13 @@ def _run_filter_command(cmd: FilterCommand, args) -> dict:
         for idx in range(len(in_channels))
     ]
 
+    metrics_obj = None
+    if args.metrics_against:  # scored before any write: a bad reference leaves no file
+        ref_channels = read_pnm_file(args.metrics_against)
+        report_inputs["metrics_against"] = _channel_info(args.metrics_against, ref_channels)
+        metrics_obj = _metrics_report([c.out for c in done], ref_channels)
+        ref_channels = None
+
     outputs = []
 
     def emit(path, planes, maxval):
@@ -360,12 +346,6 @@ def _run_filter_command(cmd: FilterCommand, args) -> dict:
     if dumped > 1:
         for n, path in enumerate(_iterate_paths(args.output, dumped)):
             emit(path, [c.dumps[n] for c in done], ITERATE_MAXVAL)
-
-    metrics_obj = None
-    if args.metrics_against:
-        ref_channels = read_pnm_file(args.metrics_against)
-        report_inputs["metrics_against"] = _channel_info(args.metrics_against, ref_channels)
-        metrics_obj = _metrics_report([c.out for c in done], ref_channels)
 
     params = {k: getattr(args, k) for k in cmd.params}
     params["maxval"] = args.maxval

@@ -39,11 +39,14 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
 from .core import EnergyReport, Image, WindowSpec, as_image, require_params, require_same_shape
 from .boxops import WindowCounts, box_sum, window_values
+
+T = TypeVar("T")  # one iterate: an image, or a rolling pair's MutualState
 
 
 @dataclass
@@ -247,13 +250,13 @@ def roll(
 
 
 def last_iterate(
-    iterates: Iterator[Image], iters: int, each: Callable[[Image], None] | None = None
-) -> Image:
-    """The last of a roll's ``iters`` iterates (a roll without tol).
+    iterates: Iterator[T], iters: int, each: Callable[[T], None] | None = None
+) -> T:
+    """The last of a rolling scheme's ``iters`` iterates (a roll without tol).
 
-    Each earlier iterate is let go of before the roll computes the next,
+    Each earlier iterate is let go of before the scheme computes the next,
     so that one is held at a time; ``each``, if given, sees every iterate
-    as the roll yields it.
+    as the scheme yields it.
     """
     for n in range(iters):
         q = next(iterates)

@@ -11,11 +11,14 @@ detail and enhanced images built from them, depend only on the flash input
 and are computed once per call. The base layer gf(flash, flash) is a
 self-guided fit, so it comes from the flash moments' own 2 box passes plus
 2 for its window sums, and every rolling pass shares those moments: n
-passes cost 4 + 4n box passes.
+passes cost 4 + 4n box passes. ``rfnf_seo_iterates`` and
+``rfnf_gen_iterates`` yield the roll's iterates; each scheme is the last
+of them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import partial
 
 import numpy as np
@@ -49,13 +52,12 @@ def _enhance(flash: Image, base: Image, tau: float) -> Image:
     return base
 
 
-def _noflash_roll(noflash, flash, moments, w, update, iters) -> Image:
-    """The last iterate of the roll of noflash against the held flash moments."""
+def _noflash_roll(noflash, flash, moments, w, update, iters) -> Iterator[Image]:
+    """The roll of noflash against the held flash moments."""
     # the first fit goes straight to the roll, which drops it after one pass
-    iterates = roll(
+    return roll(
         noflash, flash, (moments, fit_coeffs(noflash, flash, moments, w)), w, update, iters
     )
-    return last_iterate(iterates, iters)
 
 
 def detail_image(flash: Image, w: WindowSpec, eps: float) -> Image:
@@ -64,10 +66,14 @@ def detail_image(flash: Image, w: WindowSpec, eps: float) -> Image:
     return flash - _flash_base(flash, w, eps)[1]
 
 
-def rfnf_seo(
+def rfnf_seo_iterates(
     noflash: Image, flash: Image, w: WindowSpec, eps: float, lam: float, iters: int
-) -> Image:
-    """Additive scheme: q <- gf(q, flash) + lam * detail, from q0 = noflash."""
+) -> Iterator[Image]:
+    """The iterates of ``rfnf_seo``, each yielded as soon as it exists.
+
+    Parameters are checked and the flash moments, the detail layer and the
+    first fit are made at the call.
+    """
     require_params(eps=eps, gain=lam, iters=iters)
     noflash = as_image(noflash)
     flash = as_image(flash)
@@ -84,11 +90,41 @@ def rfnf_seo(
     return _noflash_roll(noflash, flash, moments, w, update, iters)
 
 
+def rfnf_seo(
+    noflash: Image, flash: Image, w: WindowSpec, eps: float, lam: float, iters: int
+) -> Image:
+    """Additive scheme: q <- gf(q, flash) + lam * detail, from q0 = noflash."""
+    return last_iterate(rfnf_seo_iterates(noflash, flash, w, eps, lam, iters), iters)
+
+
 def enhanced_flash(flash: Image, w: WindowSpec, eps: float, tau: float) -> Image:
     """Base layer of the flash image with its detail re-amplified by tau."""
     require_params(tau=tau)
     flash = as_image(flash)
     return _enhance(flash, _flash_base(flash, w, eps)[1], tau)
+
+
+def rfnf_gen_iterates(
+    noflash: Image,
+    flash: Image,
+    w: WindowSpec,
+    eps: float,
+    lam: float,
+    tau: float,
+    iters: int,
+) -> Iterator[Image]:
+    """The iterates of ``rfnf_gen``, each yielded as soon as it exists.
+
+    Parameters are checked and the flash moments, the enhanced flash
+    anchor and the first fit are made at the call.
+    """
+    require_params(eps=eps, lam=lam, tau=tau, iters=iters)
+    noflash = as_image(noflash)
+    flash = as_image(flash)
+    require_same_shape(noflash, flash)
+    moments, base = _flash_base(flash, w, eps)
+    update = partial(anchored_update, g=_enhance(flash, base, tau), lam=lam)
+    return _noflash_roll(noflash, flash, moments, w, update, iters)
 
 
 def rfnf_gen(
@@ -102,10 +138,4 @@ def rfnf_gen(
 ) -> Image:
     """Anchored scheme: conservative roll of the no-flash image, guided by
     the flash image and anchored to its enhanced version."""
-    require_params(eps=eps, lam=lam, tau=tau, iters=iters)
-    noflash = as_image(noflash)
-    flash = as_image(flash)
-    require_same_shape(noflash, flash)
-    moments, base = _flash_base(flash, w, eps)
-    update = partial(anchored_update, g=_enhance(flash, base, tau), lam=lam)
-    return _noflash_roll(noflash, flash, moments, w, update, iters)
+    return last_iterate(rfnf_gen_iterates(noflash, flash, w, eps, lam, tau, iters), iters)

@@ -38,17 +38,20 @@ the other track's inverse update. Sharing them gives the same bits from
 
 ``naive_roll37`` is the cross-guided baseline without the inverse terms,
 kept as the documented failure mode: it wipes out detail on both tracks.
+
+Each scheme's ``*_iterates`` generator yields its MutualState after every
+iteration; the scheme itself is the last of them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
 from .core import EnergyReport, Image, WindowSpec, as_image, require_params, require_same_shape
-from .gf import GfCoeffs, anchored_update, gf, gf_coeffs, window_sum_estimate
+from .gf import GfCoeffs, anchored_update, gf, gf_coeffs, last_iterate, window_sum_estimate
 from .igf import inverse_update
 from .boxops import WindowCounts, box_sum, row_strips, window_values
 
@@ -69,12 +72,6 @@ class MutualSnapshot:
     state: MutualState
     ab: GfCoeffs  # forward fit: q regressed on G
     cd: GfCoeffs  # inverse fit: G regressed on q
-
-
-class SnapshotSink(Protocol):
-    """What ``snapshots`` takes: a list, or any object with ``append``."""
-
-    def append(self, snapshot: MutualSnapshot) -> None: ...
 
 
 def alpha_weight(x: Image, w: WindowSpec) -> Image:
@@ -100,7 +97,7 @@ def _blend(alpha: Image, x: Image, y: Image) -> Image:
     return x
 
 
-def _mutual_roll(
+def _mutual_iterates(
     p: Image,
     guide: Image,
     eps: float,
@@ -109,8 +106,8 @@ def _mutual_roll(
     beta: float,
     w: WindowSpec,
     iters: int,
-    snapshots: SnapshotSink | None,
-) -> MutualState:
+    snapshots: list[MutualSnapshot] | None,
+) -> Iterator[MutualState]:
     """The anchored mutual loop; lam = beta = 0 is the plain pair.
 
     Each track blends its forward anchored update with the inverse update
@@ -120,12 +117,9 @@ def _mutual_roll(
     first, so that the old track, its prior, dies before the forward term's
     window sums exist, and each fit is dropped once its last window sum is
     taken (unless ``snapshots`` keeps the fits to the end of the iteration).
+    Every state is yielded as soon as it exists.
     """
-    p = as_image(p)
-    guide = as_image(guide)
-    require_same_shape(p, guide)
     counts = WindowCounts.of(p.shape, w)
-    keep = snapshots is not None
     q, G = p, guide
     for n in range(iters):
         ab = gf_coeffs(q, G, w, eps)
@@ -140,14 +134,29 @@ def _mutual_roll(
         inv = inverse_update(ab, q, p, w, lam, prior=G)
         G = None
         fwd = anchored_update(window_sum_estimate(cd, q, w), counts, guide, beta)
-        if not keep:
+        if snapshots is None:
             cd = None
         G = _blend(alpha_weight(ab.a, w), fwd, inv)
         fwd = inv = None
-        if keep:
-            snapshots.append(MutualSnapshot(MutualState(q, G, n + 1), ab, cd))
+        state = MutualState(q, G, n + 1)
+        if snapshots is not None:
+            snapshots.append(MutualSnapshot(state, ab, cd))
         ab = cd = None
-    return MutualState(q=q, G=G, iteration=iters)
+        yield state
+        state = None  # else it would hold the old tracks through the next iteration
+
+
+def gf_rmsf_iterates(
+    p: Image,
+    guide: Image,
+    eps: float,
+    eps2: float,
+    w: WindowSpec,
+    iters: int,
+    snapshots: list[MutualSnapshot] | None = None,
+) -> Iterator[MutualState]:
+    """The states of ``gf_rmsf``: ``cgf_rmsf_iterates`` at lam = beta = 0."""
+    return cgf_rmsf_iterates(p, guide, eps, eps2, 0.0, 0.0, w, iters, snapshots)
 
 
 def gf_rmsf(
@@ -157,18 +166,39 @@ def gf_rmsf(
     eps2: float,
     w: WindowSpec,
     iters: int,
-    snapshots: SnapshotSink | None = None,
+    snapshots: list[MutualSnapshot] | None = None,
 ) -> MutualState:
     """Mutual-structure rolling built on the plain filter pair.
 
     eps regularizes the forward fit (q on G), eps2 the inverse fit (G on q).
-    Pass ``snapshots`` (a list, or any object with ``append``) to receive
-    every iteration's MutualSnapshot: its state and the coefficients that
-    produced it. A list keeps them all (debug/testing; costs memory); a
-    sink that keeps only part of each snapshot frees the rest.
+    Pass a list as ``snapshots`` to receive every iteration's
+    MutualSnapshot: its state and the coefficients that produced it. The
+    list keeps them all (debug/testing; costs memory). A caller that needs
+    only the states reads them from ``gf_rmsf_iterates``.
     """
-    require_params(eps=eps, eps2=eps2, iters=iters)
-    return _mutual_roll(p, guide, eps, eps2, 0.0, 0.0, w, iters, snapshots)
+    return last_iterate(gf_rmsf_iterates(p, guide, eps, eps2, w, iters, snapshots), iters)
+
+
+def cgf_rmsf_iterates(
+    p: Image,
+    guide: Image,
+    eps: float,
+    eps2: float,
+    lam: float,
+    beta: float,
+    w: WindowSpec,
+    iters: int,
+    snapshots: list[MutualSnapshot] | None = None,
+) -> Iterator[MutualState]:
+    """The states of ``cgf_rmsf``, each yielded as soon as it exists.
+
+    Parameters and shapes are checked at the call.
+    """
+    require_params(eps=eps, eps2=eps2, lam=lam, beta=beta, iters=iters)
+    p = as_image(p)
+    guide = as_image(guide)
+    require_same_shape(p, guide)
+    return _mutual_iterates(p, guide, eps, eps2, lam, beta, w, iters, snapshots)
 
 
 def cgf_rmsf(
@@ -180,16 +210,40 @@ def cgf_rmsf(
     beta: float,
     w: WindowSpec,
     iters: int,
-    snapshots: SnapshotSink | None = None,
+    snapshots: list[MutualSnapshot] | None = None,
 ) -> MutualState:
     """Mutual-structure rolling built on the anchored (conservative) pair.
 
     The q track is anchored to the original input p with weight lam, the G
     track to the original guidance with weight beta. lam = beta = 0 is the
-    plain scheme, bit for bit. ``snapshots`` works as in ``gf_rmsf``.
+    plain scheme, bit for bit. ``snapshots`` takes a list, as in
+    ``gf_rmsf``.
     """
-    require_params(eps=eps, eps2=eps2, lam=lam, beta=beta, iters=iters)
-    return _mutual_roll(p, guide, eps, eps2, lam, beta, w, iters, snapshots)
+    return last_iterate(
+        cgf_rmsf_iterates(p, guide, eps, eps2, lam, beta, w, iters, snapshots), iters
+    )
+
+
+def _naive_iterates(
+    q: Image, G: Image, eps: float, w: WindowSpec, iters: int
+) -> Iterator[MutualState]:
+    for n in range(iters):
+        q, G = gf(q, G, w, eps), gf(G, q, w, eps)
+        yield MutualState(q, G, n + 1)
+
+
+def naive_roll37_iterates(
+    p: Image, guide: Image, eps: float, w: WindowSpec, iters: int
+) -> Iterator[MutualState]:
+    """The states of ``naive_roll37``, each yielded as soon as it exists.
+
+    Parameters and shapes are checked at the call.
+    """
+    require_params(eps=eps, iters=iters)
+    q = as_image(p)
+    G = as_image(guide)
+    require_same_shape(q, G)
+    return _naive_iterates(q, G, eps, w, iters)
 
 
 def naive_roll37(
@@ -197,13 +251,7 @@ def naive_roll37(
 ) -> MutualState:
     """Cross-guided rolling without the inverse terms (both updates read
     the previous state). Smooths both tracks toward constants."""
-    require_params(iters=iters)
-    q = as_image(p)
-    G = as_image(guide)
-    require_same_shape(q, G)
-    for _ in range(iters):
-        q, G = gf(q, G, w, eps), gf(G, q, w, eps)
-    return MutualState(q=q, G=G, iteration=iters)
+    return last_iterate(naive_roll37_iterates(p, guide, eps, w, iters), iters)
 
 
 def energy_mutual(

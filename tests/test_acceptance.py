@@ -18,9 +18,16 @@ from gfkit.gf import gf, gf_coeffs, gf_roll, energy_gf
 from gfkit.tvgf import tvgf, tvgf_roll, energy_tvgf
 from gfkit.cgf import cgf, cgf_roll, energy_cgf
 from gfkit.igf import igf, icgf, DEGENERATE_EPS
-from gfkit.boxops import box_mean
+from gfkit.boxops import box_mean, window_counts
 from gfkit.rmsf import cgf_rmsf, energy_mutual, gf_rmsf, naive_roll37
-from gfkit.rfnf import rfnf_gen, rfnf_seo
+from gfkit.rfnf import (
+    detail_image,
+    enhanced_flash,
+    rfnf_gen,
+    rfnf_gen_iterates,
+    rfnf_seo,
+    rfnf_seo_iterates,
+)
 from gfkit.metrics import mse, psnr, ssim
 from gfkit.imgio import PnmError, read_pnm, write_pnm
 from gfkit import synth
@@ -104,7 +111,34 @@ def test_criterion_02_ccd_energy_descent():
         rises = np.diff(e)
         worst_rise = max(worst_rise, float(rises.max()))
         assert np.all(rises <= slack), f"gf_rmsf rose by {rises.max():.2e}"
-    report(2, f"4 schemes x 10 instances x 10 iterations; worst energy rise "
+
+        # the flash schemes roll p guided by the flash image: rfnf_gen is
+        # the conservative roll anchored to the enhanced flash image
+        anchor = enhanced_flash(guide, wt, 0.1, 1.5)
+        qs = [p] + list(rfnf_gen_iterates(p, guide, wt, 0.1, 2.0, 1.5, 10))
+        e = [
+            energy_cgf(
+                qs[n], gf_coeffs(qs[n - 1], guide, wt, 0.1), guide, anchor, wt, 0.1, 2.0
+            ).total
+            for n in range(1, len(qs))
+        ]
+        rises = np.diff(e)
+        worst_rise = max(worst_rise, float(rises.max()))
+        assert np.all(rises <= slack), f"rfnf_gen rose by {rises.max():.2e}"
+
+        # rfnf_seo's step f / n + lam * detail minimizes energy_gf plus the
+        # linear pixel term -2 * sum(n * lam * detail * q)
+        gain = 1.5 * window_counts(p.shape, wt) * detail_image(guide, wt, 0.1)
+        qs = [p] + list(rfnf_seo_iterates(p, guide, wt, 0.1, 1.5, 10))
+        e = [
+            energy_gf(qs[n], gf_coeffs(qs[n - 1], guide, wt, 0.1), guide, wt, 0.1).total
+            - 2.0 * float(np.sum(gain * qs[n]))
+            for n in range(1, len(qs))
+        ]
+        rises = np.diff(e)
+        worst_rise = max(worst_rise, float(rises.max()))
+        assert np.all(rises <= slack), f"rfnf_seo rose by {rises.max():.2e}"
+    report(2, f"6 schemes x 10 instances x 10 iterations; worst energy rise "
               f"{worst_rise:.2e} <= 1e-9")
 
 

@@ -251,6 +251,29 @@ class TestExitCodes:
                              "--output", "o.pgm", "--radius", "2")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "case,expected",
+        [("missing reference", 3), ("reference shape", 2), ("too small for SSIM", 2)],
+    )
+    def test_bad_reference_writes_no_file(self, workdir, capsys, case, expected):
+        # the reference is scored before the output, the G track or any
+        # iterate is written, so a failed score leaves no file behind
+        rng = np.random.default_rng(4)
+        shape = (2, 3) if case == "too small for SSIM" else (16, 16)
+        write_pnm_file("in.pgm", [rng.random(shape)], 255)
+        if case != "missing reference":
+            ref_shape = (16, 15) if case == "reference shape" else shape
+            write_pnm_file("ref.pgm", [rng.random(ref_shape)], 255)
+        Path("o.pgm").write_bytes(b"an earlier output")
+        before = {name: Path(name).read_bytes() for name in os.listdir()}
+        code, report, _ = run_cli(
+            capsys, "rmsf-gf", "--input", "in.pgm", "--output", "o.pgm", "--radius", "2",
+            "--iters", "2", "--dump-iterates", "--g-output", "g.pgm",
+            "--metrics-against", "ref.pgm",
+        )
+        assert code == expected and report is None
+        assert {name: Path(name).read_bytes() for name in os.listdir()} == before
+
 
 # The filter subcommands' flags as the hand-written parser defined them:
 # (flag, dest, default, choices, required), in --help order.
@@ -291,9 +314,9 @@ FILTER_SURFACE = {
     "rmsf-cgf": _io(dump=True) + [
         _r(6), _eps(0.001), _eps2(0.001), _lam(0.01), _beta(0.01), BOUNDARY, _iters(5), G_OUTPUT,
     ],
-    "roll37": _io() + [_r(6), _eps(0.01), BOUNDARY, _iters(5)],
-    "rfnf-seo": _io() + [_r(10), _eps(0.1), _lam(1.0), BOUNDARY, _iters(5)],
-    "rfnf-gen": _io() + [_r(10), _eps(0.1), _lam(1.0), _tau(1.0), BOUNDARY, _iters(5)],
+    "roll37": _io(dump=True) + [_r(6), _eps(0.01), BOUNDARY, _iters(5), G_OUTPUT],
+    "rfnf-seo": _io(dump=True) + [_r(10), _eps(0.1), _lam(1.0), BOUNDARY, _iters(5)],
+    "rfnf-gen": _io(dump=True) + [_r(10), _eps(0.1), _lam(1.0), _tau(1.0), BOUNDARY, _iters(5)],
 }
 
 
@@ -319,10 +342,10 @@ class TestParserSurface:
     @pytest.mark.parametrize(
         "cmd,flag",
         [(cmd, ["--threads", "2"]) for cmd in FILTER_SURFACE]
-        + [(cmd, ["--dump-iterates"]) for cmd in ("igf", "icgf", "roll37", "rfnf-seo", "rfnf-gen")],
+        + [(cmd, ["--dump-iterates"]) for cmd in ("igf", "icgf")],
     )
     def test_removed_flag_is_usage_error(self, workdir, capsys, cmd, flag):
-        # --threads had no effect, and these five wrote no iterate
+        # --threads had no effect, and these two single passes have no iterate
         make_inputs(workdir)
         before = set(os.listdir())
         with pytest.raises(SystemExit) as exc:

@@ -3,9 +3,9 @@
 Each channel's outputs become integer samples as soon as its filter
 returns, so the files and the report must be exactly what the library's
 float iterates give through write_pnm, and the peak memory of an RGB run
-must stay near that of a one-channel run. A fixed-guide roll's iterates
-are dumped as the roll yields them, so a longer roll keeps no more float
-iterates.
+must stay near that of a one-channel run. A rolling scheme's iterates
+are dumped as the scheme yields them, so a longer roll keeps no more
+float iterates.
 """
 
 import json
@@ -24,8 +24,8 @@ from gfkit.gf import gf_roll
 from gfkit.igf import icgf, igf
 from gfkit.imgio import read_pnm_file, write_pnm, write_pnm_file
 from gfkit.metrics import mse, psnr_from_mse, ssim
-from gfkit.rfnf import rfnf_gen, rfnf_seo
-from gfkit.rmsf import cgf_rmsf, gf_rmsf, naive_roll37
+from gfkit.rfnf import rfnf_gen_iterates, rfnf_seo_iterates
+from gfkit.rmsf import cgf_rmsf_iterates, gf_rmsf_iterates, naive_roll37_iterates
 from gfkit.tvgf import tvgf_roll
 from oracles import frozen_cgf_roll, frozen_gf_roll, frozen_tvgf_roll
 
@@ -38,25 +38,21 @@ TRUNC = WindowSpec(R, Boundary.TRUNCATE)
 PERIODIC = WindowSpec(R, Boundary.PERIODIC)
 
 
-def _mutual(scheme, *args):
-    snaps = []
-    state = scheme(*args, snapshots=snaps)
-    return [s.state.q for s in snaps], state.G
-
-
 # the library calls each command makes on one channel x with guide g, at
-# the command's default parameters: (every iterate, the G track or None)
+# the command's default parameters: every iterate, a MutualState (q and
+# the G track) for a command with g_output
 LIBRARY = {
-    "gf": lambda x, g: (gf_roll(x, g, TRUNC, 0.1, ITERS), None),
-    "tvgf": lambda x, g: (tvgf_roll(x, g, PERIODIC, 0.01, 45.0, ITERS), None),
-    "cgf": lambda x, g: (cgf_roll(x, g, x, TRUNC, 0.001, 0.01, ITERS), None),
-    "igf": lambda x, g: ([igf(x, g, TRUNC, 0.01)], None),
-    "icgf": lambda x, g: ([icgf(x, g, x, TRUNC, 0.01, 0.01)], None),
-    "rmsf-gf": lambda x, g: _mutual(gf_rmsf, x, g, 0.01, 0.01, TRUNC, ITERS),
-    "rmsf-cgf": lambda x, g: _mutual(cgf_rmsf, x, g, 0.001, 0.001, 0.01, 0.01, TRUNC, ITERS),
-    "roll37": lambda x, g: ([naive_roll37(x, g, 0.01, TRUNC, ITERS).q], None),
-    "rfnf-seo": lambda x, g: ([rfnf_seo(x, g, TRUNC, 0.1, 1.0, ITERS)], None),
-    "rfnf-gen": lambda x, g: ([rfnf_gen(x, g, TRUNC, 0.1, 1.0, 1.0, ITERS)], None),
+    "gf": lambda x, g: gf_roll(x, g, TRUNC, 0.1, ITERS),
+    "tvgf": lambda x, g: tvgf_roll(x, g, PERIODIC, 0.01, 45.0, ITERS),
+    "cgf": lambda x, g: cgf_roll(x, g, x, TRUNC, 0.001, 0.01, ITERS),
+    "igf": lambda x, g: [igf(x, g, TRUNC, 0.01)],
+    "icgf": lambda x, g: [icgf(x, g, x, TRUNC, 0.01, 0.01)],
+    "rmsf-gf": lambda x, g: list(gf_rmsf_iterates(x, g, 0.01, 0.01, TRUNC, ITERS)),
+    "rmsf-cgf": lambda x, g: list(
+        cgf_rmsf_iterates(x, g, 0.001, 0.001, 0.01, 0.01, TRUNC, ITERS)),
+    "roll37": lambda x, g: list(naive_roll37_iterates(x, g, 0.01, TRUNC, ITERS)),
+    "rfnf-seo": lambda x, g: list(rfnf_seo_iterates(x, g, TRUNC, 0.1, 1.0, ITERS)),
+    "rfnf-gen": lambda x, g: list(rfnf_gen_iterates(x, g, TRUNC, 0.1, 1.0, 1.0, ITERS)),
 }
 
 
@@ -91,10 +87,8 @@ def test_files_and_report_match_the_library(workdir, capsys, name, guided):
     cmd = FILTER_COMMANDS[name]
     argv = [name, "--input", "in.ppm", "--output", "out.ppm", "--radius", str(R),
             "--metrics-against", "ref.ppm"]
-    if cmd.dump_iterates:
-        argv += ["--dump-iterates"]
     if "iters" in cmd.params:
-        argv += ["--iters", str(ITERS)]
+        argv += ["--iters", str(ITERS), "--dump-iterates"]
     if guided:
         argv += ["--guidance", "guide.pgm"]
     if cmd.g_output:
@@ -104,16 +98,17 @@ def test_files_and_report_match_the_library(workdir, capsys, name, guided):
     channels = read_pnm_file("in.ppm")
     guide = read_pnm_file("guide.pgm")[0] if guided else None
     runs = [LIBRARY[name](x, x if guide is None else guide) for x in channels]
-    finals = [its[-1] for its, _ in runs]
-    assert Path("out.ppm").read_bytes() == write_pnm(finals, 255)
     outputs = [info("out.ppm", 3)]
     if cmd.g_output:
-        assert Path("g.ppm").read_bytes() == write_pnm([G for _, G in runs], 255)
+        assert Path("g.ppm").read_bytes() == write_pnm([its[-1].G for its in runs], 255)
         outputs.append(info("g.ppm", 3))
-    count = len(runs[0][0])
+        runs = [[state.q for state in its] for its in runs]
+    finals = [its[-1] for its in runs]
+    assert Path("out.ppm").read_bytes() == write_pnm(finals, 255)
+    count = len(runs[0])
     for n in range(1, count + 1 if count > 1 else 1):
         path = f"out_iter{n:03d}.ppm"
-        assert Path(path).read_bytes() == write_pnm([its[n - 1] for its, _ in runs], 65535)
+        assert Path(path).read_bytes() == write_pnm([its[n - 1] for its in runs], 65535)
         outputs.append(info(path, 3))
     assert not os.path.exists(f"out_iter{count + 1:03d}.ppm")
     assert count == 1 or count == ITERS
@@ -205,17 +200,19 @@ def test_rmsf_dump_peak_grows_by_samples_per_iteration(workdir, capsys):
 
 
 @pytest.mark.parametrize("dump", [False, True])
-def test_fixed_guide_roll_keeps_one_float_iterate(workdir, capsys, dump):
+@pytest.mark.parametrize("name", ["cgf", "rfnf-seo", "rfnf-gen", "roll37"])
+def test_fixed_guide_roll_keeps_one_float_iterate(workdir, capsys, name, dump):
     write_pnm_file("p.pgm", [np.random.default_rng(14).random((SIZE, SIZE))], 255)
 
     def peak(iters):
         extra = ["--dump-iterates"] if dump else []
-        return peak_of(["cgf", "--input", "p.pgm", "--output", "o.pgm", "--radius", str(R),
+        return peak_of([name, "--input", "p.pgm", "--output", "o.pgm", "--radius", str(R),
                         "--iters", str(iters), *extra])
 
     short, long = peak(2), peak(8)
     capsys.readouterr()
-    # six more passes keep no float iterate, and with dumps six sample planes
+    # six more passes keep no float iterate (roll37: no iterate pair), and
+    # with dumps six sample planes
     assert long - short <= PLANE + (6 * SAMPLES if dump else 0), (short, long)
 
 

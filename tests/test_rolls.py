@@ -12,11 +12,27 @@ import numpy as np
 import pytest
 
 from gfkit.boxops import box_sum, window_counts
-from gfkit.cgf import cgf, cgf_roll
+from gfkit.cgf import cgf, cgf_iterates, cgf_roll
 from gfkit.core import Boundary, WindowSpec, as_image
-from gfkit.gf import fit_coeffs, gf, gf_coeffs, gf_roll, guide_moments
-from gfkit.rfnf import detail_image, enhanced_flash, rfnf_gen, rfnf_seo
-from gfkit.tvgf import tvgf, tvgf_roll
+from gfkit.gf import fit_coeffs, gf, gf_coeffs, gf_iterates, gf_roll, guide_moments
+from gfkit.rfnf import (
+    detail_image,
+    enhanced_flash,
+    rfnf_gen,
+    rfnf_gen_iterates,
+    rfnf_seo,
+    rfnf_seo_iterates,
+)
+from gfkit.rmsf import (
+    MutualState,
+    cgf_rmsf,
+    cgf_rmsf_iterates,
+    gf_rmsf,
+    gf_rmsf_iterates,
+    naive_roll37,
+    naive_roll37_iterates,
+)
+from gfkit.tvgf import tvgf, tvgf_iterates, tvgf_roll
 
 TRUNC = WindowSpec(3, Boundary.TRUNCATE)
 PERIODIC = WindowSpec(2, Boundary.PERIODIC)
@@ -203,3 +219,61 @@ class TestValidation:
     def test_rejects_zero_iters(self, name):
         with pytest.raises(ValueError, match="iters"):
             ROLLS[name](*_images(14), 0.05, 0.3, 0)
+
+
+def _calls(scheme):
+    """The iterates of n calls of ``scheme`` with iters = 1 .. n."""
+    return lambda p, guide, g, eps, n: [scheme(p, guide, g, eps, k) for k in range(1, n + 1)]
+
+
+# scheme -> (its iterates generator, the same iterates from its roll or
+# from n calls), each taking (p, guide, anchor, eps, n)
+ITERATES = {
+    "gf": (lambda p, guide, g, eps, n: gf_iterates(p, guide, TRUNC, eps, n),
+           lambda p, guide, g, eps, n: gf_roll(p, guide, TRUNC, eps, n)),
+    "tvgf": (lambda p, guide, g, eps, n: tvgf_iterates(p, guide, PERIODIC, eps, 3.0, n),
+             lambda p, guide, g, eps, n: tvgf_roll(p, guide, PERIODIC, eps, 3.0, n)),
+    "cgf": (lambda p, guide, g, eps, n: cgf_iterates(p, guide, g, TRUNC, eps, 0.3, n),
+            lambda p, guide, g, eps, n: cgf_roll(p, guide, g, TRUNC, eps, 0.3, n)),
+    "gf_rmsf": (lambda p, guide, g, eps, n: gf_rmsf_iterates(p, guide, eps, 0.02, TRUNC, n),
+                _calls(lambda p, guide, g, eps, k: gf_rmsf(p, guide, eps, 0.02, TRUNC, k))),
+    "cgf_rmsf": (
+        lambda p, guide, g, eps, n: cgf_rmsf_iterates(p, guide, eps, 0.02, 0.3, 0.2, TRUNC, n),
+        _calls(lambda p, guide, g, eps, k: cgf_rmsf(p, guide, eps, 0.02, 0.3, 0.2, TRUNC, k)),
+    ),
+    "roll37": (lambda p, guide, g, eps, n: naive_roll37_iterates(p, guide, eps, TRUNC, n),
+               _calls(lambda p, guide, g, eps, k: naive_roll37(p, guide, eps, TRUNC, k))),
+    "rfnf_seo": (lambda p, guide, g, eps, n: rfnf_seo_iterates(p, guide, TRUNC, eps, 0.7, n),
+                 _calls(lambda p, guide, g, eps, k: rfnf_seo(p, guide, TRUNC, eps, 0.7, k))),
+    "rfnf_gen": (
+        lambda p, guide, g, eps, n: rfnf_gen_iterates(p, guide, TRUNC, eps, 0.4, 1.5, n),
+        _calls(lambda p, guide, g, eps, k: rfnf_gen(p, guide, TRUNC, eps, 0.4, 1.5, k)),
+    ),
+}
+
+
+def _planes(iterate):
+    if isinstance(iterate, MutualState):
+        return [iterate.q, iterate.G]
+    return [iterate]
+
+
+class TestIterates:
+    @pytest.mark.parametrize("name", list(ITERATES))
+    def test_iterates_equal_the_roll(self, name):
+        iterates, roll = ITERATES[name]
+        got = list(iterates(*_images(15), 0.05, ITERS))
+        want = roll(*_images(15), 0.05, ITERS)
+        assert len(got) == len(want) == ITERS
+        for n, (x, y) in enumerate(zip(got, want), start=1):
+            if isinstance(x, MutualState):
+                assert x.iteration == y.iteration == n
+            for a, b in zip(_planes(x), _planes(y), strict=True):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", list(ITERATES))
+    @pytest.mark.parametrize("eps,iters,match", [(0.0, 2, "eps"), (0.05, 0, "iters")])
+    def test_bad_parameter_raises_at_the_call(self, name, eps, iters, match):
+        # the call itself raises: no next() is needed to reach the check
+        with pytest.raises(ValueError, match=match):
+            ITERATES[name][0](*_images(16), eps, iters)
