@@ -9,20 +9,17 @@ estimate the plain filter divides by the window count n. It equals the
 convex blend (1 - alpha) * gf + alpha * g with per-pixel weight
 alpha = lam / (n + lam) (``anchor_weight``), and lam = 0 is ``gf`` bit for bit.
 
-``cgf_roll`` runs the fixed-guide roll of ``gf.roll`` with that update: the
-guide's window moments are computed once and each pass costs 4 box passes,
-2 + 4n for n passes, where n separate ``cgf`` calls cost 6n. When the input
-is the guide itself (the same object, as in the CLI's self-guided run), the
-first fit comes from the guide's own moments and the roll costs 4n: 4 for
-one ``cgf`` call.
+``cgf_roll`` runs the fixed-guide roll of ``gf.roll`` with that term,
+``gf.anchor_term``: the guide's window moments are computed once and each
+pass costs 4 box passes, 2 + 4n for n passes, where n separate ``cgf``
+calls cost 6n. When the input is the guide itself (the same object, as in
+the CLI's self-guided run), the first fit comes from the guide's own
+moments and the roll costs 4n: 4 for one ``cgf`` call.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import partial
-
-import numpy as np
 
 from .core import (
     EnergyReport,
@@ -33,7 +30,7 @@ from .core import (
     require_params,
     require_same_shape,
 )
-from .gf import GfCoeffs, anchored_update, as_input_and_guide, energy_gf, guide_fit, roll
+from .gf import GfCoeffs, anchor_term, as_input_and_guide, energy_gf, guide_fit, roll
 from .boxops import window_counts
 
 
@@ -69,8 +66,7 @@ def cgf_iterates(
     g = as_image(g)
     require_same_shape(p, guide, g)
     require_finite(g, "the anchor g")  # never box-summed, so box_sum cannot catch it
-    update = partial(anchored_update, g=g, lam=lam)
-    return roll(p, guide, guide_fit(p, guide, w, eps), w, update, iters, tol)
+    return roll(p, guide, guide_fit(p, guide, w, eps), w, anchor_term(g, lam), iters, tol)
 
 
 def cgf_roll(
@@ -103,8 +99,4 @@ def energy_cgf(
     """Exact objective value: window least squares plus lam * sum((q - g)^2)."""
     g = as_image(g)
     require_same_shape(q, g)
-    base = energy_gf(q, coeffs, guide, w, eps)
-    anchor = lam * float(np.sum((as_image(q) - g) ** 2))
-    terms = dict(base.terms)
-    terms["anchor"] = anchor
-    return EnergyReport(total=base.total + anchor, terms=terms)
+    return energy_gf(q, coeffs, guide, w, eps, anchor_term(g, lam))

@@ -69,12 +69,13 @@ def _param(key: str, parse=float):
     return convert
 
 
-# dest -> (flag, add_argument keywords); --help lists the flags in this order
+# parameter -> (flag, add_argument keywords); --help lists the flags in this order
 PARAM_FLAGS = {
     "radius": ("--radius", {"type": _nonneg_int}),
     "eps": ("--eps", {"type": _param("eps")}),
     "eps2": ("--eps2", {"type": _param("eps2")}),
     "lam": ("--lambda", {"dest": "lam", "type": _param("lam")}),
+    "gain": ("--lambda", {"dest": "lam", "type": _param("gain")}),  # rfnf-seo: either sign
     "beta": ("--beta", {"type": _param("beta")}),
     "tau": ("--tau", {"type": _param("tau")}),
     "boundary": ("--boundary", {"choices": ("truncate", "periodic")}),
@@ -84,8 +85,8 @@ PARAM_FLAGS = {
 
 @dataclass(frozen=True)
 class FilterCommand:
-    """One filter subcommand. ``params`` maps each parameter flag's dest to
-    its default; a fixed ``boundary`` replaces the --boundary flag.
+    """One filter subcommand. ``params`` maps each of its ``PARAM_FLAGS``
+    keys to its default; a fixed ``boundary`` replaces the --boundary flag.
     ``run(channel, guide, anchor, w, args)`` returns an iterator of the
     filter's iterates, the last of them its output: one per pass of a
     rolling scheme (a command with --iters, which alone takes
@@ -148,7 +149,7 @@ FILTER_COMMANDS = {
         g_output=True),
     "rfnf-seo": FilterCommand(
         "flash/no-flash rolling, additive detail",
-        {"radius": 10, "eps": 0.1, "lam": 1.0, "iters": 5},
+        {"radius": 10, "eps": 0.1, "gain": 1.0, "iters": 5},
         lambda x, g, anchor, w, a: rfnf_seo_iterates(x, g, w, a.eps, a.lam, a.iters)),
     "rfnf-gen": FilterCommand(
         "flash/no-flash rolling, anchored",
@@ -172,9 +173,9 @@ def _add_filter_parser(sub, name: str, cmd: FilterCommand) -> None:
     params = dict(cmd.params)
     if cmd.boundary is None:
         params["boundary"] = "truncate"
-    for dest, (flag, kwargs) in PARAM_FLAGS.items():
-        if dest in params:
-            sp.add_argument(flag, default=params[dest], **kwargs)
+    for key, (flag, kwargs) in PARAM_FLAGS.items():
+        if key in params:
+            sp.add_argument(flag, default=params[key], **kwargs)
     if cmd.g_output:
         sp.add_argument("--g-output", help="also write the filtered guidance track")
     sp.set_defaults(handler=lambda args: _run_filter_command(cmd, args))
@@ -347,7 +348,8 @@ def _run_filter_command(cmd: FilterCommand, args) -> dict:
         for n, path in enumerate(_iterate_paths(args.output, dumped)):
             emit(path, [c.dumps[n] for c in done], ITERATE_MAXVAL)
 
-    params = {k: getattr(args, k) for k in cmd.params}
+    dests = (PARAM_FLAGS[k][1].get("dest", k) for k in cmd.params)
+    params = {dest: getattr(args, dest) for dest in dests}
     params["maxval"] = args.maxval
     params["boundary"] = boundary.value
     return {"inputs": report_inputs, "outputs": outputs, "params": params,

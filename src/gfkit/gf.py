@@ -2,19 +2,19 @@
 
 One filtering pass fits per-window linear coefficients (a, b) of the
 guidance by ridge regression, then solves each pixel from its overlapping
-window estimates. Every fixed-guide scheme shares that pixel step's
-numerator, the window-sum estimate f = sum_k (a_k * guide + b_k), and maps
-it to the exact per-pixel minimizer of its own objective:
+window estimates. Every fixed-guide scheme adds one ``PixelTerm`` to that
+objective (``energy_gf``); the term maps the window sums
+f = sum_k (a_k * guide + b_k) to the exact pixel minimizer, n the pixel's
+window count:
 
-- ``gf``: f / n, n the pixel's window count;
-- ``cgf``: (f + lam * g) / (n + lam), anchored to g;
-- ``tvgf``: the Fourier solve of (n + lam * L) q = f;
-- ``rfnf_seo``: f / n plus a fixed detail layer.
+- ``anchor_term`` (``gf`` at lam = 0, ``cgf``, ``rfnf_gen``): lam * ||q - g||^2,
+  minimized by (f + lam * g) / (n + lam);
+- ``tvgf.tv_term``: lam * sum(TV^2), the Fourier solve of (n + lam * L) q = f;
+- ``rfnf.detail_term``: -2 * sum(n * gain * q), minimized by f / n + gain.
 
-``anchored_update`` is the first two, and ``roll`` runs the loop for all of
-them. Feeding the output back in continues the same block-coordinate
-minimization, so the exact objective value (``energy_gf``) must never
-increase between passes; ``gf`` is the one-pass case of ``gf_roll``.
+``roll`` runs the loop for all of them. Each pass continues the same
+block-coordinate minimization, so ``energy_gf`` with the scheme's term
+never increases between passes; ``gf`` is the one-pass case of ``gf_roll``.
 
 The guide is a constant of that objective, so its window counts, mean and
 variance are constants of every pass. ``gf_coeffs`` is the composition of
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import partial
 from typing import TypeVar
 
 import numpy as np
@@ -198,6 +199,23 @@ def anchored_update(
     return f
 
 
+@dataclass(frozen=True)
+class PixelTerm:
+    """A per-pixel term of a scheme's objective: ``value(q)``, and ``update(f,
+    counts)``, the exact pixel minimizer of ``energy_gf`` plus the term given
+    the window sums f (which it may overwrite)."""
+
+    name: str
+    update: Callable[[Image, WindowCounts], Image]
+    value: Callable[[Image], float]
+
+
+def anchor_term(g: Image | None = None, lam: float = 0.0) -> PixelTerm:
+    """lam * ||q - g||^2, minimized by ``anchored_update`` (f / n at lam = 0)."""
+    return PixelTerm("anchor", partial(anchored_update, g=g, lam=lam),
+                     lambda q: lam * float(np.sum((q - g) ** 2)) if lam else 0.0)
+
+
 def gf_apply(coeffs: GfCoeffs, guide: Image, w: WindowSpec) -> Image:
     """Aggregate the per-window estimates: the lam = 0 update f / n."""
     guide = as_image(guide)
@@ -211,7 +229,7 @@ def roll(
     guide: Image,
     fit: tuple[GuideMoments, GfCoeffs],
     w: WindowSpec,
-    update: Callable[[Image, WindowCounts], Image],
+    term: PixelTerm,
     iters: int,
     tol: float | None = None,
 ) -> Iterator[Image]:
@@ -221,8 +239,8 @@ def roll(
     ``guide_fit``, or against moments the caller holds); every later pass
     refits the current iterate against those moments. Each fit is dropped
     once its window-sum estimate f is built (on the last pass the moments
-    too, all but the counts), and ``update(f, counts)`` maps f to the next
-    iterate: 4 box passes a pass after the first fit. Without tol the roll
+    too, all but the counts), and ``term.update(f, counts)`` maps f to the
+    next iterate: 4 box passes a pass after the first fit. Without tol the roll
     lets go of each iterate once it is fit, so a consumer that drops the
     iterates it was given holds one at a time.
     If tol is given, the roll stops after the first iterate with
@@ -241,7 +259,7 @@ def roll(
             moments = None  # no refit follows, so only the counts are needed
         f = window_sum_estimate(coeffs, guide, w)
         coeffs = None  # the fit is dropped before the update
-        prev, q = q, update(f, counts)
+        prev, q = q, term.update(f, counts)
         del f  # an update that allocates its result frees f before the yield
         yield q
         if prev is not None and float(np.max(np.abs(q - prev))) < tol:
@@ -279,7 +297,7 @@ def gf_iterates(p: Image, guide: Image, w: WindowSpec, eps: float, iters: int) -
     """
     require_params(eps=eps, iters=iters)
     p, guide = as_input_and_guide(p, guide)
-    return roll(p, guide, guide_fit(p, guide, w, eps), w, anchored_update, iters)
+    return roll(p, guide, guide_fit(p, guide, w, eps), w, anchor_term(), iters)
 
 
 def gf_roll(p: Image, guide: Image, w: WindowSpec, eps: float, iters: int) -> list[Image]:
@@ -292,8 +310,10 @@ def gf_roll(p: Image, guide: Image, w: WindowSpec, eps: float, iters: int) -> li
     return list(gf_iterates(p, guide, w, eps, iters))
 
 
-def energy_gf(q: Image, coeffs: GfCoeffs, guide: Image, w: WindowSpec, eps: float) -> EnergyReport:
-    """Exact value of the window-wise least-squares objective at (q, a, b).
+def energy_gf(q: Image, coeffs: GfCoeffs, guide: Image, w: WindowSpec, eps: float,
+              term: PixelTerm | None = None) -> EnergyReport:
+    """Exact value of the window-wise least-squares objective at (q, a, b),
+    plus the pixel term if given, reported under its name.
 
     Slow explicit per-window summation on purpose: this is the oracle the
     descent tests rely on, so it must not share the box-filter fast path.
@@ -313,4 +333,7 @@ def energy_gf(q: Image, coeffs: GfCoeffs, guide: Image, w: WindowSpec, eps: floa
             bk = coeffs.b[ky, kx]
             data += float(np.sum((ak * gwin + bk - qwin) ** 2))
             ridge += gwin.size * eps * ak * ak
-    return EnergyReport(total=data + ridge, terms={"data": data, "ridge": ridge})
+    terms = {"data": data, "ridge": ridge}
+    if term is not None:
+        terms[term.name] = term.value(q)
+    return EnergyReport(total=sum(terms.values()), terms=terms)

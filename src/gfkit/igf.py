@@ -93,6 +93,7 @@ def igf(p: Image, guess: Image, w: WindowSpec, eps: float) -> Image:
 
     guess is the initial guidance estimate the coefficients are fit against.
     """
+    require_params(eps=eps)
     p, guess = as_input_and_guide(p, guess)
     # the fit box-sums p and guess, so neither needs a scan of its own
     return inverse_update(gf_coeffs(p, guess, w, eps), p, None, w, 0.0, prior=guess)
@@ -100,7 +101,7 @@ def igf(p: Image, guess: Image, w: WindowSpec, eps: float) -> Image:
 
 def icgf(p: Image, guess: Image, g: Image, w: WindowSpec, eps: float, lam: float) -> Image:
     """Inverse pass with a fidelity anchor g weighted by lam."""
-    require_params(lam=lam)
+    require_params(eps=eps, lam=lam)
     g = as_image(g)
     require_finite(g, "the anchor g")  # never box-summed, so box_sum cannot catch it
     p, guess = as_input_and_guide(p, guess)

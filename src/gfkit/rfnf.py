@@ -1,10 +1,10 @@
 """Rolling flash/no-flash fusion.
 
 Both schemes roll a guided filter of the no-flash image steered by the
-flash image, through ``gf.roll``; they differ only in the pixel update.
+flash image, through ``gf.roll``; they differ only in the pixel term.
 The additive variant re-injects a fixed detail layer of the flash image
-each pass (f / n + detail); the anchored variant is a conservative roll
-toward an enhanced flash image ((f + lam * anchor) / (n + lam)) and
+each pass (f / n + detail, ``detail_term``); the anchored variant is a
+conservative roll toward an enhanced flash image (``gf.anchor_term``) and
 subsumes the additive one in the small-weight limit. At lam = 0 both are
 the plain roll, bit for bit. The flash image's window moments, and the
 detail and enhanced images built from them, depend only on the flash input
@@ -19,14 +19,15 @@ of them.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import partial
 
 import numpy as np
 
 from .core import Image, WindowSpec, as_image, require_params, require_same_shape
-from .boxops import row_strips
+from .boxops import WindowCounts, row_strips
 from .gf import (
     GuideMoments,
+    PixelTerm,
+    anchor_term,
     anchored_update,
     fit_coeffs,
     guide_fit,
@@ -52,12 +53,21 @@ def _enhance(flash: Image, base: Image, tau: float) -> Image:
     return base
 
 
-def _noflash_roll(noflash, flash, moments, w, update, iters) -> Iterator[Image]:
-    """The roll of noflash against the held flash moments."""
-    # the first fit goes straight to the roll, which drops it after one pass
-    return roll(
-        noflash, flash, (moments, fit_coeffs(noflash, flash, moments, w)), w, update, iters
-    )
+def _flash_inputs(noflash, flash, w: WindowSpec, eps: float, **params):
+    """A flash scheme's checked images, the flash moments with the roll's first
+    fit of noflash against them, and the base layer gf(flash, flash)."""
+    require_params(eps=eps, **params)
+    noflash = as_image(noflash)
+    flash = as_image(flash)
+    require_same_shape(noflash, flash)
+    moments, base = _flash_base(flash, w, eps)
+    return noflash, flash, (moments, fit_coeffs(noflash, flash, moments, w)), base
+
+
+def detail_term(gain: Image, counts: WindowCounts) -> PixelTerm:
+    """-2 * sum(n * gain * q), n the window counts: its update is f / n + gain."""
+    return PixelTerm("detail", lambda f, _: np.add(anchored_update(f, counts), gain, out=f),
+                     lambda q: -2.0 * float(np.sum(np.outer(counts.rows, counts.cols) * gain * q)))
 
 
 def detail_image(flash: Image, w: WindowSpec, eps: float) -> Image:
@@ -74,20 +84,10 @@ def rfnf_seo_iterates(
     Parameters are checked and the flash moments, the detail layer and the
     first fit are made at the call.
     """
-    require_params(eps=eps, gain=lam, iters=iters)
-    noflash = as_image(noflash)
-    flash = as_image(flash)
-    require_same_shape(noflash, flash)
-    moments, detail = _flash_base(flash, w, eps)
+    noflash, flash, fit, detail = _flash_inputs(noflash, flash, w, eps, gain=lam, iters=iters)
     np.subtract(flash, detail, out=detail)  # flash - base, in the base's buffer
     detail *= lam
-
-    def update(f: Image, counts: Image) -> Image:
-        q = anchored_update(f, counts)
-        q += detail
-        return q
-
-    return _noflash_roll(noflash, flash, moments, w, update, iters)
+    return roll(noflash, flash, fit, w, detail_term(detail, fit[0].counts), iters)
 
 
 def rfnf_seo(
@@ -118,13 +118,11 @@ def rfnf_gen_iterates(
     Parameters are checked and the flash moments, the enhanced flash
     anchor and the first fit are made at the call.
     """
-    require_params(eps=eps, lam=lam, tau=tau, iters=iters)
-    noflash = as_image(noflash)
-    flash = as_image(flash)
-    require_same_shape(noflash, flash)
-    moments, base = _flash_base(flash, w, eps)
-    update = partial(anchored_update, g=_enhance(flash, base, tau), lam=lam)
-    return _noflash_roll(noflash, flash, moments, w, update, iters)
+    noflash, flash, fit, anchor = _flash_inputs(
+        noflash, flash, w, eps, lam=lam, tau=tau, iters=iters
+    )
+    _enhance(flash, anchor, tau)  # the base layer becomes the enhanced flash image
+    return roll(noflash, flash, fit, w, anchor_term(anchor, lam), iters)
 
 
 def rfnf_gen(

@@ -5,9 +5,9 @@ linear solve: the window-sum estimate f, the numerator every fixed-guide
 update shares, is divided in the Fourier domain by |w| + lambda * D, where
 D is the transfer function of the squared forward-difference gradient.
 Windows are forced periodic so that |w| is the constant scalar this
-diagonal solve requires. ``tvgf_roll`` is ``gf.roll`` with that solve as its
-update and the half-spectrum denominator built once; ``tvgf`` is its
-one-pass case.
+diagonal solve requires. ``tv_term`` is that solve with its half-spectrum
+denominator built once, and the value lam * sum(TV^2) it minimizes;
+``tvgf_roll`` is ``gf.roll`` with it, and ``tvgf`` its one-pass case.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .core import Boundary, EnergyReport, Image, WindowSpec, as_image, require_params
-from .gf import GfCoeffs, as_input_and_guide, energy_gf, guide_fit, roll
+from .gf import GfCoeffs, PixelTerm, as_input_and_guide, energy_gf, guide_fit, roll
 
 
 def _require_periodic(w: WindowSpec) -> None:
@@ -43,12 +43,6 @@ def tv_denominator(width: int, height: int, w: WindowSpec, lam: float) -> Image:
     return float(w.side**2) + lam * d
 
 
-def _half_denominator(shape, w: WindowSpec, lam: float) -> Image:
-    h, width = shape
-    # a copy, so that a roll holds half the grid rather than all of it
-    return tv_denominator(width, h, w, lam)[:, : width // 2 + 1].copy()
-
-
 def _solve_half(f: Image, denominator: Image) -> Image:
     # f is real, so its spectrum is Hermitian: solve on the half spectrum
     spectrum = np.fft.rfft2(f)
@@ -56,12 +50,22 @@ def _solve_half(f: Image, denominator: Image) -> Image:
     return np.fft.irfft2(spectrum, s=f.shape)
 
 
+def tv_term(shape, w: WindowSpec, lam: float) -> PixelTerm:
+    """lam * sum(TV^2), whose update solves (|w| + lam * L) q = f on the half
+    spectrum; ``tv_squared`` has the stencil of ``tv_denominator``."""
+    _require_periodic(w)
+    h, width = shape
+    # a copy, so that a roll holds half the grid rather than all of it
+    denominator = tv_denominator(width, h, w, lam)[:, : width // 2 + 1].copy()
+    return PixelTerm("tv", lambda f, _: _solve_half(f, denominator),
+                     lambda q: lam * float(np.sum(tv_squared(q))))
+
+
 def tvgf_solve_q(f: Image, w: WindowSpec, lam: float) -> Image:
     """Solve (|w| + lam * L) q = f for q, L the circular 5-point Laplacian."""
     f = as_image(f)
-    _require_periodic(w)
     w.check_fits(f.shape)
-    return _solve_half(f, _half_denominator(f.shape, w, lam))
+    return tv_term(f.shape, w, lam).update(f, None)
 
 
 def tvgf(p: Image, guide: Image, w: WindowSpec, eps: float, lam: float) -> Image:
@@ -78,10 +82,8 @@ def tvgf_iterates(
     """
     require_params(eps=eps, lam=lam, iters=iters)
     p, guide = as_input_and_guide(p, guide)
-    _require_periodic(w)
-    denominator = _half_denominator(p.shape, w, lam)
-    return roll(p, guide, guide_fit(p, guide, w, eps), w,
-                lambda f, counts: _solve_half(f, denominator), iters)
+    term = tv_term(p.shape, w, lam)  # before the fit, so that no fit plane is alive
+    return roll(p, guide, guide_fit(p, guide, w, eps), w, term, iters)
 
 
 def tvgf_roll(
@@ -107,14 +109,5 @@ def tv_squared(q: Image) -> Image:
 def energy_tvgf(
     q: Image, coeffs: GfCoeffs, guide: Image, w: WindowSpec, eps: float, lam: float
 ) -> EnergyReport:
-    """Exact objective value: window least squares plus lam * sum(TV^2).
-
-    The TV stencil here is the same circular forward difference that builds
-    ``tv_denominator``; the descent guarantee depends on the two matching.
-    """
-    _require_periodic(w)
-    base = energy_gf(q, coeffs, guide, w, eps)
-    tv = lam * float(np.sum(tv_squared(q)))
-    terms = dict(base.terms)
-    terms["tv"] = tv
-    return EnergyReport(total=base.total + tv, terms=terms)
+    """Exact objective value: window least squares plus lam * sum(TV^2)."""
+    return energy_gf(q, coeffs, guide, w, eps, tv_term(as_image(q).shape, w, lam))

@@ -133,14 +133,3 @@ class TestEnergy:
         got = energy_cgf(q, GfCoeffs(a, b), guide, g, W, 0.1, lam)
         want = energy_gf_reordered(q, a, b, guide, W, 0.1) + lam * float(np.sum((q - g) ** 2))
         assert got.total == pytest.approx(want, rel=1e-12)
-
-    def test_energy_descent(self):
-        rng = np.random.default_rng(12)
-        p, guide = rng.random((16, 16)), rng.random((16, 16))
-        g = p.copy()
-        qs = [p] + cgf_roll(p, guide, g, W, 0.1, 2.0, 10)
-        energies = []
-        for n in range(1, len(qs)):
-            coeffs = gf_coeffs(qs[n - 1], guide, W, 0.1)
-            energies.append(energy_cgf(qs[n], coeffs, guide, g, W, 0.1, 2.0).total)
-        assert all(e2 <= e1 + 1e-9 for e1, e2 in zip(energies, energies[1:]))

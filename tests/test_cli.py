@@ -223,25 +223,37 @@ class TestExitCodes:
         assert not os.path.exists("o.pgm")
 
     @pytest.mark.parametrize(
-        "argv,flag,rule",
+        "argv,flag,value,rule",
         [
-            (["gf", "--input", "in.pgm", "--output", "o.pgm"], "--eps", "eps must be > 0"),
-            (["rfnf-seo", "--input", "in.pgm", "--output", "o.pgm"], "--lambda",
+            (["gf", "--input", "in.pgm", "--output", "o.pgm"], "--eps", "-1", "eps must be > 0"),
+            (["cgf", "--input", "in.pgm", "--output", "o.pgm"], "--lambda", "-1",
              "lambda must be finite and >= 0"),
-            (["roll37", "--input", "in.pgm", "--output", "o.pgm"], "--iters", "iters must be >= 1"),
-            (["bench"], "--eps", "eps must be > 0"),
-            (["bench"], "--lambda", "lambda must be finite and >= 0"),
-            (["synth", "--kind", "noise", "--output", "o.pgm"], "--sigma",
+            # rfnf-seo's --lambda is core's detail gain, of either sign
+            (["rfnf-seo", "--input", "in.pgm", "--output", "o.pgm"], "--lambda", "inf",
+             "lambda must be finite"),
+            (["roll37", "--input", "in.pgm", "--output", "o.pgm"], "--iters", "-1",
+             "iters must be >= 1"),
+            (["bench"], "--eps", "-1", "eps must be > 0"),
+            (["bench"], "--lambda", "-1", "lambda must be finite and >= 0"),
+            (["synth", "--kind", "noise", "--output", "o.pgm"], "--sigma", "-1",
              "sigma must be finite and >= 0"),
         ],
     )
-    def test_out_of_range_message_carries_the_core_rule(self, workdir, capsys, argv, flag, rule):
+    def test_out_of_range_message_carries_the_core_rule(
+        self, workdir, capsys, argv, flag, value, rule
+    ):
         make_inputs(workdir)
         with pytest.raises(SystemExit) as exc:
-            main([*argv, flag, "-1"])
+            main([*argv, flag, value])
         assert exc.value.code == 2
-        assert f"argument {flag}: {rule}, got -1" in capsys.readouterr().err
+        assert f"argument {flag}: {rule}, got {value}" in capsys.readouterr().err
         assert not os.path.exists("o.pgm")
+
+    def test_rfnf_seo_takes_a_negative_gain(self, workdir, capsys):
+        make_inputs(workdir)
+        code, report, _ = run_cli(capsys, "rfnf-seo", "--input", "in.pgm", "--output", "o.pgm",
+                                  "--radius", "2", "--lambda", "-0.5")
+        assert (code, report["params"]["lam"]) == (0, -0.5)
 
     def test_shape_mismatch_is_usage_error(self, workdir, capsys):
         rng = np.random.default_rng(2)

@@ -117,6 +117,8 @@ def test_files_and_report_match_the_library(workdir, capsys, name, guided):
     mean_mse = float(np.mean([mse(a, b) for a, b in zip(finals, refs)]))
     params = dict(cmd.params, radius=R, maxval=255,
                   boundary=(cmd.boundary or Boundary.TRUNCATE).value)
+    if "gain" in params:  # rfnf-seo's --lambda, a detail gain, is reported as lam
+        params["lam"] = params.pop("gain")
     if "iters" in params:
         params["iters"] = ITERS
     inputs = {"input": info("in.ppm", 3), "metrics_against": info("ref.ppm", 3)}

@@ -129,18 +129,6 @@ class TestRoll:
         with pytest.raises(ValueError):
             gf_roll(np.ones((4, 4)), np.ones((4, 4)), WindowSpec(1), 0.1, 0)
 
-    @pytest.mark.parametrize("boundary", BOTH)
-    def test_energy_descent(self, boundary):
-        rng = np.random.default_rng(13)
-        p, guide = rng.random((16, 16)), rng.random((16, 16))
-        w = WindowSpec(2, boundary)
-        qs = [p] + gf_roll(p, guide, w, 0.1, 10)
-        energies = []
-        for n in range(1, len(qs)):
-            coeffs = gf_coeffs(qs[n - 1], guide, w, 0.1)
-            energies.append(energy_gf(qs[n], coeffs, guide, w, 0.1).total)
-        assert all(e2 <= e1 + 1e-9 for e1, e2 in zip(energies, energies[1:]))
-
 
 class TestEnergy:
     def test_exact_fit_zero(self):

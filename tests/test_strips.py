@@ -23,6 +23,7 @@ from gfkit.boxops import WindowCounts, box_mean
 from gfkit.cgf import cgf, cgf_roll
 from gfkit.core import Boundary, WindowSpec
 from gfkit.gf import (
+    PixelTerm,
     anchored_update,
     gf,
     gf_apply,
@@ -254,7 +255,7 @@ def test_roll_updates_receive_the_count_factors(pair):
         return f
 
     fit = (guide_moments(guide, TRUNC, 0.05), None)
-    list(roll(p, guide, fit, TRUNC, update, 2))
+    list(roll(p, guide, fit, TRUNC, PixelTerm("probe", update, None), 2))
     assert len(seen) == 2
     for counts in seen:
         assert isinstance(counts, WindowCounts)
