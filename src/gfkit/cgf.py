@@ -66,7 +66,7 @@ def cgf_iterates(
     g = as_image(g)
     require_same_shape(p, guide, g)
     require_finite(g, "the anchor g")  # never box-summed, so box_sum cannot catch it
-    return roll(p, guide, guide_fit(p, guide, w, eps), w, anchor_term(g, lam), iters, tol)
+    return roll(p, guide, guide_fit(p, guide, w, eps, iters), w, anchor_term(g, lam), iters, tol)
 
 
 def cgf_roll(

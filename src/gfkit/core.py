@@ -24,6 +24,11 @@ Image = np.ndarray
 STRIP_BYTES = 1 << 18
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 class Boundary(str, Enum):
     """How a window behaves at the image border."""
 
@@ -39,6 +44,8 @@ class WindowSpec:
     boundary: Boundary = Boundary.TRUNCATE
 
     def __post_init__(self):
+        if not _is_integer(self.radius):
+            raise ValueError(f"window radius must be an integer, got {self.radius!r}")
         if self.radius < 0:
             raise ValueError(f"window radius must be >= 0, got {self.radius}")
 
@@ -110,5 +117,7 @@ def require_params(**params) -> None:
     """Reject a filter parameter outside its range, naming it (see _PARAM_RULES)."""
     for key, value in params.items():
         name, rule, ok = _PARAM_RULES[key]
+        if key == "iters" and not _is_integer(value):  # a count, refused before its range
+            raise ValueError(f"{name} must be an integer, got {value!r}")
         if not ok(value):
             raise ValueError(f"{name} must be {rule}, got {value}")

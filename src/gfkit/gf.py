@@ -23,7 +23,11 @@ those moments); a roll computes the guide moments once and then spends 4
 box passes per iteration (fit and window sums), 2 + 4n in all instead of 6n.
 The pointwise arithmetic after each box pass runs over row strips against
 the window counts' 1-D factors (see ``boxops``), so a roll holds the
-guide's mean and variance but no plane of counts.
+guide's mean and variance but no plane of counts. Each plane lives only
+until its last read: ``fit_coeffs`` boxes guide * p before p, and the roll
+hands each fit to ``window_sum_estimate``, which lets a go once sum(a)
+exists and b once sum(b) does. A refit then holds two float planes
+besides the moments and its input, and a window-sum step three.
 
 When the input is the guide itself (p is guide, the edge-preserving
 smoothing case), the fit needs only the guide's own moments: mean(p) is
@@ -32,7 +36,12 @@ the guide mean and cov(guide, p) its unclamped window variance, so
 bit for bit the same as the general route. A self-guided ``gf``, ``cgf``
 or ``tvgf`` then costs 4 box passes instead of 6, and a self-guided roll
 4n instead of 2 + 4n. The test is object identity, made before any
-conversion; an equal copy takes the general route to the same bits.
+conversion; an equal copy takes the general route to the same bits. When
+no refit follows (one pass, or ``gf_coeffs``) the moments are read only
+by that fit, so it writes b over the window mean and forms var + eps per
+strip: one self-guided pass peaks at 3 float planes (the guide's window
+sum, its square and that square's window sum), a pass against a distinct
+guide at 4 (the guide's mean and var + eps, and two planes of the fit).
 """
 
 from __future__ import annotations
@@ -63,12 +72,14 @@ class GuideMoments:
     """Window statistics of a fixed guide, shared by every fit against it.
 
     ``var_eps`` is the clamped window variance plus the ridge weight eps,
-    the denominator of every slope fit.
+    the denominator of every slope fit. A self-guided fit that no refit
+    reads after (``guide_fit`` at one pass) keeps only the counts, and
+    ``mean`` and ``var_eps`` are None.
     """
 
     counts: WindowCounts
-    mean: Image
-    var_eps: Image
+    mean: Image | None
+    var_eps: Image | None
 
 
 def as_input_and_guide(p, guide) -> tuple[Image, Image]:
@@ -89,32 +100,37 @@ def _check_eps(eps: float) -> None:
 
 
 def _moments(
-    guide: Image, w: WindowSpec, eps: float, fit: bool
+    guide: Image, w: WindowSpec, eps: float, fit: bool, refit: bool = True
 ) -> tuple[GuideMoments, GfCoeffs | None]:
     """The guide's window moments from 2 box passes and, with ``fit``, the
     fit of the guide against itself from the same passes.
 
     With p = guide, cov(guide, p) is the guide's unclamped window variance,
     so a = var / var_eps and b = mean - a * mean need no box pass of their
-    own; both routes share every operation up to that variance.
+    own; both routes share every operation up to that variance. A fit that
+    no ``refit`` reads after writes b over the mean and holds var + eps
+    only per strip, so it keeps no plane but the fit's two.
     """
     _check_eps(eps)
     counts = WindowCounts.of(guide.shape, w)
     mean = box_sum(guide, w)
     var = box_sum(guide * guide, w)  # window sums of guide^2, then the variance
-    var_eps = np.empty_like(var) if fit else var
-    b = np.empty_like(var) if fit else None
+    var_eps, b = var, None  # the moments alone: var + eps in the variance's buffer
+    if fit:  # a takes the variance's buffer, b the mean's if no refit follows
+        var_eps = np.empty_like(var) if refit else None
+        b = np.empty_like(var) if refit else mean
     for rows, n, t in counts.strips():
-        m, v, ve = mean[rows], var[rows], var_eps[rows]
+        m, v = mean[rows], var[rows]
         m /= n
         v /= n
         v -= np.multiply(m, m, out=t)
+        ve = n if var_eps is None else var_eps[rows]  # n is free once both means exist
         np.maximum(v, 0.0, out=ve)
         ve += eps
         if fit:  # a = var / var_eps in the variance's buffer
             v /= ve
-            np.subtract(m, np.multiply(v, m, out=b[rows]), out=b[rows])
-    moments = GuideMoments(counts=counts, mean=mean, var_eps=var_eps)
+            np.subtract(m, np.multiply(v, m, out=t), out=b[rows])
+    moments = GuideMoments(counts=counts, mean=mean if refit else None, var_eps=var_eps)
     return moments, GfCoeffs(a=var, b=b) if fit else None
 
 
@@ -135,10 +151,11 @@ def self_fit(guide: Image, w: WindowSpec, eps: float) -> tuple[GuideMoments, GfC
 def fit_coeffs(p: Image, guide: Image, moments: GuideMoments, w: WindowSpec) -> GfCoeffs:
     """Ridge fit of p against a guide whose moments are given: 2 box passes.
 
-    p and guide must already be float images of the moments' shape.
+    p and guide must already be float images of the moments' shape. The
+    product guide * p dies before the second window sum is allocated.
     """
-    mean_p = box_sum(p, w)  # then b
     a = box_sum(guide * p, w)  # window sums of guide * p, then cov(guide, p), then a
+    mean_p = box_sum(p, w)  # then b
     for rows, n, t in moments.counts.strips():
         mp, ar, mg = mean_p[rows], a[rows], moments.mean[rows]
         mp /= n
@@ -149,15 +166,19 @@ def fit_coeffs(p: Image, guide: Image, moments: GuideMoments, w: WindowSpec) -> 
     return GfCoeffs(a=a, b=mean_p)
 
 
-def guide_fit(p: Image, guide: Image, w: WindowSpec, eps: float) -> tuple[GuideMoments, GfCoeffs]:
-    """The guide's moments and the fit of p against them.
+def guide_fit(
+    p: Image, guide: Image, w: WindowSpec, eps: float, iters: int
+) -> tuple[GuideMoments, GfCoeffs]:
+    """The guide's moments and the fit of p against them, the first fit of
+    a roll of ``iters`` passes.
 
     p and guide must already be float images of one shape. If p is the
-    guide itself, both come from its 2 box passes (``self_fit``);
-    otherwise the fit of p adds 2.
+    guide itself, both come from its 2 box passes (``self_fit``), and at
+    one pass, where no refit reads them, the moments keep only the window
+    counts; otherwise the fit of p adds 2.
     """
     if p is guide:
-        return self_fit(guide, w, eps)
+        return _moments(guide, w, eps, fit=True, refit=iters > 1)
     moments = guide_moments(guide, w, eps)
     return moments, fit_coeffs(p, guide, moments, w)
 
@@ -168,18 +189,25 @@ def gf_coeffs(p: Image, guide: Image, w: WindowSpec, eps: float) -> GfCoeffs:
     a = cov(guide, p) / (var(guide) + eps), b = mean(p) - a * mean(guide).
     eps = 0 is tolerated here for identity checks; the public filters
     require eps > 0. p passed as the guide object itself costs 2 box
-    passes instead of 4.
+    passes instead of 4 and holds no plane of guide moments.
     """
     p, guide = as_input_and_guide(p, guide)
-    return guide_fit(p, guide, w, eps)[1]
+    return guide_fit(p, guide, w, eps, 1)[1]
 
 
 def window_sum_estimate(coeffs: GfCoeffs, guide: Image, w: WindowSpec) -> Image:
     """f = sum(a) * guide + sum(b): every window's estimate of each pixel,
-    summed, the numerator of every forward pixel update. 2 box passes."""
-    f = box_sum(coeffs.a, w)
+    summed, the numerator of every forward pixel update. 2 box passes.
+
+    A caller that hands over its only reference to the fit lets a die once
+    sum(a) exists, and b once sum(b) does.
+    """
+    a, b = coeffs.a, coeffs.b
+    del coeffs
+    f = box_sum(a, w)
+    del a
     f *= guide
-    f += box_sum(coeffs.b, w)
+    f += box_sum(b, w)
     return f
 
 
@@ -237,28 +265,29 @@ def roll(
 
     ``fit`` is the guide's moments and the fit of p against them (from
     ``guide_fit``, or against moments the caller holds); every later pass
-    refits the current iterate against those moments. Each fit is dropped
-    once its window-sum estimate f is built (on the last pass the moments
-    too, all but the counts), and ``term.update(f, counts)`` maps f to the
-    next iterate: 4 box passes a pass after the first fit. Without tol the roll
-    lets go of each iterate once it is fit, so a consumer that drops the
-    iterates it was given holds one at a time.
+    refits the current iterate against those moments. Each fit is handed
+    to ``window_sum_estimate``, so a dies once sum(a) exists and b once
+    sum(b) does (on the last pass the moments die before, all but the
+    counts), and ``term.update(f, counts)`` maps the window sums f to the
+    next iterate: 4 box passes a pass after the first fit. Without tol the
+    roll lets go of each iterate once it is fit, so a consumer that drops
+    the iterates it was given holds one at a time.
     If tol is given, the roll stops after the first iterate with
     max |q_{n+1} - q_n| < tol.
     """
     moments, coeffs = fit
-    del fit
+    fits = [] if coeffs is None else [coeffs]  # the fit's one reference, popped to hand it over
+    del fit, coeffs
     counts = moments.counts
     q = p
     for n in range(iters):
-        if coeffs is None:
-            coeffs = fit_coeffs(q, guide, moments, w)
+        if not fits:
+            fits.append(fit_coeffs(q, guide, moments, w))
         if tol is None:
             q = None  # after its fit only the tol test reads an iterate
         if n == iters - 1:
             moments = None  # no refit follows, so only the counts are needed
-        f = window_sum_estimate(coeffs, guide, w)
-        coeffs = None  # the fit is dropped before the update
+        f = window_sum_estimate(fits.pop(), guide, w)
         prev, q = q, term.update(f, counts)
         del f  # an update that allocates its result frees f before the yield
         yield q
@@ -297,7 +326,7 @@ def gf_iterates(p: Image, guide: Image, w: WindowSpec, eps: float, iters: int) -
     """
     require_params(eps=eps, iters=iters)
     p, guide = as_input_and_guide(p, guide)
-    return roll(p, guide, guide_fit(p, guide, w, eps), w, anchor_term(), iters)
+    return roll(p, guide, guide_fit(p, guide, w, eps, iters), w, anchor_term(), iters)
 
 
 def gf_roll(p: Image, guide: Image, w: WindowSpec, eps: float, iters: int) -> list[Image]:

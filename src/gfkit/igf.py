@@ -30,7 +30,13 @@ def inverse_update(
 ) -> Image:
     """``icgf_update`` without its scans of ``p``, ``g`` and ``prior``, for a
     caller whose inputs already went through a box pass or a scan (the
-    one-shot inverse filters and the rmsf loop's tracks)."""
+    one-shot inverse filters and the rmsf loop's tracks).
+
+    It boxes a * b, then a, then a^2. Besides the fit it holds at most
+    three float planes; a caller that hands over its only reference to the
+    fit (``igf``, ``icgf``) frees b and a on the way, so a self-guided
+    one-shot inverse filter peaks at 3 planes, its fit's included.
+    """
     p = as_image(p)
     prior = as_image(prior)
     require_same_shape(p, prior, coeffs.a, coeffs.b)
@@ -39,15 +45,21 @@ def inverse_update(
         require_same_shape(p, g)
     a, b = coeffs.a, coeffs.b
     # each window sum is folded in as soon as it exists; a caller that
-    # hands over its only reference to the fit lets b die once a * b exists
+    # hands over its only reference to the fit lets b die once a * b
+    # exists and a once a^2 does, each before the box pass that follows
     del coeffs
-    num = box_sum(a, w)
-    num *= p
     ab = a * b
     del b
-    num -= box_sum(ab, w)
+    sum_ab = box_sum(ab, w)
     del ab
-    den = box_sum(a * a, w)
+    num = box_sum(a, w)
+    num *= p
+    num -= sum_ab
+    del sum_ab
+    a2 = a * a
+    del a
+    den = box_sum(a2, w)
+    del a2
     for rows, n, t in WindowCounts.of(p.shape, w).strips():
         num_r, den_r = num[rows], den[rows]
         if lam:

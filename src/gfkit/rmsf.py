@@ -26,7 +26,10 @@ planes, the two tracks, the four fit planes a, b, c and d and the three
 transient planes of a fit or an inverse update, plus a few row-strip
 blocks. Each track's inverse term runs before its forward term, so its
 prior, the old track, dies before the forward window sums exist, and
-every window sum is folded into its term as soon as it exists.
+every window sum is folded into its term as soon as it exists. The loop
+holds each fit by name until its last window sum has returned, so the
+one-pass filters' hand-over of a fit (``gf.window_sum_estimate``,
+``igf.inverse_update``) frees nothing here and the peak stays at 9.
 
 An iteration runs 20 box passes, 7 of which repeat a window sum taken
 earlier in the same iteration: sum(G), sum(q) and sum(qG) in the second

@@ -8,6 +8,7 @@ inline with the measured values they were frozen against.
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from gfkit.gf import anchor_term, energy_gf, gf, gf_coeffs, gf_iterates, gf_roll
 from gfkit.tvgf import tv_term, tvgf, tvgf_iterates
 from gfkit.cgf import cgf, cgf_iterates, cgf_roll
 from gfkit.igf import igf, icgf, DEGENERATE_EPS
-from gfkit.rmsf import cgf_rmsf, energy_mutual, gf_rmsf, naive_roll37
+from gfkit.rmsf import MutualState, cgf_rmsf, energy_mutual, gf_rmsf, naive_roll37
 from gfkit.rfnf import (
     detail_image,
     detail_term,
@@ -73,29 +74,40 @@ DESCENT_INSTANCES = [(300 + s, 32, 3) for s in range(10)] + [(13, 16, 2), (12, 1
 NOT_CCD = {"roll37", "rmsf-cgf"}
 
 
-def _roll_rises(p, iterates, guide, w, eps, term):
+def _roll_row(p, iterates, guide, w, eps, term):
     """The rises of energy_gf plus a scheme's pixel term over its iterates
-    from q0 = p, each iterate priced with the fit it was solved from."""
+    from q0 = p, each iterate priced with the fit it was solved from, and
+    the last step: that energy as a function of q at the last fit, and the
+    last iterate."""
     qs = [p, *iterates]
-    e = [energy_gf(q, gf_coeffs(prev, guide, w, eps), guide, w, eps, term).total
-         for prev, q in zip(qs, qs[1:])]
-    return np.diff(e)
+    fits = [gf_coeffs(q, guide, w, eps) for q in qs[:-1]]
+
+    def energy(q, fit):
+        return energy_gf(q, fit, guide, w, eps, term).total
+
+    rises = np.diff([energy(q, fit) for fit, q in zip(fits, qs[1:])])
+    return rises, partial(energy, fit=fits[-1]), qs[-1]
 
 
-def _inverse_rises(p, G0, G1, w, eps, g, lam):
+def _inverse_row(p, G0, G1, w, eps, g, lam):
     """The rises of an inverse pass G0 -> G1, a block step in G of
-    energy_gf(p, fit, G) + lam * ||G - g||^2, and of the refit after it."""
+    energy_gf(p, fit, G) + lam * ||G - g||^2, and of the refit after it;
+    and the step: that energy as a function of G at fit0, and G1."""
     def energy(G, fit):
         return energy_gf(p, fit, G, w, eps).total + lam * float(np.sum((G - g) ** 2))
 
     fit0 = gf_coeffs(p, G0, w, eps)
-    return np.diff([energy(G0, fit0), energy(G1, fit0), energy(G1, gf_coeffs(p, G1, w, eps))])
+    rises = np.diff([energy(G0, fit0), energy(G1, fit0), energy(G1, gf_coeffs(p, G1, w, eps))])
+    return rises, partial(energy, fit=fit0), G1
 
 
 def descent_table(p, guide, r):
-    """Criterion 02's table at one instance: (filter command, energy rises) per
-    row. A rolling row is (iterates from q0 = p, guide, window, eps, pixel
-    term); the inverse passes and the mutual pair have their own objectives."""
+    """Criterion 02's table at one instance: (filter command, energy rises,
+    last step energy, last step block) per row. A rolling row is (iterates
+    from q0 = p, guide, window, eps, pixel term); the inverse passes and the
+    mutual pair have their own objectives. The last step is the row's final
+    block minimization: its energy as a function of the block it solved
+    for, with everything else held, and the block's value."""
     wt, wp = WindowSpec(r, Boundary.TRUNCATE), WindowSpec(r, Boundary.PERIODIC)
     eps = 0.1
     detail = detail_image(guide, wt, eps)
@@ -112,14 +124,20 @@ def descent_table(p, guide, r):
            detail_term(gain * detail, WindowCounts.of(p.shape, wt))) for gain in (1.5, -0.5)],
     ]
     for name, *row in rows:
-        yield name, _roll_rises(p, *row)
+        yield name, *_roll_row(p, *row)
     for lam in (0.0, 0.01, 2.0, 500.0):  # from the guess G0 = guide, anchored to p
         G1 = icgf(p, guide, p, wt, eps, lam) if lam else igf(p, guide, wt, eps)
-        yield "icgf" if lam else "igf", _inverse_rises(p, guide, G1, wt, eps, p, lam)
+        yield "icgf" if lam else "igf", *_inverse_row(p, guide, G1, wt, eps, p, lam)
     snaps = []
     gf_rmsf(p, guide, eps, 0.05, wt, PASSES, snapshots=snaps)
+    last = snaps[-1]  # its G step, which reads the fresh q
+
+    def energy(G):
+        return energy_mutual(MutualState(last.state.q, G, PASSES), last.ab, last.cd,
+                             wt, eps, 0.05).total
+
     yield "rmsf-gf", np.diff([energy_mutual(s.state, s.ab, s.cd, wt, eps, 0.05).total
-                              for s in snaps])
+                              for s in snaps]), energy, last.state.G
 
 
 def test_criterion_02_ccd_energy_descent():
@@ -129,7 +147,7 @@ def test_criterion_02_ccd_energy_descent():
     for seed, size, r in DESCENT_INSTANCES:
         rng = np.random.default_rng(seed)
         p, guide = rng.random((size, size)), rng.random((size, size))
-        for name, rises in descent_table(p, guide, r):
+        for name, rises, *_ in descent_table(p, guide, r):
             names.add(name)
             worst_rise = max(worst_rise, float(rises.max()))
             assert np.all(rises <= slack), f"{name} rose by {rises.max():.2e} (seed {seed})"
@@ -137,10 +155,33 @@ def test_criterion_02_ccd_energy_descent():
               f"iterations or 1 inverse pass; worst energy rise {worst_rise:.2e} <= 1e-9")
 
 
+def test_criterion_02_last_steps_are_exact():
+    # descent alone passes a step that lowers the energy without minimizing
+    # it; at the minimizer of the last step's block, moving one pixel by
+    # +-delta raises that step's energy by delta^2 times its curvature
+    # there, while a step that leaves a gradient g lowers it on one side
+    # once |g| > delta * curvature
+    seed, size, r = DESCENT_INSTANCES[-3]
+    rng = np.random.default_rng(seed)
+    p, guide = rng.random((size, size)), rng.random((size, size))
+    delta = 1e-5  # the tvgf rows curve by 410: a gradient of 4e-3 shows
+    pixels = [(0, 0), (size // 2, size // 3), (size - 1, size // 2)]  # corner, inside, edge
+    for name, _, energy, x in descent_table(p, guide, r):
+        e0 = energy(x)
+        for pixel in pixels:
+            for step in (delta, -delta):
+                y = x.copy()
+                y[pixel] += step
+                e = energy(y)
+                assert e >= e0, f"{name}: moving {pixel} by {step:+g} lowers it by {e0 - e:.2e}"
+    report(2, f"last steps exact: no +-{delta:g} move of {len(pixels)} pixels lowers "
+              f"any row's energy (seed {seed}, {size}x{size}, r = {r})")
+
+
 @pytest.fixture(scope="module")
 def descent_row_names():
     rng = np.random.default_rng(0)
-    return {name for name, _ in descent_table(rng.random((8, 8)), rng.random((8, 8)), 1)}
+    return {name for name, *_ in descent_table(rng.random((8, 8)), rng.random((8, 8)), 1)}
 
 
 @pytest.mark.parametrize("command", sorted(FILTER_COMMANDS))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from gfkit.core import Boundary, WindowSpec, make_image
+from gfkit.core import Boundary, WindowSpec, make_image, require_params
+from gfkit.gf import gf_roll
+from gfkit.rfnf import rfnf_gen
 
 
 class TestMakeImage:
@@ -36,11 +38,45 @@ class TestWindowSpec:
         assert WindowSpec(3).side == 7
 
     def test_negative_radius(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="window radius must be >= 0"):
             WindowSpec(-1)
+
+    @pytest.mark.parametrize("radius", [2.5, np.float64(2.0), "2", True])
+    def test_non_integer_radius(self, radius):
+        # refused here, not by a range() or a slice inside the first box pass
+        with pytest.raises(ValueError, match="window radius must be an integer"):
+            WindowSpec(radius)
+
+    def test_numpy_integer_radius(self):
+        assert WindowSpec(np.int64(3)).side == 7
 
     def test_periodic_fit(self):
         WindowSpec(3, Boundary.PERIODIC).check_fits((7, 9))
         with pytest.raises(ValueError):
             WindowSpec(3, Boundary.PERIODIC).check_fits((6, 9))
 
+
+
+class TestIterationCounts:
+    X = np.random.default_rng(0).random((12, 12))
+
+    @pytest.mark.parametrize("iters", [2.5, np.float64(2.0), "2"])
+    def test_non_integer_iters_fails_at_the_call(self, iters):
+        with pytest.raises(ValueError, match="iters must be an integer"):
+            require_params(iters=iters)
+        with pytest.raises(ValueError, match="iters must be an integer"):
+            gf_roll(self.X, self.X, WindowSpec(2), 0.1, iters)
+
+    def test_flash_scheme_refuses_non_integer_iters_before_its_moments(self, count_box_passes):
+        def call():
+            with pytest.raises(ValueError, match="iters must be an integer"):
+                rfnf_gen(self.X, self.X, WindowSpec(2), 0.1, 1.0, 1.0, 2.5)
+
+        assert count_box_passes(call) == 0
+
+    def test_out_of_range_integer_keeps_its_message(self):
+        with pytest.raises(ValueError, match="iters must be >= 1, got 0"):
+            require_params(iters=0)
+
+    def test_numpy_integer_iters(self):
+        assert len(gf_roll(self.X, self.X, WindowSpec(np.int32(2)), 0.1, np.int64(2))) == 2

@@ -7,10 +7,11 @@ block, on both boundaries and with anchors zero and nonzero. The strips
 are run at the default byte budget (a quarter of these small planes) and
 at one row each, so that every strip edge and remainder is crossed.
 
-tracemalloc then pins what the strips are for: an rmsf run at 256x256
-holds at most 10 float planes (15 before), no fixed-guide roll holds a
-plane of window counts, and a self-guided igf or icgf frees its fit's b
-early.
+tracemalloc then pins what the strips are for, and the planes each pass
+holds: an rmsf run at 256x256 holds at most 10 float planes (15 before),
+no fixed-guide roll holds a plane of window counts or a fit plane past its
+window sum, a self-guided igf or icgf frees its fit early, and one pass of
+every filter command keeps to its row of ``ONE_PASS_BUDGETS``.
 """
 
 import tracemalloc
@@ -21,6 +22,7 @@ import pytest
 import gfkit.boxops
 from gfkit.boxops import WindowCounts, box_mean
 from gfkit.cgf import cgf, cgf_roll
+from gfkit.cli import FILTER_COMMANDS
 from gfkit.core import Boundary, WindowSpec
 from gfkit.gf import (
     PixelTerm,
@@ -35,7 +37,7 @@ from gfkit.gf import (
 )
 from gfkit.igf import icgf, icgf_update, igf, igf_update
 from gfkit.rfnf import detail_image, enhanced_flash, rfnf_gen, rfnf_seo
-from gfkit.rmsf import alpha_weight, cgf_rmsf, gf_rmsf
+from gfkit.rmsf import alpha_weight, cgf_rmsf, gf_rmsf, naive_roll37
 from gfkit.tvgf import tvgf, tvgf_roll
 from oracles import (
     frozen_alpha_weight,
@@ -208,6 +210,13 @@ def pair():
     return rng.random((SIZE, SIZE)), rng.random((SIZE, SIZE))
 
 
+@pytest.fixture
+def narrow_strips(monkeypatch):
+    # strips of 8 rows: at the default byte budget a strip block is a quarter
+    # of one of these planes, and a strip loop holds three of them
+    monkeypatch.setattr(gfkit.boxops, "STRIP_BYTES", 8 * PLANE // SIZE)
+
+
 @pytest.mark.parametrize("scheme", ["gf_rmsf", "cgf_rmsf"])
 def test_rmsf_holds_at_most_ten_planes(pair, scheme):
     # the two tracks, the four fit planes and the three transient planes of
@@ -222,28 +231,75 @@ def test_rmsf_holds_at_most_ten_planes(pair, scheme):
 
 
 @pytest.mark.parametrize("iters", [1, 3])
-def test_rolls_hold_no_count_plane(pair, iters):
+def test_rolls_hold_no_count_plane(pair, narrow_strips, iters):
     # a pass holds the iterates before it, the guide's mean and var + eps
-    # and the three planes of a refit (the window sums hold fewer); a plane
-    # of window counts would add one more. tvgf also holds its half-spectrum
-    # denominator; rfnf_gen holds its anchor, and only its latest iterate.
+    # and the two planes of a refit (guide * p dies before the second window
+    # sum, and each fit plane once its own window sum exists); a plane of
+    # window counts would add one more. tvgf also holds its half-spectrum
+    # denominator, and its Fourier solve f, the spectra and the output, 1.5
+    # planes above a refit; rfnf_gen holds its anchor, and only its latest
+    # iterate.
     p, guide = pair
-    budget = iters - 1 + 5 + 0.5
+    budget = iters - 1 + 4 + 0.5
     w = WindowSpec(3)
     assert _peak_planes(lambda: gf_roll(p, guide, w, 0.05, iters)) < budget
     assert _peak_planes(lambda: cgf_roll(p, guide, p, w, 0.05, 0.3, iters)) < budget
     assert _peak_planes(lambda: tvgf_roll(p, guide, WindowSpec(3, Boundary.PERIODIC), 0.05, 3.0,
-                                          iters)) < budget + 0.5
-    assert _peak_planes(lambda: rfnf_gen(p, guide, w, 0.05, 0.3, 1.5, 5)) < 1 + 1 + 5 + 0.5
+                                          iters)) < budget + 1.5
+    assert _peak_planes(lambda: rfnf_gen(p, guide, w, 0.05, 0.3, 1.5, 5)) < 1 + 1 + 4 + 0.5
 
 
 def test_self_guided_inverse_lets_the_fit_go(pair):
-    # the fit's a and b, then the numerator, the a * b product and its box
-    # sum: b dies once a * b exists, so four planes and the strip blocks
-    # are alive at the peak (five before)
+    # the fit keeps no guide moments, and of its a and b, b dies once a * b
+    # exists and a once a^2 does: three planes and the strip blocks are
+    # alive at the peak (four before, five before that)
     p, g = pair
-    assert _peak_planes(lambda: igf(p, p, WindowSpec(3), 0.05)) < 5
-    assert _peak_planes(lambda: icgf(p, p, g, WindowSpec(3), 0.05, 0.3)) < 5
+    assert _peak_planes(lambda: igf(p, p, WindowSpec(3), 0.05)) < 4
+    assert _peak_planes(lambda: icgf(p, p, g, WindowSpec(3), 0.05, 0.3)) < 4
+
+
+W3, WP3 = WindowSpec(3), WindowSpec(3, Boundary.PERIODIC)
+# filter command -> [(case, one pass of it on (p, g), float planes it may hold)].
+# Self-guided (the CLI's default): the guide's window sum, its square and that
+# square's window sum; then the fit's a and b, written over those sums; then
+# one fit plane, its window sum and f. A distinct guide adds its mean and
+# var + eps to the fit's two planes. Each budget is that count plus half a
+# plane for the strip blocks and Python's own allocations.
+ONE_PASS_BUDGETS = {
+    "gf": [("self", lambda p, g: gf(p, p, W3, 0.05), 3.5),
+           ("guided", lambda p, g: gf(p, g, W3, 0.05), 4.5)],
+    "cgf": [("self", lambda p, g: cgf(p, p, p, W3, 0.05, 0.3), 3.5)],
+    # the solve holds f, the half spectrum, an FFT intermediate and the
+    # output, besides the half-plane denominator
+    "tvgf": [("self", lambda p, g: tvgf(p, p, WP3, 0.05, 3.0), 5)],
+    # the inverse update boxes a * b, then a, then a^2, each fit plane gone
+    # once its last product exists
+    "igf": [("self", lambda p, g: igf(p, p, W3, 0.05), 3.5)],
+    "icgf": [("self", lambda p, g: icgf(p, p, g, W3, 0.05, 0.3), 3.5)],
+    # the new q, the four fit planes and the three planes of an inverse update
+    "rmsf-gf": [("pair", lambda p, g: gf_rmsf(p, g, 0.01, 0.01, W3, 1), 8.5)],
+    "rmsf-cgf": [("pair", lambda p, g: cgf_rmsf(p, g, 0.01, 0.01, 0.1, 0.1, W3, 1), 8.5)],
+    # q, then a guided pass of G
+    "roll37": [("pair", lambda p, g: naive_roll37(p, g, 0.01, W3, 1), 5.5)],
+    # the flash moments, and the base layer's fit through its window sums
+    "rfnf-seo": [("pair", lambda p, g: rfnf_seo(p, g, W3, 0.05, 0.3, 1), 6.5)],
+    "rfnf-gen": [("pair", lambda p, g: rfnf_gen(p, g, W3, 0.05, 0.3, 1.5, 1), 6.5)],
+}
+
+
+@pytest.mark.parametrize("call,budget", [
+    pytest.param(call, budget, id=f"{command}-{case}")
+    for command, rows in ONE_PASS_BUDGETS.items() for case, call, budget in rows
+])
+def test_one_pass_keeps_to_its_plane_budget(pair, narrow_strips, call, budget):
+    p, g = pair
+    assert _peak_planes(lambda: call(p, g)) < budget
+
+
+@pytest.mark.parametrize("command", sorted(FILTER_COMMANDS))
+def test_every_filter_command_has_a_one_pass_budget(command):
+    # a new filter command joins the one-pass budget table
+    assert ONE_PASS_BUDGETS.get(command)
 
 
 def test_roll_updates_receive_the_count_factors(pair):
