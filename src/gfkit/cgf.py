@@ -58,10 +58,12 @@ def cgf_iterates(
 ) -> Iterator[Image]:
     """The iterates of ``cgf_roll``, each yielded as soon as it exists.
 
-    Parameters and the anchor are checked and the first fit is made at the
-    call.
+    Parameters (tol too, if given) and the anchor are checked and the
+    first fit is made at the call.
     """
     require_params(eps=eps, lam=lam, iters=iters)
+    if tol is not None:
+        require_params(tol=tol)
     p, guide = as_input_and_guide(p, guide)
     g = as_image(g)
     require_same_shape(p, guide, g)

@@ -27,12 +27,12 @@ import numpy as np
 from . import synth
 from .core import Boundary, Image, WindowSpec, require_params
 from .boxops import box_sum
-from .gf import gf, gf_iterates, last_iterate
-from .tvgf import tvgf, tvgf_iterates
+from .gf import gf_iterates, last_iterate
+from .tvgf import tvgf_iterates
 from .cgf import cgf_iterates
 from .igf import icgf, igf
-from .rmsf import cgf_rmsf, cgf_rmsf_iterates, gf_rmsf, gf_rmsf_iterates, naive_roll37_iterates
-from .rfnf import rfnf_gen, rfnf_gen_iterates, rfnf_seo_iterates
+from .rmsf import cgf_rmsf_iterates, gf_rmsf_iterates, naive_roll37_iterates
+from .rfnf import rfnf_gen_iterates, rfnf_seo_iterates
 from .metrics import mse, psnr_from_mse, ssim
 from .imgio import PnmError, quantize, read_pnm_file, write_pnm_file
 
@@ -158,6 +158,23 @@ FILTER_COMMANDS = {
 }
 
 
+def _dest(key: str) -> str:
+    """The args attribute that a PARAM_FLAGS key's flag sets."""
+    return PARAM_FLAGS[key][1].get("dest", key)
+
+
+def _flag_defaults(cmd: FilterCommand) -> dict:
+    """Each of the command's PARAM_FLAGS keys with its default."""
+    return cmd.params if cmd.boundary else {**cmd.params, "boundary": "truncate"}
+
+
+def _filter_params(cmd: FilterCommand, args, w: WindowSpec) -> dict:
+    """The parameters a filter run reports: its flags' values and boundary."""
+    params = {_dest(key): getattr(args, _dest(key)) for key in cmd.params}
+    params["boundary"] = w.boundary.value
+    return params
+
+
 def _add_filter_parser(sub, name: str, cmd: FilterCommand) -> None:
     sp = sub.add_parser(name, help=cmd.help, description=cmd.description)
     sp.add_argument("--input", required=True, help="input image (PGM/PPM)")
@@ -170,12 +187,10 @@ def _add_filter_parser(sub, name: str, cmd: FilterCommand) -> None:
         sp.add_argument("--dump-iterates", action="store_true",
                         help="also write every rolling iterate (16-bit)")
     sp.add_argument("--metrics-against", help="reference image to score the output against")
-    params = dict(cmd.params)
-    if cmd.boundary is None:
-        params["boundary"] = "truncate"
+    defaults = _flag_defaults(cmd)
     for key, (flag, kwargs) in PARAM_FLAGS.items():
-        if key in params:
-            sp.add_argument(flag, default=params[key], **kwargs)
+        if key in defaults:
+            sp.add_argument(flag, default=defaults[key], **kwargs)
     if cmd.g_output:
         sp.add_argument("--g-output", help="also write the filtered guidance track")
     sp.set_defaults(handler=lambda args: _run_filter_command(cmd, args))
@@ -198,13 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="wall-time benchmark on a synthetic image")
     sp.add_argument("--width", type=_positive_int, default=1000)
     sp.add_argument("--height", type=_positive_int, default=1000)
-    sp.add_argument("--filter", choices=("box", "gf", "tvgf", "ssim", *BENCH_ROLLING),
-                    default="gf",
+    sp.add_argument("--filter", choices=("box", "ssim", *FILTER_COMMANDS), default="gf",
                     help="kernel to time; ssim scores the image against the guide, "
-                         f"the rolling schemes run {BENCH_ITERS} iterations")
-    sp.add_argument("--radius", type=_nonneg_int, default=10)
-    sp.add_argument("--eps", type=_param("eps"), default=0.1)
-    sp.add_argument("--lambda", dest="lam", type=_param("lam"), default=45.0)
+                         "a filter command runs at its own defaults")
+    sp.add_argument("--radius", type=_nonneg_int,
+                    help="window radius; defaults to the filter's own (box: 10)")
     sp.add_argument("--repeat", type=_positive_int, default=5)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(handler=_run_bench)
@@ -320,8 +333,7 @@ def _run_filter_command(cmd: FilterCommand, args) -> dict:
             raise ValueError("anchor shape does not match the input")
         report_inputs["anchor"] = _channel_info(args.anchor, anchors)
 
-    boundary = cmd.boundary or Boundary(args.boundary)
-    w = WindowSpec(radius=args.radius, boundary=boundary)
+    w = WindowSpec(args.radius, cmd.boundary or args.boundary)
     done = [
         _filter_channel(cmd, args, w, idx, _take(in_channels, idx), guide, anchors)
         for idx in range(len(in_channels))
@@ -348,10 +360,7 @@ def _run_filter_command(cmd: FilterCommand, args) -> dict:
         for n, path in enumerate(_iterate_paths(args.output, dumped)):
             emit(path, [c.dumps[n] for c in done], ITERATE_MAXVAL)
 
-    dests = (PARAM_FLAGS[k][1].get("dest", k) for k in cmd.params)
-    params = {dest: getattr(args, dest) for dest in dests}
-    params["maxval"] = args.maxval
-    params["boundary"] = boundary.value
+    params = {**_filter_params(cmd, args, w), "maxval": args.maxval}
     return {"inputs": report_inputs, "outputs": outputs, "params": params,
             "metrics": metrics_obj}
 
@@ -371,32 +380,29 @@ def _run_metrics(args) -> dict:
     }
 
 
-# rolling schemes are timed at a fixed iteration count
-BENCH_ITERS = 3
-BENCH_ROLLING = ("rmsf-gf", "rmsf-cgf", "rfnf-gen")
-
-
-def _bench_task(args) -> Callable[[], object]:
-    """The call ``bench`` times. The rolling schemes take --eps for both
-    fits, --lambda for both anchors and tau = 1."""
+def _bench_task(args) -> tuple[Callable[[], object], dict]:
+    """The call ``bench`` times and the parameters it reports. A filter
+    command runs its row at the row's defaults, as one channel of the
+    subcommand does: input and anchor the first synthetic image, guide the
+    second."""
     img = synth.random_image(args.width, args.height, args.seed)
     guide = synth.random_image(args.width, args.height, args.seed + 1)
-    trunc = WindowSpec(args.radius, Boundary.TRUNCATE)
-    periodic = WindowSpec(args.radius, Boundary.PERIODIC)
-    eps, lam = args.eps, args.lam
-    return {
-        "box": lambda: box_sum(img, trunc),
-        "gf": lambda: gf(img, guide, trunc, eps),
-        "tvgf": lambda: tvgf(img, guide, periodic, eps, lam),
-        "ssim": lambda: ssim(img, guide),
-        "rmsf-gf": lambda: gf_rmsf(img, guide, eps, eps, trunc, BENCH_ITERS),
-        "rmsf-cgf": lambda: cgf_rmsf(img, guide, eps, eps, lam, lam, trunc, BENCH_ITERS),
-        "rfnf-gen": lambda: rfnf_gen(img, guide, trunc, eps, lam, 1.0, BENCH_ITERS),
-    }[args.filter]
+    if args.filter == "ssim":
+        return lambda: ssim(img, guide), {}
+    if args.filter == "box":
+        w = WindowSpec(10 if args.radius is None else args.radius)
+        return lambda: box_sum(img, w), {"radius": w.radius}
+    cmd = FILTER_COMMANDS[args.filter]
+    row = argparse.Namespace(**{_dest(k): v for k, v in _flag_defaults(cmd).items()})
+    row.radius = row.radius if args.radius is None else args.radius
+    w = WindowSpec(row.radius, cmd.boundary or row.boundary)
+    passes = getattr(row, "iters", 1)
+    return (lambda: last_iterate(cmd.run(img, guide, img, w, row), passes),
+            _filter_params(cmd, row, w))
 
 
 def _run_bench(args) -> dict:
-    task = _bench_task(args)
+    task, params = _bench_task(args)
     task()  # warm-up pass
     times = []
     for _ in range(args.repeat):
@@ -412,12 +418,8 @@ def _run_bench(args) -> dict:
     return {
         "inputs": {},
         "outputs": [],
-        "params": {
-            "filter": args.filter, "width": args.width, "height": args.height,
-            "radius": args.radius, "eps": args.eps, "lam": args.lam,
-            "repeat": args.repeat, "seed": args.seed,
-            **({"iters": BENCH_ITERS} if args.filter in BENCH_ROLLING else {}),
-        },
+        "params": {"filter": args.filter, "width": args.width, "height": args.height,
+                   "repeat": args.repeat, "seed": args.seed, **params},
         "metrics": None,
         "timings_s": times,
         "median_s": statistics.median(times),

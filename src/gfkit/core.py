@@ -44,6 +44,8 @@ class WindowSpec:
     boundary: Boundary = Boundary.TRUNCATE
 
     def __post_init__(self):
+        # a boundary given by name becomes the member every check compares to
+        object.__setattr__(self, "boundary", Boundary(self.boundary))
         if not _is_integer(self.radius):
             raise ValueError(f"window radius must be an integer, got {self.radius!r}")
         if self.radius < 0:
@@ -109,6 +111,7 @@ _PARAM_RULES = {
     "tau": ("tau", "finite", math.isfinite),
     "gain": ("lambda", "finite", math.isfinite),  # rfnf_seo's detail gain, either sign
     "iters": ("iters", ">= 1", lambda v: v >= 1),
+    "tol": ("tol", "> 0", lambda v: v > 0),  # a roll's early-stop threshold
     "sigma": ("sigma", "finite and >= 0", lambda v: 0 <= v < math.inf),  # synth noise level
 }
 

@@ -40,8 +40,8 @@ from .gf import (
 def _flash_base(flash: Image, w: WindowSpec, eps: float) -> tuple[GuideMoments, Image]:
     """The flash moments and the base layer gf(flash, flash): 4 box passes."""
     require_params(eps=eps)
-    moments, coeffs = self_fit(flash, w, eps)
-    return moments, anchored_update(window_sum_estimate(coeffs, flash, w), moments.counts)
+    moments, *fit = self_fit(flash, w, eps)  # the fit's one reference, popped to hand it over
+    return moments, anchored_update(window_sum_estimate(fit.pop(), flash, w), moments.counts)
 
 
 def _enhance(flash: Image, base: Image, tau: float) -> Image:

@@ -54,9 +54,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EnergyReport, Image, WindowSpec, as_image, require_params, require_same_shape
-from .gf import GfCoeffs, anchored_update, gf, gf_coeffs, last_iterate, window_sum_estimate
+from .gf import (
+    GfCoeffs,
+    anchored_update,
+    energy_gf,
+    gf,
+    gf_coeffs,
+    last_iterate,
+    window_sum_estimate,
+)
 from .igf import inverse_update
-from .boxops import WindowCounts, box_sum, row_strips, window_values
+from .boxops import WindowCounts, box_sum, row_strips
 
 
 @dataclass
@@ -265,31 +273,10 @@ def energy_mutual(
     eps: float,
     eps2: float,
 ) -> EnergyReport:
-    """Exact value of the two-track objective at (q, G, a, b, c, d).
-
-    Explicit per-window summation; the forward half is ridge-weighted by
-    eps, the inverse half by eps2.
-    """
-    q = as_image(state.q)
-    G = as_image(state.G)
-    require_same_shape(q, G, coeffs_ab.a, coeffs_cd.a)
-    w.check_fits(q.shape)
-    h, width = q.shape
-    data_q = ridge_a = data_g = ridge_c = 0.0
-    for ky in range(h):
-        for kx in range(width):
-            qwin = window_values(q, ky, kx, w)
-            gwin = window_values(G, ky, kx, w)
-            ak = coeffs_ab.a[ky, kx]
-            bk = coeffs_ab.b[ky, kx]
-            ck = coeffs_cd.a[ky, kx]
-            dk = coeffs_cd.b[ky, kx]
-            data_q += float(np.sum((ak * gwin + bk - qwin) ** 2))
-            ridge_a += qwin.size * eps * ak * ak
-            data_g += float(np.sum((ck * qwin + dk - gwin) ** 2))
-            ridge_c += qwin.size * eps2 * ck * ck
-    total = data_q + ridge_a + data_g + ridge_c
-    return EnergyReport(
-        total=total,
-        terms={"data_q": data_q, "ridge_a": ridge_a, "data_g": data_g, "ridge_c": ridge_c},
-    )
+    """Exact value of the two-track objective at (q, G, a, b, c, d): the
+    ``energy_gf`` of q on G at eps plus that of G on q at eps2."""
+    forward = energy_gf(state.q, coeffs_ab, state.G, w, eps).terms
+    inverse = energy_gf(state.G, coeffs_cd, state.q, w, eps2).terms
+    terms = {"data_q": forward["data"], "ridge_a": forward["ridge"],
+             "data_g": inverse["data"], "ridge_c": inverse["ridge"]}
+    return EnergyReport(total=sum(terms.values()), terms=terms)

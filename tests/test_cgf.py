@@ -4,7 +4,7 @@ import pytest
 from gfkit.core import Boundary, WindowSpec, make_image
 from gfkit.boxops import naive_box_sum
 from gfkit.gf import GfCoeffs, gf, gf_coeffs, energy_gf
-from gfkit.cgf import anchor_weight, cgf, cgf_roll, energy_cgf
+from gfkit.cgf import anchor_weight, cgf, cgf_iterates, cgf_roll, energy_cgf
 
 W = WindowSpec(2, Boundary.TRUNCATE)
 
@@ -104,6 +104,23 @@ class TestRoll:
     def test_bad_iters(self):
         with pytest.raises(ValueError):
             cgf_roll(np.ones((4, 4)), np.ones((4, 4)), np.ones((4, 4)), W, 0.1, 1.0, 0)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("-inf")])
+    def test_bad_tol(self, tol):
+        # such a tol never stops the roll, which then ran its whole budget
+        ones = np.ones((4, 4))
+        with pytest.raises(ValueError, match=f"tol must be > 0, got {tol}"):
+            cgf_roll(ones, ones, ones, W, 0.1, 1.0, 8, tol=tol)
+
+    def test_tol_checked_at_the_call(self, count_box_passes):
+        # refused before the first fit, not at the tol test after the first pass
+        ones = np.ones((4, 4))
+
+        def call():
+            with pytest.raises(TypeError):
+                cgf_iterates(ones, ones, ones, W, 0.1, 1.0, 8, tol="1e-3")
+
+        assert count_box_passes(call) == 0
 
 
 class TestEnergy:

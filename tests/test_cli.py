@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from gfkit.cli import build_parser, main
+from gfkit.cli import FILTER_COMMANDS, build_parser, main
 from gfkit.imgio import read_pnm_file, write_pnm_file
 from gfkit.metrics import mse, ssim
 
@@ -233,8 +233,6 @@ class TestExitCodes:
              "lambda must be finite"),
             (["roll37", "--input", "in.pgm", "--output", "o.pgm"], "--iters", "-1",
              "iters must be >= 1"),
-            (["bench"], "--eps", "-1", "eps must be > 0"),
-            (["bench"], "--lambda", "-1", "lambda must be finite and >= 0"),
             (["synth", "--kind", "noise", "--output", "o.pgm"], "--sigma", "-1",
              "sigma must be finite and >= 0"),
         ],
@@ -457,7 +455,7 @@ class TestBenchCommand:
         # one untimed 64x64 gf call: at least its output plane, at most 16 planes
         assert 64 * 64 * 8 <= report["peak_mb"] * 1e6 <= 16 * 64 * 64 * 8
 
-    @pytest.mark.parametrize("kernel", ["box", "tvgf", "ssim", "rmsf-gf", "rmsf-cgf", "rfnf-gen"])
+    @pytest.mark.parametrize("kernel", ["box", "ssim", *FILTER_COMMANDS])
     def test_every_kernel_reports(self, workdir, capsys, kernel):
         code, report, _ = run_cli(
             capsys, "bench", "--width", "64", "--height", "48",
@@ -465,12 +463,35 @@ class TestBenchCommand:
         )
         assert code == 0
         jsonschema.validate(report, SCHEMA)
-        assert report["params"]["filter"] == kernel
-        # the rolling schemes run a fixed number of iterations
-        assert report["params"].get("iters") == (3 if kernel[:4] in ("rmsf", "rfnf") else None)
+        params = dict(report["params"])
+        assert params.pop("filter") == kernel
+        assert [params.pop(k) for k in ("width", "height", "repeat", "seed")] == [64, 48, 2, 0]
+        if kernel in FILTER_COMMANDS:
+            # a filter runs its subcommand's row, at the subcommand's defaults
+            make_inputs(workdir)
+            code, run, _ = run_cli(capsys, kernel, "--input", "in.pgm", "--output", "o.pgm",
+                                   "--radius", "3")
+            assert code == 0
+            assert params == {k: v for k, v in run["params"].items() if k != "maxval"}
+        else:
+            assert params == ({"radius": 3} if kernel == "box" else {})
         assert len(report["timings_s"]) == 2
         assert report["median_s"] > 0
         assert report["peak_mb"] > 0
+
+    def test_filter_radius_defaults_to_its_row(self, workdir, capsys):
+        for kernel, radius in (("box", 10), ("gf", 10), ("cgf", 6)):
+            code, report, _ = run_cli(capsys, "bench", "--width", "32", "--height", "32",
+                                      "--filter", kernel, "--repeat", "1")
+            assert (code, report["params"]["radius"]) == (0, radius)
+
+    @pytest.mark.parametrize("flag", [["--eps", "0.1"], ["--lambda", "1"]])
+    def test_removed_flag_is_usage_error(self, workdir, capsys, flag):
+        # every filter runs at its own row's parameters
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--width", "8", "--height", "8", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_ssim_too_small_is_usage_error(self, workdir, capsys):
         code, _, err = run_cli(

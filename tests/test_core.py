@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from gfkit.core import Boundary, WindowSpec, make_image, require_params
-from gfkit.gf import gf_roll
+from gfkit.gf import gf, gf_roll
 from gfkit.rfnf import rfnf_gen
+from gfkit.tvgf import tvgf
 
 
 class TestMakeImage:
@@ -54,6 +55,29 @@ class TestWindowSpec:
         WindowSpec(3, Boundary.PERIODIC).check_fits((7, 9))
         with pytest.raises(ValueError):
             WindowSpec(3, Boundary.PERIODIC).check_fits((6, 9))
+
+    def test_boundary_by_name(self):
+        assert WindowSpec(3, "periodic").boundary is Boundary.PERIODIC
+        assert WindowSpec(3, "truncate").boundary is Boundary.TRUNCATE
+
+    @pytest.mark.parametrize("boundary", ["wrap", "Periodic", "", None])
+    def test_unknown_boundary_refused_at_the_spec(self, boundary):
+        with pytest.raises(ValueError, match="is not a valid Boundary"):
+            WindowSpec(3, boundary)
+
+    def test_boundary_by_name_filters_periodic(self):
+        # the name once passed every `is Boundary.PERIODIC` test as truncate
+        rng = np.random.default_rng(4)
+        p, g = rng.random((12, 10)), rng.random((12, 10))
+        by_name = gf(p, g, WindowSpec(3, "periodic"), 0.05)
+        assert np.array_equal(by_name, gf(p, g, WindowSpec(3, Boundary.PERIODIC), 0.05))
+        assert not np.array_equal(by_name, gf(p, g, WindowSpec(3), 0.05))
+
+    def test_tvgf_takes_a_periodic_window_by_name(self):
+        rng = np.random.default_rng(5)
+        p = rng.random((12, 10))
+        got = tvgf(p, p, WindowSpec(2, "periodic"), 0.05, 3.0)
+        assert np.array_equal(got, tvgf(p, p, WindowSpec(2, Boundary.PERIODIC), 0.05, 3.0))
 
 
 

@@ -281,9 +281,9 @@ ONE_PASS_BUDGETS = {
     "rmsf-cgf": [("pair", lambda p, g: cgf_rmsf(p, g, 0.01, 0.01, 0.1, 0.1, W3, 1), 8.5)],
     # q, then a guided pass of G
     "roll37": [("pair", lambda p, g: naive_roll37(p, g, 0.01, W3, 1), 5.5)],
-    # the flash moments, and the base layer's fit through its window sums
-    "rfnf-seo": [("pair", lambda p, g: rfnf_seo(p, g, W3, 0.05, 0.3, 1), 6.5)],
-    "rfnf-gen": [("pair", lambda p, g: rfnf_gen(p, g, W3, 0.05, 0.3, 1.5, 1), 6.5)],
+    # the flash moments, and the base layer's fit handed to its window sums
+    "rfnf-seo": [("pair", lambda p, g: rfnf_seo(p, g, W3, 0.05, 0.3, 1), 5.5)],
+    "rfnf-gen": [("pair", lambda p, g: rfnf_gen(p, g, W3, 0.05, 0.3, 1.5, 1), 5.5)],
 }
 
 
