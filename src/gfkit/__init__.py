@@ -7,7 +7,7 @@ machine-checkable property (see the ``energy_*`` evaluators).
 """
 
 from .core import Boundary, EnergyReport, Image, WindowSpec, make_image
-from .boxops import box_cov, box_mean, box_sum, box_var, naive_box_sum, window_counts
+from .boxops import box_mean, box_sum, window_counts
 from .gf import GfCoeffs, energy_gf, gf, gf_apply, gf_coeffs, gf_roll
 from .tvgf import energy_tvgf, tv_denominator, tvgf, tvgf_roll, tvgf_solve_q
 from .cgf import anchor_weight, cgf, cgf_roll, energy_cgf
@@ -38,10 +38,8 @@ __all__ = [
     "WindowSpec",
     "alpha_weight",
     "anchor_weight",
-    "box_cov",
     "box_mean",
     "box_sum",
-    "box_var",
     "cgf",
     "cgf_rmsf",
     "cgf_roll",
@@ -60,7 +58,6 @@ __all__ = [
     "igf",
     "make_image",
     "mse",
-    "naive_box_sum",
     "naive_roll37",
     "psnr",
     "quantize",

@@ -1,7 +1,7 @@
-"""O(1)-per-pixel sliding-window sums, means, variances and covariances.
+"""O(1)-per-pixel sliding-window sums and means: the one window primitive.
 
-These are the windowed-average primitives every filter in the package is
-assembled from. ``box_sum`` makes one pass per axis, each at a cost
+Every filter in the package, and the energy that prices it, is
+assembled from these. ``box_sum`` makes one pass per axis, each at a cost
 independent of the radius. Down the columns it keeps a running sum one
 row at a time: row 0 holds the first window's rows, every later row the
 window's change (the row that enters minus the row that leaves), and one
@@ -9,9 +9,8 @@ contiguous ``np.add`` per row accumulates them. Along the rows it runs
 scipy's C running mean (``scipy.ndimage.uniform_filter1d``) in place on
 that plane: zero extension gives the truncated window, wrap extension
 the periodic one. A NaN or Inf in the input survives to the last row of
-its column, so one row test rejects it. ``naive_box_sum`` re-derives
-the same quantity by direct per-offset summation and serves as the test
-oracle.
+its column, so one row test rejects it. The tests re-derive the same
+sums by direct per-offset summation, with no running sum.
 
 Every filter step that follows a box pass is pointwise: each output pixel
 is a few arithmetic operations on the window sums, the inputs and the
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 
-from .core import STRIP_BYTES, Boundary, Image, WindowSpec, as_image, require_same_shape
+from .core import STRIP_BYTES, Boundary, Image, WindowSpec, as_image
 
 _NON_FINITE = "NaN or Inf in the input of a box sum"
 
@@ -158,54 +157,3 @@ def box_mean(x: Image, w: WindowSpec) -> Image:
     for rows, n in WindowCounts.of(x.shape, w).strips(0):
         out[rows] /= n
     return out
-
-
-def box_var(x: Image, w: WindowSpec) -> Image:
-    """Windowed variance E(x^2) - E(x)^2, clamped at 0 against round-off."""
-    x = _validate(x, w)
-    m = box_mean(x, w)
-    v = box_mean(x * x, w) - m * m
-    return np.maximum(v, 0.0)
-
-
-def box_cov(x: Image, y: Image, w: WindowSpec) -> Image:
-    """Windowed covariance E(xy) - E(x)E(y) (not clamped)."""
-    x = as_image(x)
-    y = as_image(y)
-    require_same_shape(x, y)
-    w.check_fits(x.shape)
-    return box_mean(x * y, w) - box_mean(x, w) * box_mean(y, w)
-
-
-def naive_box_sum(x: Image, w: WindowSpec) -> Image:
-    """Same contract as box_sum, by direct summation over every window offset.
-
-    O(|w|) work per pixel; no running sums anywhere, so it is an independent
-    oracle for the running-sum fast path.
-    """
-    x = _validate(x, w)
-    h, width = x.shape
-    r = w.radius
-    out = np.zeros_like(x)
-    if w.boundary is Boundary.PERIODIC:
-        for dy in range(-r, r + 1):
-            for dx in range(-r, r + 1):
-                out += np.roll(x, (-dy, -dx), axis=(0, 1))
-    else:
-        padded = np.zeros((h + 2 * r, width + 2 * r), dtype=np.float64)
-        padded[r : r + h, r : r + width] = x
-        for dy in range(2 * r + 1):
-            for dx in range(2 * r + 1):
-                out += padded[dy : dy + h, dx : dx + width]
-    return out
-
-
-def window_values(x: Image, ky: int, kx: int, w: WindowSpec) -> np.ndarray:
-    """Pixels of the window centered at (ky, kx), clipped or wrapped."""
-    h, width = x.shape
-    r = w.radius
-    if w.boundary is Boundary.PERIODIC:
-        ys = np.arange(ky - r, ky + r + 1) % h
-        xs = np.arange(kx - r, kx + r + 1) % width
-        return x[np.ix_(ys, xs)]
-    return x[max(0, ky - r) : min(h, ky + r + 1), max(0, kx - r) : min(width, kx + r + 1)]

@@ -383,12 +383,12 @@ def _run_metrics(args) -> dict:
 def _bench_task(args) -> tuple[Callable[[], object], dict]:
     """The call ``bench`` times and the parameters it reports. A filter
     command runs its row at the row's defaults, as one channel of the
-    subcommand does: input and anchor the first synthetic image, guide the
-    second."""
+    subcommand does without --guidance and --anchor: the synthetic image is
+    input, guide and anchor. ``ssim`` compares it with a second image."""
     img = synth.random_image(args.width, args.height, args.seed)
-    guide = synth.random_image(args.width, args.height, args.seed + 1)
     if args.filter == "ssim":
-        return lambda: ssim(img, guide), {}
+        other = synth.random_image(args.width, args.height, args.seed + 1)
+        return lambda: ssim(img, other), {}
     if args.filter == "box":
         w = WindowSpec(10 if args.radius is None else args.radius)
         return lambda: box_sum(img, w), {"radius": w.radius}
@@ -397,7 +397,7 @@ def _bench_task(args) -> tuple[Callable[[], object], dict]:
     row.radius = row.radius if args.radius is None else args.radius
     w = WindowSpec(row.radius, cmd.boundary or row.boundary)
     passes = getattr(row, "iters", 1)
-    return (lambda: last_iterate(cmd.run(img, guide, img, w, row), passes),
+    return (lambda: last_iterate(cmd.run(img, img, img, w, row), passes),
             _filter_params(cmd, row, w))
 
 

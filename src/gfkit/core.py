@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
@@ -105,6 +106,7 @@ def require_same_shape(*images: Image) -> None:
 # keyword -> (name in the message, requirement, test); NaN fails every test
 _PARAM_RULES = {
     "eps": ("eps", "> 0", lambda v: v > 0),
+    "fit_eps": ("eps", ">= 0", lambda v: v >= 0),  # a fit's ridge; 0 for identity checks
     "eps2": ("eps2", "> 0", lambda v: v > 0),
     "lam": ("lambda", "finite and >= 0", lambda v: 0 <= v < math.inf),
     "beta": ("beta", "finite and >= 0", lambda v: 0 <= v < math.inf),
@@ -117,10 +119,16 @@ _PARAM_RULES = {
 
 
 def require_params(**params) -> None:
-    """Reject a filter parameter outside its range, naming it (see _PARAM_RULES)."""
+    """Reject a filter parameter outside its range, naming it (see _PARAM_RULES).
+
+    A value of the wrong kind is refused before its range: ``iters`` must be
+    an integer, every other parameter a real number, and no bool is either.
+    """
     for key, value in params.items():
         name, rule, ok = _PARAM_RULES[key]
-        if key == "iters" and not _is_integer(value):  # a count, refused before its range
+        if key == "iters" and not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(value, Real) or isinstance(value, bool):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
         if not ok(value):
             raise ValueError(f"{name} must be {rule}, got {value}")

@@ -15,6 +15,8 @@ window count:
 ``roll`` runs the loop for all of them. Each pass continues the same
 block-coordinate minimization, so ``energy_gf`` with the scheme's term
 never increases between passes; ``gf`` is the one-pass case of ``gf_roll``.
+``energy_gf`` prices the objective from the same box sums as the fit (5
+box passes, in closed form), so the descent can be checked at any size.
 
 The guide is a constant of that objective, so its window counts, mean and
 variance are constants of every pass. ``gf_coeffs`` is the composition of
@@ -54,7 +56,7 @@ from typing import TypeVar
 import numpy as np
 
 from .core import EnergyReport, Image, WindowSpec, as_image, require_params, require_same_shape
-from .boxops import WindowCounts, box_sum, window_values
+from .boxops import WindowCounts, box_sum
 
 T = TypeVar("T")  # one iterate: an image, or a rolling pair's MutualState
 
@@ -94,11 +96,6 @@ def as_input_and_guide(p, guide) -> tuple[Image, Image]:
     return p, guide
 
 
-def _check_eps(eps: float) -> None:
-    if not eps >= 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-
-
 def _moments(
     guide: Image, w: WindowSpec, eps: float, fit: bool, refit: bool = True
 ) -> tuple[GuideMoments, GfCoeffs | None]:
@@ -111,7 +108,7 @@ def _moments(
     no ``refit`` reads after writes b over the mean and holds var + eps
     only per strip, so it keeps no plane but the fit's two.
     """
-    _check_eps(eps)
+    require_params(fit_eps=eps)
     counts = WindowCounts.of(guide.shape, w)
     mean = box_sum(guide, w)
     var = box_sum(guide * guide, w)  # window sums of guide^2, then the variance
@@ -344,25 +341,32 @@ def energy_gf(q: Image, coeffs: GfCoeffs, guide: Image, w: WindowSpec, eps: floa
     """Exact value of the window-wise least-squares objective at (q, a, b),
     plus the pixel term if given, reported under its name.
 
-    Slow explicit per-window summation on purpose: this is the oracle the
-    descent tests rely on, so it must not share the box-filter fast path.
+    With S_x the window sum box_sum(x) at window k and n its count, the
+    data term of k is a^2 S_GG + 2ab S_G + n b^2 - 2a S_Gq - 2b S_q + S_qq,
+    and its ridge eps * n * a^2: 5 box passes, each folded into the
+    per-window data as soon as it exists, so an energy costs about as much
+    as one guided-filter pass at any size. The independent check is the
+    pixel-by-pixel sum in ``tests/oracles.py``.
     """
     q = as_image(q)
     guide = as_image(guide)
-    require_same_shape(q, guide, coeffs.a, coeffs.b)
+    a, b = coeffs.a, coeffs.b
+    require_same_shape(q, guide, a, b)
     w.check_fits(q.shape)
-    h, width = q.shape
-    data = 0.0
+    # G - c, q - d and b + a c - d leave every residual as it is; at the means
+    # c and d, the sums that cancel scale with the images' spread, not level
+    c, d = float(np.mean(guide)), float(np.mean(q))
+    g0, q0, b = guide - c, q - d, b + (a * c - d)
+    data = box_sum(q0 * q0, w)  # S_qq, then each window's data term
+    data -= 2.0 * b * box_sum(q0, w)
+    data -= 2.0 * a * box_sum(g0 * q0, w)
+    data += 2.0 * a * b * box_sum(g0, w)
+    data += a * a * box_sum(g0 * g0, w)
     ridge = 0.0
-    for ky in range(h):
-        for kx in range(width):
-            gwin = window_values(guide, ky, kx, w)
-            qwin = window_values(q, ky, kx, w)
-            ak = coeffs.a[ky, kx]
-            bk = coeffs.b[ky, kx]
-            data += float(np.sum((ak * gwin + bk - qwin) ** 2))
-            ridge += gwin.size * eps * ak * ak
-    terms = {"data": data, "ridge": ridge}
+    for rows, n in WindowCounts.of(q.shape, w).strips(0):
+        data[rows] += n * b[rows] ** 2
+        ridge += eps * float(np.sum(n * a[rows] ** 2))
+    terms = {"data": float(np.sum(data)), "ridge": ridge}
     if term is not None:
         terms[term.name] = term.value(q)
     return EnergyReport(total=sum(terms.values()), terms=terms)

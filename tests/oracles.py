@@ -12,9 +12,43 @@ same ``box_sum`` and repeats every pointwise operation in its old order.
 
 import numpy as np
 
-from gfkit.core import Boundary, WindowSpec
-from gfkit.boxops import box_sum, window_values
+from gfkit.core import Boundary, WindowSpec, as_image
+from gfkit.boxops import box_sum
 from gfkit.tvgf import tvgf_solve_q
+
+
+def window_values(x, ky, kx, w: WindowSpec):
+    """Pixels of the window centered at (ky, kx), clipped or wrapped."""
+    h, width = x.shape
+    r = w.radius
+    if w.boundary is Boundary.PERIODIC:
+        ys = np.arange(ky - r, ky + r + 1) % h
+        xs = np.arange(kx - r, kx + r + 1) % width
+        return x[np.ix_(ys, xs)]
+    return x[max(0, ky - r) : min(h, ky + r + 1), max(0, kx - r) : min(width, kx + r + 1)]
+
+
+def naive_box_sum(x, w: WindowSpec):
+    """Same contract as box_sum, by direct summation over every window offset.
+
+    O(|w|) work per pixel and no running sums anywhere.
+    """
+    x = as_image(x)
+    w.check_fits(x.shape)
+    h, width = x.shape
+    r = w.radius
+    out = np.zeros_like(x)
+    if w.boundary is Boundary.PERIODIC:
+        for dy in range(-r, r + 1):
+            for dx in range(-r, r + 1):
+                out += np.roll(x, (-dy, -dx), axis=(0, 1))
+    else:
+        padded = np.zeros((h + 2 * r, width + 2 * r), dtype=np.float64)
+        padded[r : r + h, r : r + width] = x
+        for dy in range(2 * r + 1):
+            for dx in range(2 * r + 1):
+                out += padded[dy : dy + h, dx : dx + width]
+    return out
 
 
 def gather_centers(x, ky, kx, w: WindowSpec):

@@ -34,7 +34,7 @@ from gfkit.metrics import mse, psnr, ssim
 from gfkit.imgio import PnmError, read_pnm, write_pnm
 from gfkit import synth
 
-from oracles import naive_gf
+from oracles import energy_gf_reordered, naive_gf
 from test_imgio import MALFORMED
 
 
@@ -74,70 +74,92 @@ DESCENT_INSTANCES = [(300 + s, 32, 3) for s in range(10)] + [(13, 16, 2), (12, 1
 NOT_CCD = {"roll37", "rmsf-cgf"}
 
 
+def _oracle_gf(q, fit, guide, w, eps):
+    """energy_gf's data and ridge, summed pixel by pixel."""
+    return energy_gf_reordered(q, fit.a, fit.b, guide, w, eps)
+
+
 def _roll_row(p, iterates, guide, w, eps, term):
     """The rises of energy_gf plus a scheme's pixel term over its iterates
     from q0 = p, each iterate priced with the fit it was solved from, and
-    the last step: that energy as a function of q at the last fit, and the
-    last iterate."""
+    the last step: that energy as a function of q at the last fit, the same
+    by the per-window oracle, and the last iterate."""
     qs = [p, *iterates]
     fits = [gf_coeffs(q, guide, w, eps) for q in qs[:-1]]
 
     def energy(q, fit):
         return energy_gf(q, fit, guide, w, eps, term).total
 
+    def oracle(q, fit):
+        return _oracle_gf(q, fit, guide, w, eps) + (term.value(q) if term else 0.0)
+
     rises = np.diff([energy(q, fit) for fit, q in zip(fits, qs[1:])])
-    return rises, partial(energy, fit=fits[-1]), qs[-1]
+    return rises, partial(energy, fit=fits[-1]), partial(oracle, fit=fits[-1]), qs[-1]
 
 
 def _inverse_row(p, G0, G1, w, eps, g, lam):
     """The rises of an inverse pass G0 -> G1, a block step in G of
     energy_gf(p, fit, G) + lam * ||G - g||^2, and of the refit after it;
-    and the step: that energy as a function of G at fit0, and G1."""
+    and the step: that energy as a function of G at fit0, the same by the
+    oracle, and G1."""
     def energy(G, fit):
         return energy_gf(p, fit, G, w, eps).total + lam * float(np.sum((G - g) ** 2))
 
+    def oracle(G, fit):
+        return _oracle_gf(p, fit, G, w, eps) + lam * float(np.sum((G - g) ** 2))
+
     fit0 = gf_coeffs(p, G0, w, eps)
     rises = np.diff([energy(G0, fit0), energy(G1, fit0), energy(G1, gf_coeffs(p, G1, w, eps))])
-    return rises, partial(energy, fit=fit0), G1
+    return rises, partial(energy, fit=fit0), partial(oracle, fit=fit0), G1
+
+
+def fixed_guide_rows(p, guide, w, eps=0.1):
+    """The fixed-guide rows of criterion 02 on window w, each a
+    ``_roll_row``; tvgf runs on periodic windows only."""
+    detail = detail_image(guide, w, eps)
+    counts = WindowCounts.of(p.shape, w)
+    rows = [
+        ("gf", gf_iterates(p, guide, w, eps, PASSES), None),
+        ("cgf", cgf_iterates(p, guide, p, w, eps, 2.0, PASSES), anchor_term(p, 2.0)),
+        ("rfnf-gen", rfnf_gen_iterates(p, guide, w, eps, 2.0, 1.5, PASSES),
+         anchor_term(enhanced_flash(guide, w, eps, 1.5), 2.0)),
+        *[("rfnf-seo", rfnf_seo_iterates(p, guide, w, eps, gain, PASSES),
+           detail_term(gain * detail, counts)) for gain in (1.5, -0.5)],
+    ]
+    if w.boundary is Boundary.PERIODIC:
+        rows.append(("tvgf", tvgf_iterates(p, guide, w, eps, 45.0, PASSES),
+                     tv_term(p.shape, w, 45.0)))
+    for name, iterates, term in rows:
+        yield name, *_roll_row(p, iterates, guide, w, eps, term)
 
 
 def descent_table(p, guide, r):
     """Criterion 02's table at one instance: (filter command, energy rises,
-    last step energy, last step block) per row. A rolling row is (iterates
-    from q0 = p, guide, window, eps, pixel term); the inverse passes and the
+    last step energy, the same by the oracle, last step block) per row. The
+    fixed-guide rows run on both boundaries; the inverse passes and the
     mutual pair have their own objectives. The last step is the row's final
     block minimization: its energy as a function of the block it solved
     for, with everything else held, and the block's value."""
     wt, wp = WindowSpec(r, Boundary.TRUNCATE), WindowSpec(r, Boundary.PERIODIC)
     eps = 0.1
-    detail = detail_image(guide, wt, eps)
-    rows = [
-        ("gf", gf_iterates(p, guide, wt, eps, PASSES), guide, wt, eps, None),
-        ("gf", gf_iterates(p, guide, wp, eps, PASSES), guide, wp, eps, None),
-        ("tvgf", tvgf_iterates(p, guide, wp, eps, 45.0, PASSES), guide, wp, eps,
-         tv_term(p.shape, wp, 45.0)),
-        ("cgf", cgf_iterates(p, guide, p, wt, eps, 2.0, PASSES), guide, wt, eps,
-         anchor_term(p, 2.0)),
-        ("rfnf-gen", rfnf_gen_iterates(p, guide, wt, eps, 2.0, 1.5, PASSES), guide, wt, eps,
-         anchor_term(enhanced_flash(guide, wt, eps, 1.5), 2.0)),
-        *[("rfnf-seo", rfnf_seo_iterates(p, guide, wt, eps, gain, PASSES), guide, wt, eps,
-           detail_term(gain * detail, WindowCounts.of(p.shape, wt))) for gain in (1.5, -0.5)],
-    ]
-    for name, *row in rows:
-        yield name, *_roll_row(p, *row)
+    yield from fixed_guide_rows(p, guide, wt, eps)
+    yield from fixed_guide_rows(p, guide, wp, eps)
     for lam in (0.0, 0.01, 2.0, 500.0):  # from the guess G0 = guide, anchored to p
         G1 = icgf(p, guide, p, wt, eps, lam) if lam else igf(p, guide, wt, eps)
         yield "icgf" if lam else "igf", *_inverse_row(p, guide, G1, wt, eps, p, lam)
     snaps = []
     gf_rmsf(p, guide, eps, 0.05, wt, PASSES, snapshots=snaps)
     last = snaps[-1]  # its G step, which reads the fresh q
+    q, ab, cd = last.state.q, last.ab, last.cd
 
     def energy(G):
-        return energy_mutual(MutualState(last.state.q, G, PASSES), last.ab, last.cd,
-                             wt, eps, 0.05).total
+        return energy_mutual(MutualState(q, G, PASSES), ab, cd, wt, eps, 0.05).total
+
+    def oracle(G):
+        return _oracle_gf(q, ab, G, wt, eps) + _oracle_gf(G, cd, q, wt, 0.05)
 
     yield "rmsf-gf", np.diff([energy_mutual(s.state, s.ab, s.cd, wt, eps, 0.05).total
-                              for s in snaps]), energy, last.state.G
+                              for s in snaps]), energy, oracle, last.state.G
 
 
 def test_criterion_02_ccd_energy_descent():
@@ -166,7 +188,7 @@ def test_criterion_02_last_steps_are_exact():
     p, guide = rng.random((size, size)), rng.random((size, size))
     delta = 1e-5  # the tvgf rows curve by 410: a gradient of 4e-3 shows
     pixels = [(0, 0), (size // 2, size // 3), (size - 1, size // 2)]  # corner, inside, edge
-    for name, _, energy, x in descent_table(p, guide, r):
+    for name, _, energy, _, x in descent_table(p, guide, r):
         e0 = energy(x)
         for pixel in pixels:
             for step in (delta, -delta):
@@ -176,6 +198,34 @@ def test_criterion_02_last_steps_are_exact():
                 assert e >= e0, f"{name}: moving {pixel} by {step:+g} lowers it by {e0 - e:.2e}"
     report(2, f"last steps exact: no +-{delta:g} move of {len(pixels)} pixels lowers "
               f"any row's energy (seed {seed}, {size}x{size}, r = {r})")
+
+
+def test_criterion_02_energy_matches_the_oracle():
+    # each row's closed-form energy against the pixel-by-pixel sum, at the
+    # table's own sizes
+    instances = {(size, r): seed for seed, size, r in reversed(DESCENT_INSTANCES)}
+    worst = 0.0
+    for (size, r), seed in instances.items():
+        rng = np.random.default_rng(seed)
+        p, guide = rng.random((size, size)), rng.random((size, size))
+        for name, _, energy, oracle, x in descent_table(p, guide, r):
+            got, want = energy(x), oracle(x)
+            worst = max(worst, abs(got - want) / abs(want))
+            assert got == pytest.approx(want, rel=1e-12), (name, size, r)
+    report(2, f"closed-form energies match the per-window oracle on every row at "
+              f"{sorted(instances)}: worst relative gap {worst:.1e} <= 1e-12")
+
+
+@pytest.mark.parametrize("boundary", [Boundary.TRUNCATE, Boundary.PERIODIC])
+def test_criterion_02_descent_at_scale(boundary):
+    # at 256^2 the energies reach 5e5 and their round-off 1e-8 (1e-14
+    # relative, against the oracle), so the slack is relative; the smallest
+    # per-pass fall was 3e-5 relative
+    rng = np.random.default_rng(256)
+    p, guide = rng.random((256, 256)), rng.random((256, 256))
+    for name, rises, energy, _, x in fixed_guide_rows(p, guide, WindowSpec(4, boundary)):
+        slack = 1e-12 * abs(energy(x))
+        assert np.all(rises <= slack), f"{name} rose by {rises.max():.2e} > {slack:.1e}"
 
 
 @pytest.fixture(scope="module")

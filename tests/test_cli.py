@@ -479,6 +479,14 @@ class TestBenchCommand:
         assert report["median_s"] > 0
         assert report["peak_mb"] > 0
 
+    @pytest.mark.parametrize("kernel, passes", [("gf", 4), ("tvgf", 4), ("cgf", 4), ("igf", 5)])
+    def test_filter_runs_self_guided(self, workdir, capsys, count_box_passes, kernel, passes):
+        # the subcommand without --guidance: the input is its own guide, so a
+        # gf pass costs 4 box passes, not the 6 of a distinct guide
+        argv = ["bench", "--width", "32", "--height", "32", "--filter", kernel, "--repeat", "1"]
+        calls = 3  # warm-up, one timed call, one for the allocation peak
+        assert count_box_passes(lambda: run_cli(capsys, *argv)) == passes * calls
+
     def test_filter_radius_defaults_to_its_row(self, workdir, capsys):
         for kernel, radius in (("box", 10), ("gf", 10), ("cgf", 6)):
             code, report, _ = run_cli(capsys, "bench", "--width", "32", "--height", "32",

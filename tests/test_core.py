@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from gfkit.core import Boundary, WindowSpec, make_image, require_params
-from gfkit.gf import gf, gf_roll
+from gfkit.cgf import cgf_roll
+from gfkit.core import _PARAM_RULES, Boundary, WindowSpec, make_image, require_params
+from gfkit.gf import gf, gf_coeffs, gf_roll
 from gfkit.rfnf import rfnf_gen
 from gfkit.tvgf import tvgf
 
@@ -104,3 +105,33 @@ class TestIterationCounts:
 
     def test_numpy_integer_iters(self):
         assert len(gf_roll(self.X, self.X, WindowSpec(np.int32(2)), 0.1, np.int64(2))) == 2
+
+
+class TestParameterKinds:
+    X = np.random.default_rng(1).random((8, 8))
+
+    @pytest.mark.parametrize("value", ["0.1", None, True, np.bool_(True), 0.1j, [0.1]])
+    @pytest.mark.parametrize("key", sorted(set(_PARAM_RULES) - {"iters"}))
+    def test_non_number_is_refused_by_name(self, key, value):
+        name = _PARAM_RULES[key][0]
+        with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+            require_params(**{key: value})
+
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5), np.int64(2), 2])
+    def test_numpy_and_python_numbers_pass(self, value):
+        require_params(eps=value, lam=value, tol=value, fit_eps=value)
+
+    def test_string_eps_at_the_filter(self):
+        with pytest.raises(ValueError, match="eps must be a real number, got '0.1'"):
+            gf(self.X, self.X, WindowSpec(1), "0.1")
+        with pytest.raises(ValueError, match="eps must be a real number, got '0.1'"):
+            gf_coeffs(self.X, self.X, WindowSpec(1), "0.1")
+
+    def test_string_tol_at_the_roll(self):
+        with pytest.raises(ValueError, match="tol must be a real number, got '1e-3'"):
+            cgf_roll(self.X, self.X, self.X, WindowSpec(1), 0.1, 1.0, 4, tol="1e-3")
+
+    def test_fit_eps_keeps_zero_and_its_message(self):
+        gf_coeffs(self.X, self.X, WindowSpec(1), 0.0)
+        with pytest.raises(ValueError, match=r"^eps must be >= 0, got -0.1$"):
+            gf_coeffs(self.X, self.X, WindowSpec(1), -0.1)

@@ -3,9 +3,9 @@ import pytest
 
 from gfkit.core import Boundary, WindowSpec, make_image
 from gfkit.boxops import box_mean
-from gfkit.gf import energy_gf, gf, gf_apply, gf_coeffs, gf_roll, GfCoeffs
+from gfkit.gf import energy_gf, gf, gf_apply, gf_coeffs, gf_roll, guide_moments, GfCoeffs
 
-from oracles import energy_gf_reordered, naive_gf, naive_gf_aggregate
+from oracles import energy_gf_reordered, naive_gf, naive_gf_aggregate, window_values
 
 BOTH = (Boundary.TRUNCATE, Boundary.PERIODIC)
 
@@ -30,8 +30,6 @@ class TestCoeffs:
         p, guide = rng.random((8, 8)), rng.random((8, 8))
         w = WindowSpec(2)
         c = gf_coeffs(p, guide, w, eps=0.1)
-        from gfkit.boxops import window_values
-
         for ky in range(8):
             for kx in range(8):
                 gw = window_values(guide, ky, kx, w)
@@ -49,6 +47,41 @@ class TestCoeffs:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             gf_coeffs(np.ones((4, 4)), np.ones((4, 5)), WindowSpec(1), eps=0.1)
+
+
+def window_variance(x, w):
+    """The clamped window variance of the guide moments: var + eps at eps = 0."""
+    return guide_moments(x, w, 0.0).var_eps
+
+
+class TestGuideVariance:
+    def test_constant_is_zero(self):
+        out = window_variance(make_image(7, 7, 0.42), WindowSpec(2, Boundary.TRUNCATE))
+        np.testing.assert_allclose(out, 0.0, atol=1e-14)
+
+    def test_checkerboard_periodic_matches_naive_formula(self):
+        yy, xx = np.mgrid[0:3, 0:3]
+        x = ((yy + xx) % 2).astype(np.float64)
+        w = WindowSpec(1, Boundary.PERIODIC)
+        got = window_variance(x, w)
+        # naive per-pixel: wrap indices, E(x^2) - E(x)^2
+        want = np.empty_like(x)
+        for cy in range(3):
+            for cx in range(3):
+                vals = window_values(x, cy, cx, w)
+                want[cy, cx] = np.mean(vals**2) - np.mean(vals) ** 2
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
+    def test_r0_is_zero(self):
+        rng = np.random.default_rng(5)
+        out = window_variance(rng.random((6, 6)), WindowSpec(0, Boundary.TRUNCATE))
+        np.testing.assert_allclose(out, 0.0, atol=1e-14)
+
+    def test_nonnegative_random(self):
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            out = window_variance(rng.random((10, 10)), WindowSpec(3, Boundary.TRUNCATE))
+            assert np.all(out >= 0.0)
 
 
 class TestApply:

@@ -4,9 +4,9 @@ import pytest
 from gfkit.core import Boundary, WindowSpec, make_image
 from gfkit.gf import gf_coeffs
 from gfkit.igf import DEGENERATE_EPS, icgf, igf, igf_update, inverse_update
-from gfkit.boxops import box_mean, box_sum, window_values
+from gfkit.boxops import box_mean, box_sum
 
-from oracles import naive_igf_update
+from oracles import naive_igf_update, window_values
 
 W = WindowSpec(2, Boundary.TRUNCATE)
 

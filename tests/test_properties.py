@@ -1,15 +1,20 @@
 """Generated-case properties of the filters: constants are fixed points,
-and gf is affine-equivariant in its input."""
+gf is affine-equivariant in its input, and the closed-form energy is the
+per-window sum."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gfkit.boxops import WindowCounts
 from gfkit.cgf import cgf
 from gfkit.core import Boundary, WindowSpec
-from gfkit.gf import gf
-from gfkit.tvgf import tvgf
+from gfkit.gf import anchor_term, energy_gf, gf, gf_coeffs
+from gfkit.rfnf import detail_term
+from gfkit.tvgf import tv_term, tvgf
+
+from oracles import energy_gf_reordered
 
 BOTH = [Boundary.TRUNCATE, Boundary.PERIODIC]
 values = st.floats(-100.0, 100.0, allow_nan=False)
@@ -64,3 +69,24 @@ def test_gf_is_affine_equivariant(case, data):
     got = gf(alpha * p + beta, guide, w, eps)
     want = alpha * gf(p, guide, w, eps) + beta
     assert np.max(np.abs(got - want)) <= 1e-12 * (abs(alpha) + abs(beta) + 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(guided_cases(), st.sampled_from(["none", "anchor", "tv", "detail"]), st.data())
+def test_energy_is_the_per_window_sum(case, kind, data):
+    guide, w, eps = case
+    q, p, g = (data.draw(arrays(np.float64, guide.shape, elements=unit)) for _ in range(3))
+    lam = data.draw(st.floats(0.0, 100.0))
+    if kind == "tv" and w.boundary is not Boundary.PERIODIC:
+        kind = "anchor"  # the TV term runs on periodic windows only
+    term = {"none": lambda: None, "anchor": lambda: anchor_term(g, lam),
+            "tv": lambda: tv_term(guide.shape, w, lam),
+            "detail": lambda: detail_term(lam * (g - 0.5), WindowCounts.of(guide.shape, w)),
+            }[kind]()
+    fit = gf_coeffs(p, guide, w, eps)
+    got = energy_gf(q, fit, guide, w, eps, term).total
+    want = energy_gf_reordered(q, fit.a, fit.b, guide, w, eps) + (term.value(q) if term else 0.0)
+    # relative to the sum of the squares of |a G| + |b| + |q|, which bounds
+    # every sum that cancels; a vanishing energy has no relative error
+    size = energy_gf_reordered(-np.abs(q), np.abs(fit.a), np.abs(fit.b), np.abs(guide), w, eps)
+    assert abs(got - want) <= 1e-12 * (abs(want) + size)
