@@ -1,4 +1,5 @@
-"""O(1)-per-pixel sliding-window sums and means: the one window primitive.
+"""O(1)-per-pixel sliding-window sums and means: the one window primitive,
+and the worker pool that runs the plane work.
 
 Every filter in the package, and the energy that prices it, is
 assembled from these. ``box_sum`` makes one pass per axis, each at a cost
@@ -15,22 +16,133 @@ sums by direct per-offset summation, with no running sum.
 Every filter step that follows a box pass is pointwise: each output pixel
 is a few arithmetic operations on the window sums, the inputs and the
 pixel's window count |w_i|. Those steps run in place over row strips of
-a fixed byte budget (``row_strips``, ``WindowCounts.strips``), so their
-temporaries are a few cache-sized blocks and never a whole plane. The
-window count is the product of two 1-D factors (``WindowCounts``); each
-strip multiplies its block out afresh, which gives the same exact
-integers as the full count plane ``window_counts`` and never holds one.
+a fixed byte budget (``each_strip``), so their temporaries are a few
+cache-sized blocks and never a whole plane. The window count is the
+product of two 1-D factors (``WindowCounts``); each strip fills its block
+afresh, which gives the same exact integers as the full count plane
+``window_counts`` and never holds one.
+
+The worker pool. Once the window sums exist, each pixel's result depends
+only on its own pixel, and each half of a box pass depends only on its
+own rows or columns. So the plane work splits into contiguous blocks
+(``work_blocks``), one per CPU this process may run on, and ``in_parallel``
+runs the first block on the caller and the rest on one thread pool,
+started at the first split and never at import. With one CPU there is no
+pool, and a plane below ``PARALLEL_PIXELS`` (2^18 pixels, where splitting
+was measured to start to pay) stays on the caller. What splits:
+
+- the axis-1 half of ``box_sum`` (``uniform_filter1d`` and the scale by
+  the side), by rows;
+- every strip loop, whose strips go to the workers in contiguous runs,
+  each run with its own scratch blocks, allocated by the caller; the
+  strips are those of one thread, and at most one in ``STRIPS_PER_RUN``
+  runs at once, so the scratch stays a bounded share of the plane however
+  many CPUs there are;
+- the Fourier solve of ``tvgf`` and the strips of ``metrics.ssim``.
+
+The axis-0 half of ``box_sum`` stays on the caller. Its running sum is
+one ``np.add`` per row, each too short to release the interpreter lock
+for long, and split by columns it ran slower (1.9 ms against 3.0-4.0 ms
+at 1 MP); its row differences are bound by memory bandwidth, and split
+by columns they took as long as on one thread (1.85 ms against 1.93 ms
+median at 1 MP). Every element goes through the same operations in the
+same order whatever the split, so the results are the same bits at any
+worker count. The one reduction over strips, the ridge of
+``gf.energy_gf``, gets its per-strip values back in strip order, over the
+same strips at any worker count. Each task runs in a copy of the
+caller's context, so the caller's ``np.errstate`` holds in it. A task makes only numpy and scipy calls and
+no call of a public ``gfkit`` function, so a tracer or a test that rebinds
+those functions sees every call on the calling thread.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import contextvars
+import os
+import threading
+from collections.abc import Callable, Sequence
+from concurrent import futures
 from dataclasses import dataclass
+from functools import partial
+from typing import TypeVar
 
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 
 from .core import STRIP_BYTES, Boundary, Image, WindowSpec, as_image
+
+T = TypeVar("T")
+
+# one worker per CPU this process may run on, the caller among them
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+# planes of fewer pixels stay on the caller. Split against serial on 2
+# vCPUs, medians of 40 alternating calls, r = 10: at 362^2 (2^17) a box
+# pass ran 8% and a self-guided gf 15% slower split, at 420^2 about even,
+# at 512^2 (2^18) 8% and 4% faster (winning 39 and 36 of 40 pairs), one
+# tvgf pass 9% faster; at 1 MP 22%, 22% and 26% faster
+PARALLEL_PIXELS = 1 << 18
+# a loop whose runs of strips each hold scratch blocks runs at most one
+# strip in this many at once, so that at any worker count the blocks of
+# one scratch slot together hold about 1/STRIPS_PER_RUN of the plane or less
+STRIPS_PER_RUN = 8
+_pool: futures.ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # a forked child has none of the parent's threads, and its copy of the
+    # lock may have been taken by one of them: it starts both afresh
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _executor() -> futures.ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = futures.ThreadPoolExecutor(max(1, _WORKERS - 1), "gfkit")
+        return _pool
+
+
+def worker_count() -> int:
+    """How many threads share the plane work: the CPUs this process may use."""
+    return _WORKERS
+
+
+def work_blocks(n: int, pixels: int, most: int | None = None) -> list[slice]:
+    """Contiguous blocks splitting range(n), the rows, columns or strips of
+    a plane of ``pixels`` pixels: one per worker, but at most ``most`` (and
+    ``n``), or one in all below ``PARALLEL_PIXELS`` pixels."""
+    most = n if most is None else min(most, n)
+    parts = 1 if pixels < PARALLEL_PIXELS else max(1, min(_WORKERS, most))
+    return [slice(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
+
+
+def in_parallel(body: Callable[..., T], *args: Sequence) -> list[T]:
+    """[body(*a) for a in zip(*args)], the first call on the caller and the
+    others on the worker pool, each in a copy of the caller's context.
+
+    Every call has returned or raised before this returns; then the first
+    exception in argument order is raised. ``body`` must not itself call
+    ``in_parallel``: the pool has one thread fewer than there are workers.
+    """
+    calls = [partial(body, *a) for a in zip(*args)]
+    if len(calls) == 1:
+        return [calls[0]()]
+    pool = _executor()
+    pending = [pool.submit(contextvars.copy_context().run, call) for call in calls[1:]]
+    try:
+        first = calls[0]()
+    finally:
+        futures.wait(pending)
+    return [first, *(f.result() for f in pending)]
+
 
 _NON_FINITE = "NaN or Inf in the input of a box sum"
 
@@ -90,8 +202,14 @@ def box_sum(x: Image, w: WindowSpec) -> Image:
     # a NaN or Inf is carried down its column and never cancels
     if not np.isfinite(out[-1]).all():
         raise ValueError(_NON_FINITE)
-    uniform_filter1d(out, w.side, axis=1, output=out, mode="wrap" if periodic else "constant")
-    out *= w.side
+    mode = "wrap" if periodic else "constant"
+
+    def row_pass(rows):
+        block = out[rows]
+        uniform_filter1d(block, w.side, axis=1, output=block, mode=mode)
+        block *= w.side
+
+    in_parallel(row_pass, work_blocks(h, x.size))
     return out
 
 
@@ -100,22 +218,6 @@ def _counts_1d(n: int, w: WindowSpec) -> np.ndarray:
         return np.full(n, w.side, dtype=np.float64)
     i = np.arange(n)
     return (np.minimum(i + w.radius, n - 1) - np.maximum(i - w.radius, 0) + 1).astype(np.float64)
-
-
-def row_strips(shape, scratch: int = 1) -> Iterator[tuple]:
-    """Yield (rows, *tmp) for the row strips of a (height, width) grid.
-
-    ``rows`` is the strip's slice of rows, ``tmp`` ``scratch`` blocks of
-    the strip's shape, shared by every strip and so overwritten by the next.
-    A strip spans at most a quarter of the rows, so that on a small plane
-    the scratch blocks stay a small share of the memory a filter holds.
-    """
-    h, width = shape
-    step = max(1, min(-(-h // 4), STRIP_BYTES // (8 * width)))
-    buf = np.empty((scratch, step, width))
-    for top in range(0, h, step):
-        stop = min(top + step, h)
-        yield (slice(top, stop), *buf[:, : stop - top])
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,13 +238,6 @@ class WindowCounts:
     def shape(self) -> tuple[int, int]:
         return len(self.rows), len(self.cols)
 
-    def strips(self, scratch: int = 1) -> Iterator[tuple]:
-        """``row_strips`` with the strip's window counts first: yields
-        (rows, n, *tmp), n a fresh block the caller may overwrite."""
-        for rows, n, *tmp in row_strips(self.shape, scratch + 1):
-            np.multiply(self.rows[rows, None], self.cols, out=n)
-            yield (rows, n, *tmp)
-
 
 def window_counts(shape, w: WindowSpec) -> Image:
     """Per-pixel window size |w_i| (constant under the periodic boundary)."""
@@ -150,10 +245,51 @@ def window_counts(shape, w: WindowSpec) -> Image:
     return np.outer(counts.rows, counts.cols)
 
 
+def each_strip(
+    shape, body: Callable[..., T], scratch: int = 1, counts: WindowCounts | None = None
+) -> list[T]:
+    """body(rows, *tmp), or with ``counts`` body(rows, n, *tmp), for every
+    row strip of a (height, width) grid: the results in strip order.
+
+    ``rows`` is the strip's slice of rows and ``tmp`` ``scratch`` blocks of
+    the strip's shape, overwritten by the next strip; ``n`` is a block of
+    the strip's window counts, filled afresh for each strip, so ``body``
+    may overwrite it. A strip spans at most a quarter of the rows, so that
+    on a small plane the blocks stay a small share of the memory a filter
+    holds. The strips are the same at any worker count; they go to the
+    workers in contiguous runs (``work_blocks``), each run with blocks of
+    its own, and at most one strip in ``STRIPS_PER_RUN`` runs at once.
+    """
+    h, width = shape
+    step = max(1, min(-(-h // 4), STRIP_BYTES // (8 * width)))
+    tops = range(0, h, step)
+    runs = work_blocks(len(tops), h * width, len(tops) // STRIPS_PER_RUN)
+    blocks = np.empty((len(runs), scratch + (counts is not None), step, width))
+
+    def run(strips, buf):
+        results = []
+        for top in tops[strips]:
+            rows = slice(top, min(top + step, h))
+            tmp = buf[:, : rows.stop - top]
+            if counts is not None:  # einsum: a broadcast multiply would buffer a block
+                np.einsum("i,j->ij", counts.rows[rows], counts.cols, out=tmp[0])
+            results.append(body(rows, *tmp))
+        return results
+
+    return [result for part in in_parallel(run, runs, blocks) for result in part]
+
+
+def product(x: Image, y: Image) -> Image:
+    """x * y as a new C-ordered plane, computed strip by strip."""
+    out = np.empty(x.shape)
+    each_strip(x.shape, lambda rows: np.multiply(x[rows], y[rows], out=out[rows]), 0)
+    return out
+
+
 def box_mean(x: Image, w: WindowSpec) -> Image:
     """Windowed average of x, normalized by the actual per-pixel window size."""
     x = _validate(x, w)
     out = box_sum(x, w)
-    for rows, n in WindowCounts.of(x.shape, w).strips(0):
-        out[rows] /= n
+    each_strip(x.shape, lambda rows, n: np.divide(out[rows], n, out=out[rows]), 0,
+               WindowCounts.of(x.shape, w))
     return out

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import synth
 from .core import Boundary, Image, WindowSpec, require_params
-from .boxops import box_sum
+from .boxops import box_sum, worker_count
 from .gf import gf_iterates, last_iterate
 from .tvgf import tvgf_iterates
 from .cgf import cgf_iterates
@@ -419,7 +419,8 @@ def _run_bench(args) -> dict:
         "inputs": {},
         "outputs": [],
         "params": {"filter": args.filter, "width": args.width, "height": args.height,
-                   "repeat": args.repeat, "seed": args.seed, **params},
+                   "repeat": args.repeat, "seed": args.seed, "workers": worker_count(),
+                   **params},
         "metrics": None,
         "timings_s": times,
         "median_s": statistics.median(times),

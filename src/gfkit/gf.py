@@ -56,7 +56,7 @@ from typing import TypeVar
 import numpy as np
 
 from .core import EnergyReport, Image, WindowSpec, as_image, require_params, require_same_shape
-from .boxops import WindowCounts, box_sum
+from .boxops import WindowCounts, box_sum, each_strip, product
 
 T = TypeVar("T")  # one iterate: an image, or a rolling pair's MutualState
 
@@ -111,12 +111,13 @@ def _moments(
     require_params(fit_eps=eps)
     counts = WindowCounts.of(guide.shape, w)
     mean = box_sum(guide, w)
-    var = box_sum(guide * guide, w)  # window sums of guide^2, then the variance
+    var = box_sum(product(guide, guide), w)  # window sums of guide^2, then the variance
     var_eps, b = var, None  # the moments alone: var + eps in the variance's buffer
     if fit:  # a takes the variance's buffer, b the mean's if no refit follows
         var_eps = np.empty_like(var) if refit else None
         b = np.empty_like(var) if refit else mean
-    for rows, n, t in counts.strips():
+
+    def strip(rows, n, t):
         m, v = mean[rows], var[rows]
         m /= n
         v /= n
@@ -127,6 +128,8 @@ def _moments(
         if fit:  # a = var / var_eps in the variance's buffer
             v /= ve
             np.subtract(m, np.multiply(v, m, out=t), out=b[rows])
+
+    each_strip(guide.shape, strip, counts=counts)
     moments = GuideMoments(counts=counts, mean=mean if refit else None, var_eps=var_eps)
     return moments, GfCoeffs(a=var, b=b) if fit else None
 
@@ -151,15 +154,18 @@ def fit_coeffs(p: Image, guide: Image, moments: GuideMoments, w: WindowSpec) -> 
     p and guide must already be float images of the moments' shape. The
     product guide * p dies before the second window sum is allocated.
     """
-    a = box_sum(guide * p, w)  # window sums of guide * p, then cov(guide, p), then a
+    a = box_sum(product(guide, p), w)  # window sums of guide * p, then cov(guide, p), then a
     mean_p = box_sum(p, w)  # then b
-    for rows, n, t in moments.counts.strips():
+
+    def strip(rows, n, t):
         mp, ar, mg = mean_p[rows], a[rows], moments.mean[rows]
         mp /= n
         ar /= n
         ar -= np.multiply(mg, mp, out=t)
         ar /= moments.var_eps[rows]
         mp -= np.multiply(ar, mg, out=t)  # mean(p) - a * mean(guide)
+
+    each_strip(a.shape, strip, counts=moments.counts)
     return GfCoeffs(a=a, b=mean_p)
 
 
@@ -203,8 +209,15 @@ def window_sum_estimate(coeffs: GfCoeffs, guide: Image, w: WindowSpec) -> Image:
     del coeffs
     f = box_sum(a, w)
     del a
-    f *= guide
-    f += box_sum(b, w)
+    sum_b = box_sum(b, w)
+    del b
+
+    def strip(rows):
+        fr = f[rows]
+        fr *= guide[rows]
+        fr += sum_b[rows]
+
+    each_strip(f.shape, strip, 0)
     return f
 
 
@@ -216,11 +229,13 @@ def anchored_update(
     n is the pixel's window count. At lam = 0 the anchor drops out (g is
     not read) and this is the plain guided filter's f / n.
     """
-    for rows, n, t in counts.strips():
+    def strip(rows, n, t):
         if lam:
             f[rows] += np.multiply(g[rows], lam, out=t)
             n += lam
         f[rows] /= n
+
+    each_strip(f.shape, strip, counts=counts)
     return f
 
 
@@ -356,16 +371,41 @@ def energy_gf(q: Image, coeffs: GfCoeffs, guide: Image, w: WindowSpec, eps: floa
     # G - c, q - d and b + a c - d leave every residual as it is; at the means
     # c and d, the sums that cancel scale with the images' spread, not level
     c, d = float(np.mean(guide)), float(np.mean(q))
-    g0, q0, b = guide - c, q - d, b + (a * c - d)
-    data = box_sum(q0 * q0, w)  # S_qq, then each window's data term
-    data -= 2.0 * b * box_sum(q0, w)
-    data -= 2.0 * a * box_sum(g0 * q0, w)
-    data += 2.0 * a * b * box_sum(g0, w)
-    data += a * a * box_sum(g0 * g0, w)
+    g0, q0, b0 = np.empty(q.shape), np.empty(q.shape), np.empty(q.shape)
+
+    def shift(rows):  # G - c, q - d and b + (a c - d)
+        np.subtract(guide[rows], c, out=g0[rows])
+        np.subtract(q[rows], d, out=q0[rows])
+        br = np.multiply(a[rows], c, out=b0[rows])
+        br -= d
+        np.add(b[rows], br, out=br)
+
+    each_strip(q.shape, shift, 0)
+    data = box_sum(product(q0, q0), w)  # S_qq, then each window's data term
+
+    def fold(window_sum, coeff):
+        # data += coeff * window_sum, coeff written into the strip's block;
+        # data - 2 b S is data + (-2 b) S, bit for bit
+        def strip(rows, t):
+            coeff(rows, t)
+            t *= window_sum[rows]
+            data[rows] += t
+
+        each_strip(q.shape, strip)
+
+    fold(box_sum(q0, w), lambda rows, t: np.multiply(b0[rows], -2.0, out=t))
+    fold(box_sum(product(g0, q0), w), lambda rows, t: np.multiply(a[rows], -2.0, out=t))
+    fold(box_sum(g0, w), lambda rows, t: np.multiply(np.multiply(a[rows], 2.0, out=t), b0[rows],
+                                                     out=t))
+    fold(box_sum(product(g0, g0), w), lambda rows, t: np.multiply(a[rows], a[rows], out=t))
+
+    def ridge_strip(rows, n):
+        data[rows] += n * b0[rows] ** 2
+        return eps * float(np.sum(n * a[rows] ** 2))
+
     ridge = 0.0
-    for rows, n in WindowCounts.of(q.shape, w).strips(0):
-        data[rows] += n * b[rows] ** 2
-        ridge += eps * float(np.sum(n * a[rows] ** 2))
+    for value in each_strip(q.shape, ridge_strip, 0, WindowCounts.of(q.shape, w)):
+        ridge += value  # in strip order
     terms = {"data": float(np.sum(data)), "ridge": ridge}
     if term is not None:
         terms[term.name] = term.value(q)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Image, WindowSpec, as_image, require_finite, require_params, require_same_shape
 from .gf import GfCoeffs, as_input_and_guide, gf_coeffs
-from .boxops import WindowCounts, box_sum
+from .boxops import WindowCounts, box_sum, each_strip, product
 
 # Below this mean of sum(a^2) + lam over the pixel's windows, the quadratic
 # in G_i is flat and any value minimizes it; we keep the prior pixel instead
@@ -48,19 +48,25 @@ def inverse_update(
     # hands over its only reference to the fit lets b die once a * b
     # exists and a once a^2 does, each before the box pass that follows
     del coeffs
-    ab = a * b
+    ab = product(a, b)
     del b
     sum_ab = box_sum(ab, w)
     del ab
     num = box_sum(a, w)
-    num *= p
-    num -= sum_ab
+
+    def fold(rows):
+        nr = num[rows]
+        nr *= p[rows]
+        nr -= sum_ab[rows]
+
+    each_strip(num.shape, fold, 0)
     del sum_ab
-    a2 = a * a
+    a2 = product(a, a)
     del a
     den = box_sum(a2, w)
     del a2
-    for rows, n, t in WindowCounts.of(p.shape, w).strips():
+
+    def strip(rows, n, t):
         num_r, den_r = num[rows], den[rows]
         if lam:
             num_r += np.multiply(g[rows], lam, out=t)
@@ -70,6 +76,8 @@ def inverse_update(
         np.copyto(den_r, 1.0, where=degenerate)
         num_r /= den_r
         np.copyto(num_r, prior[rows], where=degenerate)
+
+    each_strip(num.shape, strip, counts=WindowCounts.of(p.shape, w))
     return num
 
 

@@ -13,6 +13,15 @@ centre tap first, then each mirrored pair from the outermost in. The
 whole-plane formula (two zero-padded ``correlate1d`` passes per local
 mean, cropped to the interior) lets no padded value reach the interior,
 so the streamed result is the same float as that formula, bit for bit.
+
+The strips go to the worker pool of ``boxops`` in contiguous runs, each
+run with its own set of strip buffers, and at most one strip in
+``STRIPS_PER_RUN`` runs at once, so that the buffers stay a bounded share
+of the plane however many CPUs there are. Each interior value depends only
+on its own strip's rows, not on how the strips are split, so
+``np.mean(interior)``, taken on the caller, keeps its bits. A NaN or Inf
+in a strip raises in the worker that copies it in; the caller re-raises
+the first such error in strip order once every worker has stopped.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import math
 
 import numpy as np
 
+from .boxops import STRIPS_PER_RUN, in_parallel, work_blocks
 from .core import STRIP_BYTES, Image, as_image, require_finite, require_same_shape
 
 SSIM_WINDOW = 11
@@ -98,55 +108,63 @@ def ssim(x: Image, y: Image, peak: float = 1.0) -> float:
     height, width = x.shape
     interior = np.empty((height - 2 * r, width - 2 * r))
     rows = min(max(1, STRIP_BYTES // (8 * width)), len(interior))
-    # flat strip buffers: a row-wise pass is a contiguous pass with step
-    # `width`, a column-wise pass one with step 1 whose outputs that straddle
-    # two rows fall in the border columns and are never read
-    fields = np.empty((5, (rows + 2 * r) * width))  # x, y, x^2, y^2, xy
-    means = np.empty((5, rows * width))  # mu_x, mu_y, E[x^2], E[y^2], E[xy]
-    squares = np.empty((3, rows * width))
-    column_pass = np.empty(rows * width)
-    tmp = np.empty(rows * width)
-    for top in range(0, len(interior), rows):
-        h = min(rows, len(interior) - top)
-        n = h * width
-        f = fields[:, : (h + 2 * r) * width]
-        f[0].reshape(h + 2 * r, width)[...] = x[top : top + h + 2 * r]
-        f[1].reshape(h + 2 * r, width)[...] = y[top : top + h + 2 * r]
-        require_finite(f[0], "x")
-        require_finite(f[1], "y")
-        np.multiply(f[0], f[0], out=f[2])
-        np.multiply(f[1], f[1], out=f[3])
-        np.multiply(f[0], f[1], out=f[4])
-        m = means[:, r : n - r]
-        for src, dst in zip(f, m):
-            _window_pass(src, width, kernel, column_pass[:n], tmp[:n])
-            _window_pass(column_pass[:n], 1, kernel, dst, tmp[: n - 2 * r])
-        # num = (2 mu_x mu_y + c1)(2 cov + c2) and
-        # den = (mu_x^2 + mu_y^2 + c1)(var_x + var_y + c2), in that
-        # operation order
-        mu_x, mu_y, var_x, var_y, cov = m
-        sq = squares[:, r : n - r]
-        np.multiply(m[:2], m[:2], out=sq[:2])
-        np.multiply(mu_x, mu_y, out=sq[2])
-        m[2:] -= sq  # var_x, var_y, cov
-        num = column_pass[r : n - r]
-        np.multiply(mu_x, 2.0, out=num)
-        num *= mu_y
-        num += c1
-        cov *= 2.0
-        cov += c2
-        num *= cov
-        den = sq[0]
-        den += sq[1]
-        den += c1
-        var_x += var_y
-        var_x += c2
-        den *= var_x
-        # num and den sit in column_pass and squares[0]; only their interior
-        # columns are quotients of the formula
-        np.divide(
-            column_pass[:n].reshape(h, width)[:, r : width - r],
-            squares[0, :n].reshape(h, width)[:, r : width - r],
-            out=interior[top : top + h],
-        )
+    tops = range(0, len(interior), rows)
+    runs = work_blocks(len(tops), x.size, len(tops) // STRIPS_PER_RUN)
+    # one set of flat strip buffers per run of strips: a row-wise pass is a
+    # contiguous pass with step `width`, a column-wise pass one with step 1
+    # whose outputs that straddle two rows fall in the border columns and
+    # are never read
+    fields = np.empty((len(runs), 5, (rows + 2 * r) * width))  # x, y, x^2, y^2, xy
+    means = np.empty((len(runs), 5, rows * width))  # mu_x, mu_y, E[x^2], E[y^2], E[xy]
+    squares = np.empty((len(runs), 3, rows * width))
+    column_pass = np.empty((len(runs), rows * width))
+    tmp = np.empty((len(runs), rows * width))
+
+    def run(strips, fields, means, squares, column_pass, tmp):
+        for top in tops[strips]:
+            h = min(rows, len(interior) - top)
+            n = h * width
+            f = fields[:, : (h + 2 * r) * width]
+            f[0].reshape(h + 2 * r, width)[...] = x[top : top + h + 2 * r]
+            f[1].reshape(h + 2 * r, width)[...] = y[top : top + h + 2 * r]
+            for name, field in zip("xy", f):  # inline: a worker calls no public gfkit function
+                if not np.isfinite(field).all():
+                    raise ValueError(f"NaN or Inf in {name}")
+            np.multiply(f[0], f[0], out=f[2])
+            np.multiply(f[1], f[1], out=f[3])
+            np.multiply(f[0], f[1], out=f[4])
+            m = means[:, r : n - r]
+            for src, dst in zip(f, m):
+                _window_pass(src, width, kernel, column_pass[:n], tmp[:n])
+                _window_pass(column_pass[:n], 1, kernel, dst, tmp[: n - 2 * r])
+            # num = (2 mu_x mu_y + c1)(2 cov + c2) and
+            # den = (mu_x^2 + mu_y^2 + c1)(var_x + var_y + c2), in that
+            # operation order
+            mu_x, mu_y, var_x, var_y, cov = m
+            sq = squares[:, r : n - r]
+            np.multiply(m[:2], m[:2], out=sq[:2])
+            np.multiply(mu_x, mu_y, out=sq[2])
+            m[2:] -= sq  # var_x, var_y, cov
+            num = column_pass[r : n - r]
+            np.multiply(mu_x, 2.0, out=num)
+            num *= mu_y
+            num += c1
+            cov *= 2.0
+            cov += c2
+            num *= cov
+            den = sq[0]
+            den += sq[1]
+            den += c1
+            var_x += var_y
+            var_x += c2
+            den *= var_x
+            # num and den sit in column_pass and squares[0]; only their interior
+            # columns are quotients of the formula
+            np.divide(
+                column_pass[:n].reshape(h, width)[:, r : width - r],
+                squares[0, :n].reshape(h, width)[:, r : width - r],
+                out=interior[top : top + h],
+            )
+
+    in_parallel(run, runs, fields, means, squares, column_pass, tmp)
     return float(np.mean(interior))

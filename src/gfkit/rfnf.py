@@ -23,7 +23,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .core import Image, WindowSpec, as_image, require_params, require_same_shape
-from .boxops import WindowCounts, row_strips
+from .boxops import WindowCounts, each_strip
 from .gf import (
     GuideMoments,
     PixelTerm,
@@ -46,10 +46,12 @@ def _flash_base(flash: Image, w: WindowSpec, eps: float) -> tuple[GuideMoments, 
 
 def _enhance(flash: Image, base: Image, tau: float) -> Image:
     """base + tau * (flash - base), written into base."""
-    for rows, t in row_strips(base.shape):
+    def strip(rows, t):
         np.subtract(flash[rows], base[rows], out=t)
         t *= tau
         base[rows] += t
+
+    each_strip(base.shape, strip)
     return base
 
 

@@ -64,7 +64,7 @@ from .gf import (
     window_sum_estimate,
 )
 from .igf import inverse_update
-from .boxops import WindowCounts, box_sum, row_strips
+from .boxops import WindowCounts, box_sum, each_strip, product
 
 
 @dataclass
@@ -88,23 +88,28 @@ class MutualSnapshot:
 def alpha_weight(x: Image, w: WindowSpec) -> Image:
     """Blend weight 1 / (1 + mean(x^2)); always in (0, 1]."""
     x = as_image(x)
-    out = box_sum(x * x, w)
-    for rows, n in WindowCounts.of(x.shape, w).strips(0):
+    out = box_sum(product(x, x), w)
+
+    def strip(rows, n):
         o = out[rows]
         o /= n
         o += 1.0
         np.divide(1.0, o, out=o)
+
+    each_strip(x.shape, strip, 0, WindowCounts.of(x.shape, w))
     return out
 
 
 def _blend(alpha: Image, x: Image, y: Image) -> Image:
     """alpha * x + (1 - alpha) * y, written into x."""
-    for rows, t in row_strips(x.shape):
+    def strip(rows, t):
         xr = x[rows]
         xr *= alpha[rows]
         np.subtract(1.0, alpha[rows], out=t)
         t *= y[rows]
         xr += t
+
+    each_strip(x.shape, strip)
     return x
 
 

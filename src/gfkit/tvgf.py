@@ -8,6 +8,14 @@ Windows are forced periodic so that |w| is the constant scalar this
 diagonal solve requires. ``tv_term`` is that solve with its half-spectrum
 denominator built once, and the value lam * sum(TV^2) it minimizes;
 ``tvgf_roll`` is ``gf.roll`` with it, and ``tvgf`` its one-pass case.
+
+The solve writes q over f, so beside f it holds only the half spectrum.
+Each 1-D transform of ``rfft2`` and ``irfft2`` runs on its own row or
+column, so the row transforms split by rows and the column transforms,
+with the division between them, by columns over the worker pool of
+``boxops``, each written in place with numpy 2's ``out=``. Every row and
+column goes through the same transform as in ``rfft2``/``irfft2``, so q
+is the same bits as theirs.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .core import Boundary, EnergyReport, Image, WindowSpec, as_image, require_params
+from .boxops import in_parallel, work_blocks
 from .gf import GfCoeffs, PixelTerm, as_input_and_guide, energy_gf, guide_fit, roll
 
 
@@ -44,15 +53,30 @@ def tv_denominator(width: int, height: int, w: WindowSpec, lam: float) -> Image:
 
 
 def _solve_half(f: Image, denominator: Image) -> Image:
-    # f is real, so its spectrum is Hermitian: solve on the half spectrum
-    spectrum = np.fft.rfft2(f)
-    spectrum /= denominator
-    return np.fft.irfft2(spectrum, s=f.shape)
+    """The solve of (|w| + lam * L) q = f on the half spectrum (f is real,
+    so its spectrum is Hermitian), q written into f: the row transforms,
+    then per column the complex transform, the division and its inverse."""
+    h, width = f.shape
+    spectrum = np.empty(denominator.shape, dtype=np.complex128)
+    in_parallel(lambda rows: np.fft.rfft(f[rows], axis=1, out=spectrum[rows]),
+                work_blocks(h, f.size))
+
+    def columns(cols):
+        block = spectrum[:, cols]
+        np.fft.fft(block, axis=0, out=block)
+        block /= denominator[:, cols]
+        np.fft.ifft(block, axis=0, out=block)
+
+    in_parallel(columns, work_blocks(spectrum.shape[1], f.size))
+    in_parallel(lambda rows: np.fft.irfft(spectrum[rows], n=width, axis=1, out=f[rows]),
+                work_blocks(h, f.size))
+    return f
 
 
 def tv_term(shape, w: WindowSpec, lam: float) -> PixelTerm:
     """lam * sum(TV^2), whose update solves (|w| + lam * L) q = f on the half
-    spectrum; ``tv_squared`` has the stencil of ``tv_denominator``."""
+    spectrum, writing q over f; ``tv_squared`` has the stencil of
+    ``tv_denominator``."""
     _require_periodic(w)
     h, width = shape
     # a copy, so that a roll holds half the grid rather than all of it
@@ -65,7 +89,7 @@ def tvgf_solve_q(f: Image, w: WindowSpec, lam: float) -> Image:
     """Solve (|w| + lam * L) q = f for q, L the circular 5-point Laplacian."""
     f = as_image(f)
     w.check_fits(f.shape)
-    return tv_term(f.shape, w, lam).update(f, None)
+    return tv_term(f.shape, w, lam).update(f.copy(), None)  # the update writes over f
 
 
 def tvgf(p: Image, guide: Image, w: WindowSpec, eps: float, lam: float) -> Image:

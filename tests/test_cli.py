@@ -7,6 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from gfkit.boxops import worker_count
 from gfkit.cli import FILTER_COMMANDS, build_parser, main
 from gfkit.imgio import read_pnm_file, write_pnm_file
 from gfkit.metrics import mse, ssim
@@ -466,6 +467,7 @@ class TestBenchCommand:
         params = dict(report["params"])
         assert params.pop("filter") == kernel
         assert [params.pop(k) for k in ("width", "height", "repeat", "seed")] == [64, 48, 2, 0]
+        assert params.pop("workers") == worker_count()
         if kernel in FILTER_COMMANDS:
             # a filter runs its subcommand's row, at the subcommand's defaults
             make_inputs(workdir)

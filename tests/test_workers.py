@@ -1,0 +1,270 @@
+"""The plane work gives the same bits on one worker as on several.
+
+``boxops`` splits the axis-1 half of every box pass, every strip loop,
+the TV Fourier solve and SSIM's strips over a pool of threads, one per
+CPU. These tests force the worker count through ``boxops._WORKERS``, so
+the threaded path runs even on a one-CPU machine, and compare each result
+with the one-worker run. The planes sit above ``PARALLEL_PIXELS``, with
+a height that is a multiple of neither the strip height at this width (32
+rows) nor any worker count tried. tracemalloc then pins that the scratch
+of the strip loops and of SSIM does not grow with the worker count past
+what ``STRIPS_PER_RUN`` allows.
+"""
+
+import argparse
+import sys
+import threading
+import time
+import tracemalloc
+import types
+
+import numpy as np
+import pytest
+
+import gfkit.boxops
+from gfkit.boxops import STRIPS_PER_RUN, box_sum, each_strip, in_parallel, work_blocks
+from gfkit.cli import FILTER_COMMANDS, _dest, _flag_defaults
+from gfkit.core import Boundary, WindowSpec
+from gfkit.gf import energy_gf, gf_coeffs, gf, last_iterate
+from gfkit.metrics import ssim
+
+SHAPE = (527, 1000)
+PLANE = 8 * SHAPE[0] * SHAPE[1]
+
+
+@pytest.fixture(scope="module")
+def images():
+    rng = np.random.default_rng(17)
+    return [rng.random(SHAPE) for _ in range(3)]
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """workers(k, call): call() run with the plane work split k ways."""
+    def run(k, call):
+        monkeypatch.setattr(gfkit.boxops, "_WORKERS", k)
+        return call()
+
+    return run
+
+
+def _same_on(workers, call, counts=(2, 3)):
+    want = workers(1, call)
+    for k in counts:
+        got = workers(k, call)
+        for x, y in zip(want, got, strict=True):
+            assert np.array_equal(x, y)
+
+
+def test_planes_are_above_the_cut_off():
+    assert SHAPE[0] * SHAPE[1] >= gfkit.boxops.PARALLEL_PIXELS
+    assert SHAPE[0] % 32 and SHAPE[0] % 131 and SHAPE[0] % 2 and SHAPE[0] % 3
+    assert len(work_blocks(SHAPE[0], SHAPE[0] * SHAPE[1])) == gfkit.boxops._WORKERS
+
+
+def test_work_blocks_cover_the_range_in_order(monkeypatch):
+    monkeypatch.setattr(gfkit.boxops, "_WORKERS", 3)
+    big = gfkit.boxops.PARALLEL_PIXELS
+    assert work_blocks(7, big) == [slice(0, 2), slice(2, 4), slice(4, 7)]
+    assert work_blocks(2, big) == [slice(0, 1), slice(1, 2)]  # fewer items than workers
+    assert work_blocks(7, big - 1) == [slice(0, 7)]  # below the cut-off
+    assert work_blocks(7, big, 2) == [slice(0, 3), slice(3, 7)]  # at most 2
+    assert work_blocks(7, big, 0) == [slice(0, 7)]
+
+
+def _strips_and_runs(shape):
+    # each run of strips has a scratch block of its own
+    seen = each_strip(shape, lambda rows, t: (rows, t.ctypes.data))
+    return [rows for rows, _ in seen], len({block for _, block in seen})
+
+
+def test_strip_runs_are_capped(workers):
+    # 17 strips of 32 rows: at most one in 8 runs at once, so 2 runs
+    strips, runs = workers(8, lambda: _strips_and_runs(SHAPE))
+    assert strips == [slice(t, min(t + 32, SHAPE[0])) for t in range(0, SHAPE[0], 32)]
+    assert runs == 2
+    assert workers(1, lambda: _strips_and_runs(SHAPE)) == (strips, 1)
+
+
+def _rows(command):
+    """The row's run at its defaults, at most 2 passes, as bench runs it."""
+    cmd = FILTER_COMMANDS[command]
+    row = argparse.Namespace(**{_dest(k): v for k, v in _flag_defaults(cmd).items()})
+    if hasattr(row, "iters"):
+        row.iters = min(row.iters, 2)
+    w = WindowSpec(row.radius, cmd.boundary or row.boundary)
+    return cmd, row, w
+
+
+@pytest.mark.parametrize("command", sorted(FILTER_COMMANDS))
+def test_filter_commands(workers, images, command):
+    p, guide, anchor = images
+    cmd, row, w = _rows(command)
+
+    def call():
+        out = last_iterate(cmd.run(p, guide, anchor, w, row), getattr(row, "iters", 1))
+        return [out.q, out.G] if cmd.g_output else [out]
+
+    _same_on(workers, call)
+
+
+def test_more_strip_runs_with_narrow_strips(workers, images, monkeypatch):
+    # strips of 8 rows: 66 strips, so 3 workers take 3 runs
+    monkeypatch.setattr(gfkit.boxops, "STRIP_BYTES", 8 * 8 * SHAPE[1])
+    p, guide, _ = images
+    w = WindowSpec(5)
+
+    def call():
+        fit = gf_coeffs(p, guide, w, 0.01)
+        energy = energy_gf(gf(p, guide, w, 0.01), fit, guide, w, 0.01)
+        return [gf(p, p, w, 0.01), fit.a, fit.b, np.array([energy.total, *energy.terms.values()])]
+
+    _same_on(workers, call, counts=(3,))
+    assert workers(3, lambda: _strips_and_runs(SHAPE))[1] == 3
+
+
+def _peak_planes(call) -> float:
+    call()  # warm-up: one-time allocations do not count
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / PLANE
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("call, blocks", [
+    # a strip loop holds at most 2 blocks a strip: a scratch block and the counts
+    (lambda p, g: gf(p, p, WindowSpec(3), 0.05), 2),
+    (lambda p, g: gf(p, g, WindowSpec(3), 0.05), 2),
+    # SSIM's 15 buffers a strip and the 10 halo rows of its two fields and
+    # their three products: 17 strips of 32 rows
+    (lambda p, g: ssim(p, g), 15 + 50 / 32),
+], ids=["gf-self", "gf-guided", "ssim"])
+def test_scratch_does_not_grow_with_the_worker_count(workers, images, call, blocks):
+    # eight workers, whose runs of strips each hold their own blocks: all of
+    # them together hold at most one strip in STRIPS_PER_RUN of each block
+    p, guide, _ = images
+    one = workers(1, lambda: _peak_planes(lambda: call(p, guide)))
+    eight = workers(8, lambda: _peak_planes(lambda: call(p, guide)))
+    assert eight - one < blocks / STRIPS_PER_RUN + 0.01
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("radius", [1, 10, 263])  # 2 * 263 + 1 = 527 rows
+def test_box_sum(workers, images, boundary, radius):
+    x = images[0]
+    _same_on(workers, lambda: [box_sum(x, WindowSpec(radius, boundary))])
+
+
+@pytest.mark.parametrize("radius", [600, 2000])  # windows past the image
+def test_box_sum_truncated_past_the_image(workers, images, radius):
+    x = images[0]
+    _same_on(workers, lambda: [box_sum(x, WindowSpec(radius))])
+
+
+def test_box_sum_fewer_rows_than_workers(workers):
+    x = np.random.default_rng(2).random((2, gfkit.boxops.PARALLEL_PIXELS // 2 + 1))
+    _same_on(workers, lambda: [box_sum(x, WindowSpec(1)), box_sum(x, WindowSpec(5))])
+
+
+def test_energy_and_ssim(workers, images):
+    p, guide, _ = images
+    w = WindowSpec(5)
+
+    def call():
+        fit = gf_coeffs(p, guide, w, 0.01)
+        energy = energy_gf(gf(p, guide, w, 0.01), fit, guide, w, 0.01)
+        return [np.array([energy.total, *energy.terms.values()]), np.array(ssim(p, guide))]
+
+    _same_on(workers, call)
+
+
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_ssim_nan_in_a_strip_raises(workers, images, where):
+    x = images[0].copy()
+    x[0 if where == "first" else -1, 500] = np.nan
+    with pytest.raises(ValueError, match="NaN or Inf in x"):
+        workers(2, lambda: ssim(x, images[1]))
+
+
+def test_the_first_error_is_raised_after_every_task_stopped(monkeypatch):
+    monkeypatch.setattr(gfkit.boxops, "_WORKERS", 2)
+    finished = []
+
+    def body(k):
+        if k == 0:
+            raise ValueError("first")
+        time.sleep(0.2)
+        finished.append(k)
+        raise ValueError("second")
+
+    with pytest.raises(ValueError, match="first"):
+        in_parallel(body, range(2))
+    assert finished == [1]
+
+
+def test_tasks_run_in_the_callers_context(monkeypatch):
+    monkeypatch.setattr(gfkit.boxops, "_WORKERS", 2)
+    with np.errstate(divide="raise", invalid="ignore"):
+        seen = in_parallel(lambda k: (np.geterr(), threading.current_thread()), range(2))
+    assert [err["divide"] for err, _ in seen] == ["raise", "raise"]
+    assert [err["invalid"] for err, _ in seen] == ["ignore", "ignore"]
+    assert seen[1][1] is not threading.current_thread()  # the second ran on the pool
+
+
+def test_errstate_reaches_the_strips_on_the_pool(workers):
+    # 0 / 0 in the flat bottom half, which the pool's worker fits
+    g = np.random.default_rng(3).random(SHAPE)
+    g[SHAPE[0] // 2 :] = 0.5
+    with np.errstate(invalid="raise", divide="ignore"), pytest.raises(FloatingPointError):
+        workers(2, lambda: gf_coeffs(g, g, WindowSpec(2), 0.0))
+
+
+def test_no_public_function_runs_off_the_calling_thread(workers, images):
+    # a tracer rebinds gfkit's functions at every module binding, as
+    # conftest's count_box_passes does, and keeps one span stack
+    p, guide, anchor = images
+    originals = {}
+    for name, module in list(sys.modules.items()):
+        if name == "gfkit" or name.startswith("gfkit."):
+            for attr, value in vars(module).items():
+                if (isinstance(value, types.FunctionType) and not attr.startswith("_")
+                        and value.__module__.startswith("gfkit")):
+                    originals[id(value)] = value
+    calls, off = [], []
+
+    def wrap(fn):
+        def traced(*args, **kwargs):
+            calls.append(fn.__name__)
+            if threading.current_thread() is not threading.main_thread():
+                off.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return traced
+
+    wrappers = {key: wrap(fn) for key, fn in originals.items()}
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name == "gfkit" or name.startswith("gfkit."):
+            for attr, value in list(vars(module).items()):
+                if id(value) in wrappers and value is originals[id(value)]:
+                    patched.append((module, attr, value))
+                    setattr(module, attr, wrappers[id(value)])
+    try:
+        for command in sorted(FILTER_COMMANDS):
+            cmd, row, w = _rows(command)
+            workers(2, lambda: last_iterate(cmd.run(p, guide, anchor, w, row),
+                                            getattr(row, "iters", 1)))
+        # looked up at the call, so that the patched bindings run (the
+        # package namespace shadows the gf and tvgf modules)
+        lib = {mod: sys.modules[f"gfkit.{mod}"] for mod in ("gf", "metrics", "tvgf")}
+        workers(2, lambda: lib["metrics"].ssim(p, guide))
+        workers(2, lambda: lib["tvgf"].tvgf(p, p, WindowSpec(3, Boundary.PERIODIC), 0.01, 3.0))
+        fit = workers(2, lambda: lib["gf"].gf_coeffs(p, guide, WindowSpec(3), 0.01))
+        workers(2, lambda: lib["gf"].energy_gf(p, fit, guide, WindowSpec(3), 0.01))
+    finally:
+        for module, attr, value in patched:
+            setattr(module, attr, value)
+    assert {"box_sum", "each_strip", "in_parallel", "ssim"} <= set(calls)
+    assert off == []
