@@ -6,8 +6,8 @@ that minimization, which makes the descent of the exact objective a
 machine-checkable property (see the ``energy_*`` evaluators).
 """
 
-from .core import Boundary, EnergyReport, Image, WindowSpec, make_image
-from .boxops import box_mean, box_sum, window_counts
+from .core import Boundary, EnergyReport, Image, WindowSpec
+from .boxops import box_mean, box_sum
 from .gf import GfCoeffs, energy_gf, gf, gf_apply, gf_coeffs, gf_roll
 from .tvgf import energy_tvgf, tv_denominator, tvgf, tvgf_roll, tvgf_solve_q
 from .cgf import anchor_weight, cgf, cgf_roll, energy_cgf
@@ -56,7 +56,6 @@ __all__ = [
     "gf_roll",
     "icgf",
     "igf",
-    "make_image",
     "mse",
     "naive_roll37",
     "psnr",
@@ -70,7 +69,6 @@ __all__ = [
     "tvgf",
     "tvgf_roll",
     "tvgf_solve_q",
-    "window_counts",
     "write_pnm",
     "write_pnm_file",
 ]

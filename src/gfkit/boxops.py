@@ -19,8 +19,8 @@ pixel's window count |w_i|. Those steps run in place over row strips of
 a fixed byte budget (``each_strip``), so their temporaries are a few
 cache-sized blocks and never a whole plane. The window count is the
 product of two 1-D factors (``WindowCounts``); each strip fills its block
-afresh, which gives the same exact integers as the full count plane
-``window_counts`` and never holds one.
+afresh, which gives the same exact integers as the full count plane,
+their outer product, and never holds one.
 
 The worker pool. Once the window sums exist, each pixel's result depends
 only on its own pixel, and each half of a box pass depends only on its
@@ -237,12 +237,6 @@ class WindowCounts:
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.rows), len(self.cols)
-
-
-def window_counts(shape, w: WindowSpec) -> Image:
-    """Per-pixel window size |w_i| (constant under the periodic boundary)."""
-    counts = WindowCounts.of(shape, w)
-    return np.outer(counts.rows, counts.cols)
 
 
 def each_strip(

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+import numpy as np
+
 from .core import (
     EnergyReport,
     Image,
@@ -31,14 +33,14 @@ from .core import (
     require_same_shape,
 )
 from .gf import GfCoeffs, anchor_term, as_input_and_guide, energy_gf, guide_fit, roll
-from .boxops import window_counts
+from .boxops import WindowCounts
 
 
 def anchor_weight(shape, w: WindowSpec, lam: float) -> Image:
     """Per-pixel blend weight lam / (|w_i| + lam); |w_i| varies near borders."""
     require_params(lam=lam)
-    counts = window_counts(shape, w)
-    return lam / (counts + lam)
+    counts = WindowCounts.of(shape, w)
+    return lam / (np.outer(counts.rows, counts.cols) + lam)
 
 
 def cgf(p: Image, guide: Image, g: Image, w: WindowSpec, eps: float, lam: float) -> Image:
@@ -68,7 +70,8 @@ def cgf_iterates(
     g = as_image(g)
     require_same_shape(p, guide, g)
     require_finite(g, "the anchor g")  # never box-summed, so box_sum cannot catch it
-    return roll(p, guide, guide_fit(p, guide, w, eps, iters), w, anchor_term(g, lam), iters, tol)
+    fit = guide_fit(p, guide, w, eps, iters > 1)
+    return roll(p, guide, fit, w, anchor_term(g, lam), iters, tol)
 
 
 def cgf_roll(

@@ -72,15 +72,6 @@ class EnergyReport:
     terms: dict = field(default_factory=dict)
 
 
-def make_image(width: int, height: int, fill: float = 0.0) -> Image:
-    """Constant image of the given shape."""
-    if width < 1 or height < 1:
-        raise ValueError(f"image dimensions must be >= 1, got {width}x{height}")
-    if not np.isfinite(fill):
-        raise ValueError(f"fill value must be finite, got {fill}")
-    return np.full((height, width), fill, dtype=np.float64)
-
-
 def as_image(x) -> Image:
     """Coerce to a 2-D float64 array, rejecting anything else."""
     arr = np.asarray(x, dtype=np.float64)

@@ -19,10 +19,11 @@ never increases between passes; ``gf`` is the one-pass case of ``gf_roll``.
 box passes, in closed form), so the descent can be checked at any size.
 
 The guide is a constant of that objective, so its window counts, mean and
-variance are constants of every pass. ``gf_coeffs`` is the composition of
-``guide_moments`` (2 box passes) and ``fit_coeffs`` (2 box passes against
-those moments); a roll computes the guide moments once and then spends 4
-box passes per iteration (fit and window sums), 2 + 4n in all instead of 6n.
+variance are constants of every pass. Every fit starts at ``guide_fit``:
+the guide's moments (2 box passes), then ``fit_coeffs`` against them (2
+box passes); ``gf_coeffs`` is that first fit, and a roll keeps the
+moments and spends 4 box passes per iteration (fit and window sums), 2 +
+4n in all instead of 6n.
 The pointwise arithmetic after each box pass runs over row strips against
 the window counts' 1-D factors (see ``boxops``), so a roll holds the
 guide's mean and variance but no plane of counts. Each plane lives only
@@ -34,7 +35,7 @@ besides the moments and its input, and a window-sum step three.
 When the input is the guide itself (p is guide, the edge-preserving
 smoothing case), the fit needs only the guide's own moments: mean(p) is
 the guide mean and cov(guide, p) its unclamped window variance, so
-``self_fit`` returns the moments and the fit from the same 2 box passes,
+``guide_fit`` returns the moments and the fit from the same 2 box passes,
 bit for bit the same as the general route. A self-guided ``gf``, ``cgf``
 or ``tvgf`` then costs 4 box passes instead of 6, and a self-guided roll
 4n instead of 2 + 4n. The test is object identity, made before any
@@ -48,7 +49,7 @@ guide at 4 (the guide's mean and var + eps, and two planes of the fit).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Generator, Iterator
 from dataclasses import dataclass
 from functools import partial
 from typing import TypeVar
@@ -75,8 +76,8 @@ class GuideMoments:
 
     ``var_eps`` is the clamped window variance plus the ridge weight eps,
     the denominator of every slope fit. A self-guided fit that no refit
-    reads after (``guide_fit`` at one pass) keeps only the counts, and
-    ``mean`` and ``var_eps`` are None.
+    reads after (``guide_fit`` without ``refit``) keeps only the counts,
+    and ``mean`` and ``var_eps`` are None.
     """
 
     counts: WindowCounts
@@ -94,58 +95,6 @@ def as_input_and_guide(p, guide) -> tuple[Image, Image]:
     p = guide if p is guide else as_image(p)
     require_same_shape(p, guide)
     return p, guide
-
-
-def _moments(
-    guide: Image, w: WindowSpec, eps: float, fit: bool, refit: bool = True
-) -> tuple[GuideMoments, GfCoeffs | None]:
-    """The guide's window moments from 2 box passes and, with ``fit``, the
-    fit of the guide against itself from the same passes.
-
-    With p = guide, cov(guide, p) is the guide's unclamped window variance,
-    so a = var / var_eps and b = mean - a * mean need no box pass of their
-    own; both routes share every operation up to that variance. A fit that
-    no ``refit`` reads after writes b over the mean and holds var + eps
-    only per strip, so it keeps no plane but the fit's two.
-    """
-    require_params(fit_eps=eps)
-    counts = WindowCounts.of(guide.shape, w)
-    mean = box_sum(guide, w)
-    var = box_sum(product(guide, guide), w)  # window sums of guide^2, then the variance
-    var_eps, b = var, None  # the moments alone: var + eps in the variance's buffer
-    if fit:  # a takes the variance's buffer, b the mean's if no refit follows
-        var_eps = np.empty_like(var) if refit else None
-        b = np.empty_like(var) if refit else mean
-
-    def strip(rows, n, t):
-        m, v = mean[rows], var[rows]
-        m /= n
-        v /= n
-        v -= np.multiply(m, m, out=t)
-        ve = n if var_eps is None else var_eps[rows]  # n is free once both means exist
-        np.maximum(v, 0.0, out=ve)
-        ve += eps
-        if fit:  # a = var / var_eps in the variance's buffer
-            v /= ve
-            np.subtract(m, np.multiply(v, m, out=t), out=b[rows])
-
-    each_strip(guide.shape, strip, counts=counts)
-    moments = GuideMoments(counts=counts, mean=mean if refit else None, var_eps=var_eps)
-    return moments, GfCoeffs(a=var, b=b) if fit else None
-
-
-def guide_moments(guide: Image, w: WindowSpec, eps: float) -> GuideMoments:
-    """Window counts, mean and var + eps of the guidance: 2 box passes."""
-    return _moments(as_image(guide), w, eps, fit=False)[0]
-
-
-def self_fit(guide: Image, w: WindowSpec, eps: float) -> tuple[GuideMoments, GfCoeffs]:
-    """The guide's moments and the fit of the guide against itself: 2 box passes.
-
-    The operation order is that of ``guide_moments`` followed by
-    ``fit_coeffs``, so both results are bit-identical to that route's.
-    """
-    return _moments(as_image(guide), w, eps, fit=True)
 
 
 def fit_coeffs(p: Image, guide: Image, moments: GuideMoments, w: WindowSpec) -> GfCoeffs:
@@ -170,19 +119,46 @@ def fit_coeffs(p: Image, guide: Image, moments: GuideMoments, w: WindowSpec) -> 
 
 
 def guide_fit(
-    p: Image, guide: Image, w: WindowSpec, eps: float, iters: int
+    p: Image, guide: Image, w: WindowSpec, eps: float, refit: bool
 ) -> tuple[GuideMoments, GfCoeffs]:
-    """The guide's moments and the fit of p against them, the first fit of
-    a roll of ``iters`` passes.
+    """The guide's window moments and the fit of p against them: the first
+    fit of a roll, ``refit`` telling whether a later fit reads the moments.
 
-    p and guide must already be float images of one shape. If p is the
-    guide itself, both come from its 2 box passes (``self_fit``), and at
-    one pass, where no refit reads them, the moments keep only the window
-    counts; otherwise the fit of p adds 2.
+    p and guide must already be float images of one shape. The moments
+    take 2 box passes and the fit of p 2 more (``fit_coeffs``), unless p is
+    the guide itself: cov(guide, p) is then the guide's unclamped window
+    variance, so a = var / var_eps and b = mean - a * mean need no box pass
+    of their own, and both routes share every operation up to that
+    variance. A self-guided fit that no refit reads after writes b over the
+    mean and holds var + eps only per strip, so it keeps no plane but the
+    fit's two, and its moments keep only the window counts.
     """
-    if p is guide:
-        return _moments(guide, w, eps, fit=True, refit=iters > 1)
-    moments = guide_moments(guide, w, eps)
+    require_params(fit_eps=eps)
+    fit = p is guide
+    counts = WindowCounts.of(guide.shape, w)
+    mean = box_sum(guide, w)
+    var = box_sum(product(guide, guide), w)  # window sums of guide^2, then the variance
+    var_eps, b = var, None  # the moments alone: var + eps in the variance's buffer
+    if fit:  # a takes the variance's buffer, b the mean's if no refit follows
+        var_eps = np.empty_like(var) if refit else None
+        b = np.empty_like(var) if refit else mean
+
+    def strip(rows, n, t):
+        m, v = mean[rows], var[rows]
+        m /= n
+        v /= n
+        v -= np.multiply(m, m, out=t)
+        ve = n if var_eps is None else var_eps[rows]  # n is free once both means exist
+        np.maximum(v, 0.0, out=ve)
+        ve += eps
+        if fit:  # a = var / var_eps in the variance's buffer
+            v /= ve
+            np.subtract(m, np.multiply(v, m, out=t), out=b[rows])
+
+    each_strip(guide.shape, strip, counts=counts)
+    if fit:
+        return GuideMoments(counts, mean if refit else None, var_eps), GfCoeffs(a=var, b=b)
+    moments = GuideMoments(counts, mean, var_eps)
     return moments, fit_coeffs(p, guide, moments, w)
 
 
@@ -195,7 +171,7 @@ def gf_coeffs(p: Image, guide: Image, w: WindowSpec, eps: float) -> GfCoeffs:
     passes instead of 4 and holds no plane of guide moments.
     """
     p, guide = as_input_and_guide(p, guide)
-    return guide_fit(p, guide, w, eps, 1)[1]
+    return guide_fit(p, guide, w, eps, False)[1]
 
 
 def window_sum_estimate(coeffs: GfCoeffs, guide: Image, w: WindowSpec) -> Image:
@@ -272,7 +248,7 @@ def roll(
     term: PixelTerm,
     iters: int,
     tol: float | None = None,
-) -> Iterator[Image]:
+) -> Generator[Image, None, Image]:
     """Yield the iterates q1 .. qN of a fixed-guide roll from q0 = p.
 
     ``fit`` is the guide's moments and the fit of p against them (from
@@ -285,7 +261,8 @@ def roll(
     roll lets go of each iterate once it is fit, so a consumer that drops
     the iterates it was given holds one at a time.
     If tol is given, the roll stops after the first iterate with
-    max |q_{n+1} - q_n| < tol.
+    max |q_{n+1} - q_n| < tol. Either way it returns its last iterate,
+    the value of the ``StopIteration`` that ends it.
     """
     moments, coeffs = fit
     fits = [] if coeffs is None else [coeffs]  # the fit's one reference, popped to hand it over
@@ -304,21 +281,26 @@ def roll(
         del f  # an update that allocates its result frees f before the yield
         yield q
         if prev is not None and float(np.max(np.abs(q - prev))) < tol:
-            return
+            return q
         prev = None
+    return q
 
 
 def last_iterate(
     iterates: Iterator[T], iters: int, each: Callable[[T], None] | None = None
 ) -> T:
-    """The last of a rolling scheme's ``iters`` iterates (a roll without tol).
+    """The last of a rolling scheme's ``iters`` iterates, or the one it
+    returns if it stops before them (a roll's tol stop).
 
     Each earlier iterate is let go of before the scheme computes the next,
     so that one is held at a time; ``each``, if given, sees every iterate
     as the scheme yields it.
     """
     for n in range(iters):
-        q = next(iterates)
+        try:
+            q = next(iterates)
+        except StopIteration as stop:
+            return stop.value
         if each is not None:
             each(q)
         if n < iters - 1:
@@ -338,7 +320,7 @@ def gf_iterates(p: Image, guide: Image, w: WindowSpec, eps: float, iters: int) -
     """
     require_params(eps=eps, iters=iters)
     p, guide = as_input_and_guide(p, guide)
-    return roll(p, guide, guide_fit(p, guide, w, eps, iters), w, anchor_term(), iters)
+    return roll(p, guide, guide_fit(p, guide, w, eps, iters > 1), w, anchor_term(), iters)
 
 
 def gf_roll(p: Image, guide: Image, w: WindowSpec, eps: float, iters: int) -> list[Image]:

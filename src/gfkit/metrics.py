@@ -1,6 +1,6 @@
 """Image quality indices: MSE, PSNR and SSIM.
 
-All three assume [0, 1] data (peak 1.0) unless a different peak is passed.
+All three take [0, 1] data: PSNR and SSIM use a peak of 1.0.
 SSIM follows the common convention: 11x11 Gaussian window with sigma 1.5,
 K1 = 0.01, K2 = 0.03, local map averaged over fully interior positions.
 
@@ -49,19 +49,19 @@ def mse(x: Image, y: Image) -> float:
     return float(np.mean((x - y) ** 2))
 
 
-def psnr_from_mse(err: float, peak: float = 1.0) -> float:
-    """10 log10(peak^2 / err), +inf for err = 0."""
+def psnr_from_mse(err: float) -> float:
+    """10 log10(1 / err), +inf for err = 0."""
     if err == 0.0:
         return math.inf
     # numpy's log10, not math.log10: the two differ in the last bit for
     # about one argument in ten, and the CLI's psnr_db is pinned to numpy's
-    return 10.0 * float(np.log10(peak * peak / err))
+    return 10.0 * float(np.log10(1.0 / err))
 
 
-def psnr(x: Image, y: Image, peak: float = 1.0) -> float:
-    """10 log10(peak^2 / mse), +inf for identical images; NaN or Inf raises
+def psnr(x: Image, y: Image) -> float:
+    """10 log10(1 / mse), +inf for identical images; NaN or Inf raises
     ValueError."""
-    return psnr_from_mse(mse(x, y), peak)
+    return psnr_from_mse(mse(x, y))
 
 
 def _gaussian_window(n: int, sigma: float) -> np.ndarray:
@@ -87,7 +87,7 @@ def _window_pass(src: np.ndarray, step: int, kernel: np.ndarray, out: np.ndarray
         out += tmp
 
 
-def ssim(x: Image, y: Image, peak: float = 1.0) -> float:
+def ssim(x: Image, y: Image) -> float:
     """Mean structural similarity between two images.
 
     NaN or Inf raises ValueError: each strip is checked as it is copied in,
@@ -101,8 +101,8 @@ def ssim(x: Image, y: Image, peak: float = 1.0) -> float:
         raise ValueError(
             f"image too small for SSIM: needs min dimension >= {SSIM_WINDOW}, got {x.shape}"
         )
-    c1 = (SSIM_K1 * peak) ** 2
-    c2 = (SSIM_K2 * peak) ** 2
+    c1 = SSIM_K1 ** 2
+    c2 = SSIM_K2 ** 2
     kernel = _gaussian_window(SSIM_WINDOW, SSIM_SIGMA)
     r = SSIM_WINDOW // 2
     height, width = x.shape

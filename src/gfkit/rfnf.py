@@ -30,9 +30,9 @@ from .gf import (
     anchor_term,
     anchored_update,
     fit_coeffs,
+    guide_fit,
     last_iterate,
     roll,
-    self_fit,
     window_sum_estimate,
 )
 
@@ -40,7 +40,7 @@ from .gf import (
 def _flash_base(flash: Image, w: WindowSpec, eps: float) -> tuple[GuideMoments, Image]:
     """The flash moments and the base layer gf(flash, flash): 4 box passes."""
     require_params(eps=eps)
-    moments, *fit = self_fit(flash, w, eps)  # the fit's one reference, popped to hand it over
+    moments, *fit = guide_fit(flash, flash, w, eps, True)  # popped to hand the fit over
     return moments, anchored_update(window_sum_estimate(fit.pop(), flash, w), moments.counts)
 
 

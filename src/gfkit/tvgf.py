@@ -107,7 +107,7 @@ def tvgf_iterates(
     require_params(eps=eps, lam=lam, iters=iters)
     p, guide = as_input_and_guide(p, guide)
     term = tv_term(p.shape, w, lam)  # before the fit, so that no fit plane is alive
-    return roll(p, guide, guide_fit(p, guide, w, eps, iters), w, term, iters)
+    return roll(p, guide, guide_fit(p, guide, w, eps, iters > 1), w, term, iters)
 
 
 def tvgf_roll(

@@ -63,6 +63,44 @@ def gather_centers(x, ky, kx, w: WindowSpec):
 def naive_gf(p, guide, w: WindowSpec, eps):
     """Two-step guided filter without any box filtering.
 
+    Every window is gathered whole (wrapped, or clipped by a zero pad and a
+    mask), and the 2x2 ridge normal equations of all windows are solved in
+    one batch. The coefficients are then scattered back over each window's
+    pixels one window offset at a time and averaged per pixel.
+    """
+    h, wd = p.shape
+    r = w.radius
+    side = 2 * r + 1
+    periodic = w.boundary is Boundary.PERIODIC
+    mask = np.ones_like(p)
+
+    def windows(x):  # (h, wd, side, side): the window centered at each pixel
+        padded = np.pad(x, r, mode="wrap") if periodic else np.pad(x, r)
+        return np.lib.stride_tricks.sliding_window_view(padded, (side, side))
+
+    gwin, pwin, inside = windows(guide), windows(p), windows(mask)
+    n = inside.sum(axis=(2, 3))
+    s_g, s_p = gwin.sum(axis=(2, 3)), pwin.sum(axis=(2, 3))
+    s_gg, s_gp = (gwin * gwin).sum(axis=(2, 3)), (gwin * pwin).sum(axis=(2, 3))
+    m = np.stack([np.stack([s_gg + n * eps, s_g], -1), np.stack([s_g, n], -1)], -2)
+    coeffs = np.linalg.solve(m, np.stack([s_gp, s_p], -1)[..., None])[..., 0]
+    acc = np.zeros((h, wd, 3))
+    per_window = np.concatenate([coeffs, np.ones((h, wd, 1))], -1)  # a, b and a count of 1
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            if periodic:
+                acc += np.roll(per_window, (dy, dx), axis=(0, 1))
+            elif abs(dy) < h and abs(dx) < wd:  # k's window covers k + (dy, dx) if inside
+                acc[max(0, dy) : h + min(0, dy), max(0, dx) : wd + min(0, dx)] += per_window[
+                    max(0, -dy) : h - max(0, dy), max(0, -dx) : wd - max(0, dx)
+                ]
+    acc_a, acc_b, acc_n = acc[..., 0], acc[..., 1], acc[..., 2]
+    return (acc_a * guide + acc_b) / acc_n
+
+
+def naive_gf_per_window(p, guide, w: WindowSpec, eps):
+    """``naive_gf`` one window at a time: the reference for its batching.
+
     Per window: solve the 2x2 ridge normal equations directly. Then
     aggregate by scattering each window's coefficients over its pixels and
     averaging per pixel.

@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gfkit.core import Boundary, WindowSpec, make_image
-from gfkit.boxops import box_mean, box_sum, window_counts
+from gfkit.core import Boundary, WindowSpec
+from gfkit.boxops import WindowCounts, box_mean, box_sum
 
 from oracles import naive_box_sum
 
@@ -155,7 +155,7 @@ def test_periodic_window_too_large():
 
 def test_box_mean_constant():
     for boundary in BOTH:
-        out = box_mean(make_image(8, 8, 5.0), WindowSpec(2, boundary))
+        out = box_mean(np.full((8, 8), 5.0), WindowSpec(2, boundary))
         np.testing.assert_allclose(out, 5.0)
 
 
@@ -171,6 +171,12 @@ def test_box_mean_impulse_periodic():
     x = np.zeros((3, 3))
     x[1, 1] = 9.0
     np.testing.assert_allclose(box_mean(x, WindowSpec(1, Boundary.PERIODIC)), 1.0)
+
+
+def window_counts(shape, w):
+    """The full plane of window counts |w_i|, the outer product of the factors."""
+    counts = WindowCounts.of(shape, w)
+    return np.outer(counts.rows, counts.cols)
 
 
 def test_window_counts():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gfkit.core import Boundary, WindowSpec, make_image
+from gfkit.core import Boundary, WindowSpec
 from gfkit.gf import GfCoeffs, gf, gf_coeffs, energy_gf
 from gfkit.cgf import anchor_weight, cgf, cgf_iterates, cgf_roll, energy_cgf
 
@@ -64,7 +64,7 @@ class TestAnchorWeight:
 class TestRoll:
     def test_anchor_and_input_constant(self):
         guide = np.random.default_rng(4).random((8, 8))
-        c = make_image(8, 8, 0.6)
+        c = np.full((8, 8), 0.6)
         for q in cgf_roll(c, guide, c, W, 0.1, 1.0, 4):
             np.testing.assert_allclose(q, 0.6, atol=1e-11)
 
@@ -127,8 +127,8 @@ class TestRoll:
 class TestEnergy:
     def test_perfect_anchor_zero(self):
         guide = np.random.default_rng(9).random((6, 6))
-        c = make_image(6, 6, 0.8)
-        coeffs = GfCoeffs(a=np.zeros((6, 6)), b=make_image(6, 6, 0.8))
+        c = np.full((6, 6), 0.8)
+        coeffs = GfCoeffs(a=np.zeros((6, 6)), b=np.full((6, 6), 0.8))
         report = energy_cgf(c, coeffs, guide, c, W, 0.1, 2.0)
         assert report.total == pytest.approx(0.0)
 

@@ -2,37 +2,10 @@ import numpy as np
 import pytest
 
 from gfkit.cgf import cgf_roll
-from gfkit.core import _PARAM_RULES, Boundary, WindowSpec, make_image, require_params
+from gfkit.core import _PARAM_RULES, Boundary, WindowSpec, require_params
 from gfkit.gf import gf, gf_coeffs, gf_roll
 from gfkit.rfnf import rfnf_gen
 from gfkit.tvgf import tvgf
-
-
-class TestMakeImage:
-    def test_constant_fill(self):
-        img = make_image(3, 3, 0.5)
-        assert img.shape == (3, 3)
-        assert np.all(img == 0.5)
-
-    def test_single_pixel(self):
-        img = make_image(1, 1, 0.0)
-        assert img.shape == (1, 1)
-        assert img[0, 0] == 0.0
-
-    def test_shape_and_length(self):
-        img = make_image(2, 3, 1.0)
-        assert img.shape == (3, 2)
-        assert img.size == 6
-        assert np.all(img == 1.0)
-
-    @pytest.mark.parametrize("width,height", [(0, 3), (3, 0), (-1, 2)])
-    def test_bad_dimensions(self, width, height):
-        with pytest.raises(ValueError):
-            make_image(width, height)
-
-    def test_nonfinite_fill(self):
-        with pytest.raises(ValueError):
-            make_image(2, 2, float("nan"))
 
 
 class TestWindowSpec:

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from gfkit.core import Boundary, WindowSpec, make_image
+from gfkit.core import Boundary, WindowSpec
 from gfkit.boxops import box_mean
-from gfkit.gf import energy_gf, gf, gf_apply, gf_coeffs, gf_roll, guide_moments, GfCoeffs
+from gfkit.gf import energy_gf, gf, gf_apply, gf_coeffs, gf_roll, guide_fit, GfCoeffs
 
-from oracles import energy_gf_reordered, naive_gf, naive_gf_aggregate, window_values
+from oracles import (
+    energy_gf_reordered,
+    naive_gf,
+    naive_gf_aggregate,
+    naive_gf_per_window,
+    window_values,
+)
 
 BOTH = (Boundary.TRUNCATE, Boundary.PERIODIC)
 
@@ -14,7 +20,7 @@ class TestCoeffs:
     def test_constant_input_zero_slope(self):
         rng = np.random.default_rng(0)
         guide = rng.random((8, 8))
-        c = gf_coeffs(make_image(8, 8, 0.6), guide, WindowSpec(2), eps=0.1)
+        c = gf_coeffs(np.full((8, 8), 0.6), guide, WindowSpec(2), eps=0.1)
         np.testing.assert_allclose(c.a, 0.0, atol=1e-12)
         np.testing.assert_allclose(c.b, 0.6, atol=1e-12)
 
@@ -50,13 +56,17 @@ class TestCoeffs:
 
 
 def window_variance(x, w):
-    """The clamped window variance of the guide moments: var + eps at eps = 0."""
-    return guide_moments(x, w, 0.0).var_eps
+    """The clamped window variance of the guide moments: var + eps at eps = 0.
+
+    The self-guided fit made with them divides 0 by 0 in a flat window.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return guide_fit(x, x, w, 0.0, True)[0].var_eps
 
 
 class TestGuideVariance:
     def test_constant_is_zero(self):
-        out = window_variance(make_image(7, 7, 0.42), WindowSpec(2, Boundary.TRUNCATE))
+        out = window_variance(np.full((7, 7), 0.42), WindowSpec(2, Boundary.TRUNCATE))
         np.testing.assert_allclose(out, 0.0, atol=1e-14)
 
     def test_checkerboard_periodic_matches_naive_formula(self):
@@ -87,7 +97,7 @@ class TestGuideVariance:
 class TestApply:
     def test_zero_slope_returns_offset(self):
         guide = np.random.default_rng(3).random((6, 6))
-        coeffs = GfCoeffs(a=np.zeros((6, 6)), b=make_image(6, 6, 0.4))
+        coeffs = GfCoeffs(a=np.zeros((6, 6)), b=np.full((6, 6), 0.4))
         np.testing.assert_allclose(gf_apply(coeffs, guide, WindowSpec(2)), 0.4, atol=1e-13)
 
     def test_unit_slope_is_identity(self):
@@ -108,7 +118,7 @@ class TestGf:
     def test_constants_are_fixed_points(self):
         rng = np.random.default_rng(6)
         guide = rng.random((8, 8))
-        out = gf(make_image(8, 8, 0.3), guide, WindowSpec(2), eps=0.05)
+        out = gf(np.full((8, 8), 0.3), guide, WindowSpec(2), eps=0.05)
         np.testing.assert_allclose(out, 0.3, atol=1e-12)
 
     def test_huge_eps_is_double_box_blur(self):
@@ -127,6 +137,18 @@ class TestGf:
         got = gf(p, guide, w, eps=0.1)
         want = naive_gf(p, guide, w, eps=0.1)
         assert np.max(np.abs(got - want)) <= 1e-10
+
+    @pytest.mark.parametrize("shape,w", [
+        ((16, 16), WindowSpec(3)), ((16, 16), WindowSpec(3, "periodic")),
+        ((5, 9), WindowSpec(6)), ((1, 7), WindowSpec(2)), ((7, 9), WindowSpec(3, "periodic")),
+    ], ids=["truncate", "periodic", "wider-than-image", "one-row", "periodic-7x9"])
+    def test_batched_oracle_matches_the_per_window_loop(self, shape, w):
+        # the batched oracle sums in another order: agreement to round-off
+        rng = np.random.default_rng(9)
+        p, guide = rng.random(shape), rng.random(shape)
+        got = naive_gf(p, guide, w, eps=0.01)
+        want = naive_gf_per_window(p, guide, w, eps=0.01)
+        assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_eps_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -155,7 +177,7 @@ class TestRoll:
 
     def test_constants_stay_constant(self):
         guide = np.random.default_rng(12).random((8, 8))
-        for q in gf_roll(make_image(8, 8, 0.5), guide, WindowSpec(2), 0.1, 4):
+        for q in gf_roll(np.full((8, 8), 0.5), guide, WindowSpec(2), 0.1, 4):
             np.testing.assert_allclose(q, 0.5, atol=1e-11)
 
     def test_bad_iters(self):
@@ -166,8 +188,8 @@ class TestRoll:
 class TestEnergy:
     def test_exact_fit_zero(self):
         guide = np.random.default_rng(14).random((6, 6))
-        q = make_image(6, 6, 0.7)
-        coeffs = GfCoeffs(a=np.zeros((6, 6)), b=make_image(6, 6, 0.7))
+        q = np.full((6, 6), 0.7)
+        coeffs = GfCoeffs(a=np.zeros((6, 6)), b=np.full((6, 6), 0.7))
         assert energy_gf(q, coeffs, guide, WindowSpec(1), 0.1).total == pytest.approx(0.0)
 
     def test_all_zero_state_is_zero(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gfkit.core import Boundary, WindowSpec, make_image
+from gfkit.core import Boundary, WindowSpec
 from gfkit.gf import gf_coeffs
 from gfkit.igf import DEGENERATE_EPS, icgf, igf, igf_update, inverse_update
 from gfkit.boxops import box_mean, box_sum
@@ -22,7 +22,7 @@ class TestIgf:
     def test_constant_input_falls_back_to_guess(self):
         rng = np.random.default_rng(1)
         guess = rng.random((10, 10))
-        out = igf(make_image(10, 10, 0.4), guess, W, eps=0.1)
+        out = igf(np.full((10, 10), 0.4), guess, W, eps=0.1)
         np.testing.assert_array_equal(out, guess)
 
     def test_update_matches_per_pixel_least_squares(self):
@@ -112,7 +112,7 @@ class TestIcgf:
     def test_constant_input_routes_to_anchor(self):
         rng = np.random.default_rng(6)
         guess, g = rng.random((8, 8)), rng.random((8, 8))
-        out = icgf(make_image(8, 8, 0.7), guess, g, W, eps=0.1, lam=1.0)
+        out = icgf(np.full((8, 8), 0.7), guess, g, W, eps=0.1, lam=1.0)
         np.testing.assert_allclose(out, g, atol=1e-12)
 
     def test_denominator_bounded_below_by_lambda(self):

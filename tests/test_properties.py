@@ -1,6 +1,6 @@
 """Generated-case properties of the filters: constants are fixed points,
-gf is affine-equivariant in its input, and the closed-form energy is the
-per-window sum."""
+gf is affine-equivariant in its input, the closed-form energy is the
+per-window sum, and the fixed-guide rolls never raise it."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,28 +8,35 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gfkit.boxops import WindowCounts
-from gfkit.cgf import cgf
+from gfkit.cgf import cgf, cgf_roll
 from gfkit.core import Boundary, WindowSpec
-from gfkit.gf import anchor_term, energy_gf, gf, gf_coeffs
+from gfkit.gf import anchor_term, energy_gf, gf, gf_coeffs, gf_roll
 from gfkit.rfnf import detail_term
-from gfkit.tvgf import tv_term, tvgf
+from gfkit.tvgf import tv_term, tvgf, tvgf_roll
 
 from oracles import energy_gf_reordered
 
 BOTH = [Boundary.TRUNCATE, Boundary.PERIODIC]
 values = st.floats(-100.0, 100.0, allow_nan=False)
 unit = st.floats(0.0, 1.0, allow_nan=False)
+decades = st.floats(-4.0, 0.0).map(lambda e: 10.0**e)  # eps from 1e-4 to 1
 
 
 @st.composite
-def guided_cases(draw, boundaries=BOTH):
-    """(guide, window, eps): any guide on [0, 1], a window that fits it."""
+def guided_cases(draw, boundaries=BOTH, wide=False, eps=st.floats(1e-3, 10.0)):
+    """(guide, window, eps): any guide on [0, 1], a window that fits it.
+
+    A truncated window has a radius up to 5, or with ``wide`` up to the
+    image's larger side, so that it can be taller or wider than the image.
+    """
     shape = (draw(st.integers(1, 16)), draw(st.integers(1, 16)))
     boundary = draw(st.sampled_from(boundaries))
-    r_max = (min(shape) - 1) // 2 if boundary is Boundary.PERIODIC else 5
+    if boundary is Boundary.PERIODIC:
+        r_max = (min(shape) - 1) // 2
+    else:
+        r_max = max(shape) if wide else 5
     w = WindowSpec(draw(st.integers(0, r_max)), boundary)
-    eps = draw(st.floats(1e-3, 10.0))
-    return draw(arrays(np.float64, shape, elements=unit)), w, eps
+    return draw(arrays(np.float64, shape, elements=unit)), w, draw(eps)
 
 
 def _assert_constant(out, c):
@@ -90,3 +97,27 @@ def test_energy_is_the_per_window_sum(case, kind, data):
     # every sum that cancels; a vanishing energy has no relative error
     size = energy_gf_reordered(-np.abs(q), np.abs(fit.a), np.abs(fit.b), np.abs(guide), w, eps)
     assert abs(got - want) <= 1e-12 * (abs(want) + size)
+
+
+PASSES = 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(guided_cases(wide=True, eps=decades), st.sampled_from(["gf", "cgf", "tvgf"]),
+       st.floats(0.0, 100.0), st.data())
+def test_rolls_never_raise_the_energy(case, kind, lam, data):
+    # each iterate priced with the fit it was solved from, as in criterion 02,
+    # at its 1e-9 slack
+    guide, w, eps = case
+    p = data.draw(arrays(np.float64, guide.shape, elements=unit))
+    if kind == "tvgf" and w.boundary is not Boundary.PERIODIC:
+        kind = "cgf"  # the TV term runs on periodic windows only
+    iterates, term = {
+        "gf": lambda: (gf_roll(p, guide, w, eps, PASSES), None),
+        "cgf": lambda: (cgf_roll(p, guide, p, w, eps, lam, PASSES), anchor_term(p, lam)),
+        "tvgf": lambda: (tvgf_roll(p, guide, w, eps, lam, PASSES), tv_term(guide.shape, w, lam)),
+    }[kind]()
+    qs = [p, *iterates]
+    energies = [energy_gf(q, gf_coeffs(prev, guide, w, eps), guide, w, eps, term).total
+                for prev, q in zip(qs, qs[1:])]
+    assert np.all(np.diff(energies) <= 1e-9)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gfkit.core import Boundary, WindowSpec, make_image
+from gfkit.core import Boundary, WindowSpec
 from gfkit.boxops import box_mean
 from gfkit.gf import gf, gf_roll
 from gfkit.cgf import cgf_roll
@@ -12,7 +12,7 @@ W = WindowSpec(3, Boundary.TRUNCATE)
 
 class TestDetail:
     def test_constant_flash_has_no_detail(self):
-        out = detail_image(make_image(10, 10, 0.6), W, eps=0.1)
+        out = detail_image(np.full((10, 10), 0.6), W, eps=0.1)
         np.testing.assert_allclose(out, 0.0, atol=1e-11)
 
     def test_huge_eps_subtracts_double_blur(self):
@@ -39,7 +39,7 @@ class TestSeo:
         np.testing.assert_allclose(got, want, atol=1e-13)
 
     def test_constant_pair_fixed_point(self):
-        c = make_image(8, 8, 0.3)
+        c = np.full((8, 8), 0.3)
         got = rfnf_seo(c, c, W, 0.1, lam=0.7, iters=5)
         np.testing.assert_allclose(got, 0.3, atol=1e-10)
 
@@ -74,7 +74,7 @@ class TestGen:
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_constant_scene_fixed_point(self):
-        c = make_image(8, 8, 0.52)
+        c = np.full((8, 8), 0.52)
         got = rfnf_gen(c, c, W, 0.1, lam=1.0, tau=2.0, iters=5)
         np.testing.assert_allclose(got, 0.52, atol=1e-10)
 

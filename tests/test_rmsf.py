@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gfkit.core import Boundary, WindowSpec, make_image
+from gfkit.core import Boundary, WindowSpec
 from gfkit.gf import GfCoeffs, gf, gf_coeffs
 from gfkit.igf import igf
 from gfkit.rmsf import (
@@ -20,7 +20,7 @@ W = WindowSpec(2, Boundary.TRUNCATE)
 class TestAlphaWeight:
     @pytest.mark.parametrize("value,expected", [(0.0, 1.0), (1.0, 0.5), (3.0, 0.1)])
     def test_constants(self, value, expected):
-        out = alpha_weight(make_image(6, 6, value), W)
+        out = alpha_weight(np.full((6, 6), value), W)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_range(self):
@@ -31,7 +31,7 @@ class TestAlphaWeight:
 
 class TestGfRmsf:
     def test_constants_preserved(self):
-        c = make_image(8, 8, 0.5)
+        c = np.full((8, 8), 0.5)
         state = gf_rmsf(c, c, 0.1, 0.1, W, 3)
         np.testing.assert_allclose(state.q, 0.5, atol=1e-10)
         np.testing.assert_allclose(state.G, 0.5, atol=1e-10)
@@ -97,7 +97,7 @@ class TestCgfRmsf:
         assert np.max(np.abs(plain.G - anchored.G)) <= 1e-12
 
     def test_constants_preserved(self):
-        c = make_image(8, 8, 0.25)
+        c = np.full((8, 8), 0.25)
         state = cgf_rmsf(c, c, 0.1, 0.1, 0.01, 0.01, W, 3)
         np.testing.assert_allclose(state.q, 0.25, atol=1e-10)
         np.testing.assert_allclose(state.G, 0.25, atol=1e-10)
@@ -133,7 +133,7 @@ class TestCgfRmsf:
 
 class TestNaiveRoll:
     def test_constants(self):
-        c = make_image(8, 8, 0.9)
+        c = np.full((8, 8), 0.9)
         state = naive_roll37(c, c, 0.1, W, 3)
         np.testing.assert_allclose(state.q, 0.9, atol=1e-11)
 
@@ -160,7 +160,7 @@ class TestEnergyMutual:
         assert report.total == 0.0
 
     def test_matched_constants_zero(self):
-        c = make_image(6, 6, 0.4)
+        c = np.full((6, 6), 0.4)
         z = np.zeros((6, 6))
         state = MutualState(q=c, G=c, iteration=0)
         coeffs = GfCoeffs(a=z, b=c.copy())

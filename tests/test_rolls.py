@@ -11,10 +11,10 @@ import sys
 import numpy as np
 import pytest
 
-from gfkit.boxops import box_sum, window_counts
+from gfkit.boxops import WindowCounts, box_sum
 from gfkit.cgf import cgf, cgf_iterates, cgf_roll
 from gfkit.core import Boundary, WindowSpec, as_image
-from gfkit.gf import fit_coeffs, gf, gf_coeffs, gf_iterates, gf_roll, guide_moments
+from gfkit.gf import fit_coeffs, gf, gf_coeffs, gf_iterates, gf_roll, guide_fit, last_iterate
 from gfkit.rfnf import (
     detail_image,
     enhanced_flash,
@@ -52,7 +52,8 @@ def _images(seed):
 
 def _one_shot_coeffs(p, guide, w, eps):
     """The fit as a single function of p and the guide, in the same order."""
-    counts = window_counts(p.shape, w)
+    factors = WindowCounts.of(p.shape, w)
+    counts = np.outer(factors.rows, factors.cols)
     mean_g = box_sum(guide, w) / counts
     mean_p = box_sum(p, w) / counts
     a = box_sum(guide * p, w) / counts - mean_g * mean_p
@@ -81,8 +82,9 @@ class TestBitIdentity:
     def test_gf_coeffs_is_the_two_helper_composition(self, w, eps):
         p, guide, _ = _images(0)
         c = gf_coeffs(p, guide, w, eps)
-        moments = guide_moments(guide, w, eps)
-        split = fit_coeffs(as_image(p), as_image(guide), moments, w)
+        p, guide = as_image(p), as_image(guide)
+        moments, _ = guide_fit(p, guide, w, eps, True)
+        split = fit_coeffs(p, guide, moments, w)
         np.testing.assert_array_equal(c.a, split.a)
         np.testing.assert_array_equal(c.b, split.b)
         a, b = _one_shot_coeffs(p, guide, w, eps)
@@ -277,3 +279,15 @@ class TestIterates:
         # the call itself raises: no next() is needed to reach the check
         with pytest.raises(ValueError, match=match):
             ITERATES[name][0](*_images(16), eps, iters)
+
+    @WINDOWS
+    def test_last_iterate_ends_at_a_tol_stop(self, w):
+        # the roll stops after 34 of 50 iterates; the last of those is the
+        # scheme's result, with each iterate seen once on the way
+        x = np.random.default_rng(40).random((40, 40))
+        want = cgf_roll(x, x, x, w, 0.01, 0.5, 50, tol=1e-3)
+        assert len(want) < 50
+        seen = []
+        got = last_iterate(cgf_iterates(x, x, x, w, 0.01, 0.5, 50, tol=1e-3), 50, seen.append)
+        assert np.array_equal(got, want[-1])
+        assert len(seen) == len(want)

@@ -23,8 +23,7 @@ from gfkit.gf import (
     gf_apply,
     gf_coeffs,
     gf_roll,
-    guide_moments,
-    self_fit,
+    guide_fit,
     window_sum_estimate,
 )
 from gfkit.igf import icgf, igf
@@ -111,10 +110,10 @@ class TestSameBitsAsTheGeneralRoute:
 
     @WINDOWS
     @pytest.mark.parametrize("eps", [0.0, 0.05])
-    def test_self_fit_is_guide_moments_then_fit_coeffs(self, w, eps):
+    def test_self_guided_fit_is_guide_moments_then_fit_coeffs(self, w, eps):
         x = as_image(_image("strided"))
-        moments, coeffs = self_fit(x, w, eps)
-        general = guide_moments(x, w, eps)
+        moments, coeffs = guide_fit(x, x, w, eps, True)
+        general, _ = guide_fit(x.copy(), x, w, eps, True)
         for field in ("mean", "var_eps"):
             assert np.array_equal(getattr(moments, field), getattr(general, field))
         for factor in ("rows", "cols"):
@@ -122,7 +121,7 @@ class TestSameBitsAsTheGeneralRoute:
         _assert_same_bits(coeffs, fit_coeffs(x, x, general, w))
 
     @WINDOWS
-    def test_self_fit_where_the_variance_rounds_below_zero(self, w):
+    def test_self_guided_fit_where_the_variance_rounds_below_zero(self, w):
         # a large offset and a tiny spread: the unclamped variance is the
         # numerator and the clamped one the denominator
         x = 100.0 + 1e-7 * np.random.default_rng(3).random((17, 23))
@@ -250,10 +249,11 @@ class TestPeakMemory:
         slack = x.nbytes // 2
 
         def reference(w, update):
-            moments = guide_moments(x, w, 0.05)
+            moments, coeffs = guide_fit(x, x, w, 0.05, True)
             out = []
             for _ in range(iters):
-                coeffs = fit_coeffs(out[-1] if out else x, x, moments, w)
+                if out:
+                    coeffs = fit_coeffs(out[-1], x, moments, w)
                 f = window_sum_estimate(coeffs, x, w)
                 del coeffs
                 out.append(update(f, moments.counts))

@@ -31,9 +31,8 @@ from gfkit.gf import (
     gf_apply,
     gf_coeffs,
     gf_roll,
-    guide_moments,
+    guide_fit,
     roll,
-    self_fit,
 )
 from gfkit.igf import icgf, icgf_update, igf, igf_update
 from gfkit.rfnf import detail_image, enhanced_flash, rfnf_gen, rfnf_seo
@@ -106,10 +105,10 @@ def test_fits(strips, images, w, eps):
     p, guide, _ = images
     fit = gf_coeffs(p, guide, w, eps)
     _same([fit.a, fit.b], frozen_gf_coeffs(p, guide, w, eps))
-    moments = guide_moments(guide, w, eps)
+    moments, _ = guide_fit(p, guide, w, eps, True)
     counts = np.outer(moments.counts.rows, moments.counts.cols)
     _same([counts, moments.mean, moments.var_eps], frozen_guide_moments(guide, w, eps))
-    moments, fit = self_fit(guide, w, eps)
+    moments, fit = guide_fit(guide, guide, w, eps, True)
     (_, mean, var_eps), (a, b) = frozen_self_fit(guide, w, eps)
     _same([moments.mean, moments.var_eps, fit.a, fit.b], [mean, var_eps, a, b])
 
@@ -327,7 +326,7 @@ def test_roll_updates_receive_the_count_factors(pair):
         seen.append(counts)
         return f
 
-    fit = (guide_moments(guide, TRUNC, 0.05), None)
+    fit = guide_fit(p, guide, TRUNC, 0.05, True)
     list(roll(p, guide, fit, TRUNC, PixelTerm("probe", update, None), 2))
     assert len(seen) == 2
     for counts in seen:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gfkit.core import Boundary, WindowSpec, make_image
+from gfkit.core import Boundary, WindowSpec
 from gfkit.gf import GfCoeffs, gf
 from gfkit.tvgf import (
     energy_tvgf,
@@ -42,7 +42,7 @@ class TestDenominator:
 
 class TestSolve:
     def test_constant_input_scales_by_window_size(self):
-        out = tvgf_solve_q(make_image(8, 8, 2.5), WP, lam=45.0)
+        out = tvgf_solve_q(np.full((8, 8), 2.5), WP, lam=45.0)
         np.testing.assert_allclose(out, 2.5 / 25.0, atol=1e-12)
 
     def test_lambda_zero_divides_by_window_size(self):
@@ -93,7 +93,7 @@ class TestTvgf:
     def test_constant_input_preserved(self):
         rng = np.random.default_rng(4)
         guide = rng.random((12, 12))
-        out = tvgf(make_image(12, 12, 0.45), guide, WP, eps=0.1, lam=45.0)
+        out = tvgf(np.full((12, 12), 0.45), guide, WP, eps=0.1, lam=45.0)
         np.testing.assert_allclose(out, 0.45, atol=1e-10)
 
     def test_rejects_truncate_window(self):
@@ -117,13 +117,13 @@ class TestRollAndEnergy:
 
     def test_constants_stay_constant(self):
         guide = np.random.default_rng(7).random((10, 10))
-        for q in tvgf_roll(make_image(10, 10, 0.2), guide, WP, 0.1, 45.0, 3):
+        for q in tvgf_roll(np.full((10, 10), 0.2), guide, WP, 0.1, 45.0, 3):
             np.testing.assert_allclose(q, 0.2, atol=1e-9)
 
     def test_energy_constant_state_has_zero_tv(self):
         guide = np.random.default_rng(9).random((8, 8))
-        q = make_image(8, 8, 0.3)
-        coeffs = GfCoeffs(a=np.zeros((8, 8)), b=make_image(8, 8, 0.3))
+        q = np.full((8, 8), 0.3)
+        coeffs = GfCoeffs(a=np.zeros((8, 8)), b=np.full((8, 8), 0.3))
         report = energy_tvgf(q, coeffs, guide, WP, 0.1, 45.0)
         assert report.terms["tv"] == 0.0
         assert report.total == pytest.approx(0.0)
@@ -150,7 +150,7 @@ class TestRollAndEnergy:
         assert got.total == pytest.approx(want, rel=1e-12)
 
     def test_tv_squared_constant_zero(self):
-        np.testing.assert_array_equal(tv_squared(make_image(6, 6, 1.3)), 0.0)
+        np.testing.assert_array_equal(tv_squared(np.full((6, 6), 1.3)), 0.0)
 
 
 class TestTransformContract:
