@@ -19,7 +19,7 @@ moments and the roll costs 4n: 4 for one ``cgf`` call.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Generator
 
 import numpy as np
 
@@ -57,7 +57,7 @@ def cgf_iterates(
     lam: float,
     iters: int,
     tol: float | None = None,
-) -> Iterator[Image]:
+) -> Generator[Image, None, Image]:
     """The iterates of ``cgf_roll``, each yielded as soon as it exists.
 
     Parameters (tol too, if given) and the anchor are checked and the

@@ -19,7 +19,7 @@ import statistics
 import sys
 import time
 import tracemalloc
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,20 +37,6 @@ from .metrics import mse, psnr_from_mse, ssim
 from .imgio import PnmError, quantize, read_pnm_file, write_pnm_file
 
 ITERATE_MAXVAL = 65535  # dumped iterates keep 16 bits to limit requantization
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
 
 
 def _param(key: str, parse=float):
@@ -71,7 +57,7 @@ def _param(key: str, parse=float):
 
 # parameter -> (flag, add_argument keywords); --help lists the flags in this order
 PARAM_FLAGS = {
-    "radius": ("--radius", {"type": _nonneg_int}),
+    "radius": ("--radius", {"type": _param("radius", int)}),
     "eps": ("--eps", {"type": _param("eps")}),
     "eps2": ("--eps2", {"type": _param("eps2")}),
     "lam": ("--lambda", {"dest": "lam", "type": _param("lam")}),
@@ -87,9 +73,9 @@ PARAM_FLAGS = {
 class FilterCommand:
     """One filter subcommand. ``params`` maps each of its ``PARAM_FLAGS``
     keys to its default; a fixed ``boundary`` replaces the --boundary flag.
-    ``run(channel, guide, anchor, w, args)`` returns an iterator of the
-    filter's iterates, the last of them its output: one per pass of a
-    rolling scheme (a command with --iters, which alone takes
+    ``run(channel, guide, anchor, w, args)`` returns a stream of the
+    filter's iterates that returns its output, the last of them: one per
+    pass of a rolling scheme (a command with --iters, which alone takes
     --dump-iterates), else just the output. With ``g_output`` every
     iterate is a MutualState (q and the guidance track G)."""
 
@@ -108,6 +94,13 @@ _INVERSE = (
     "as the structure-restoring half of the rmsf schemes."
 )
 
+
+def _one_pass(output: Image) -> Generator[Image, None, Image]:
+    """A single-pass filter's output as a stream of one iterate."""
+    yield output
+    return output
+
+
 # the defaults mirror the documented recommended settings per filter
 FILTER_COMMANDS = {
     "gf": FilterCommand(
@@ -125,10 +118,10 @@ FILTER_COMMANDS = {
         anchor=True),
     "igf": FilterCommand(
         "inverse guided filter", {"radius": 6, "eps": 0.01},
-        lambda x, g, anchor, w, a: iter([igf(x, g, w, a.eps)]), description=_INVERSE),
+        lambda x, g, anchor, w, a: _one_pass(igf(x, g, w, a.eps)), description=_INVERSE),
     "icgf": FilterCommand(
         "inverse guided filter with anchor", {"radius": 6, "eps": 0.01, "lam": 0.01},
-        lambda x, g, anchor, w, a: iter([icgf(x, g, anchor, w, a.eps, a.lam)]),
+        lambda x, g, anchor, w, a: _one_pass(icgf(x, g, anchor, w, a.eps, a.lam)),
         anchor=True, description=_INVERSE),
     "rmsf-gf": FilterCommand(
         "mutual-structure rolling (plain pair)",
@@ -211,23 +204,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_run_metrics)
 
     sp = sub.add_parser("bench", help="wall-time benchmark on a synthetic image")
-    sp.add_argument("--width", type=_positive_int, default=1000)
-    sp.add_argument("--height", type=_positive_int, default=1000)
+    sp.add_argument("--width", type=_param("width", int), default=1000)
+    sp.add_argument("--height", type=_param("height", int), default=1000)
     sp.add_argument("--filter", choices=("box", "ssim", *FILTER_COMMANDS), default="gf",
                     help="kernel to time; ssim scores the image against the guide, "
                          "a filter command runs at its own defaults")
-    sp.add_argument("--radius", type=_nonneg_int,
+    sp.add_argument("--radius", type=_param("radius", int),
                     help="window radius; defaults to the filter's own (box: 10)")
-    sp.add_argument("--repeat", type=_positive_int, default=5)
+    sp.add_argument("--repeat", type=_param("repeat", int), default=5)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(handler=_run_bench)
 
     sp = sub.add_parser("synth", help="write deterministic synthetic test scenes")
     sp.add_argument("--kind", required=True, choices=tuple(SYNTH_KINDS))
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--width", type=_positive_int, default=256)
-    sp.add_argument("--height", type=_positive_int, default=256)
-    sp.add_argument("--sigma", type=_param("sigma"), default=0.05)
+    sp.add_argument("--width", type=_param("width", int), default=256)
+    sp.add_argument("--height", type=_param("height", int), default=256)
+    sp.add_argument("--sigma", type=_param("sigma"),
+                    help="noise level of a kind that adds noise; defaults to the kind's own")
     sp.add_argument("--output", required=True, help="output path or stem for pairs")
     sp.set_defaults(handler=_run_synth)
 
@@ -299,11 +293,9 @@ def _filter_channel(cmd, args, w, idx, chan, guide, anchors) -> _Channel:
     def dump(iterate) -> None:  # keeps an iterate's q only as its 16-bit samples
         dumps.append(quantize(iterate.q if cmd.g_output else iterate, ITERATE_MAXVAL, name))
 
-    rolling = "iters" in cmd.params
     final = last_iterate(
         cmd.run(chan, chan if guide is None else guide, anchor, w, args),
-        args.iters if rolling else 1,
-        dump if rolling and args.dump_iterates else None,
+        dump if getattr(args, "dump_iterates", False) else None,
     )
     final, G = (final.q, final.G) if cmd.g_output else (final, None)
     return _Channel(
@@ -355,10 +347,8 @@ def _run_filter_command(cmd: FilterCommand, args) -> dict:
     emit(args.output, [c.out for c in done], args.maxval)
     if cmd.g_output and args.g_output:
         emit(args.g_output, [c.g for c in done], args.maxval)
-    dumped = len(done[0].dumps)
-    if dumped > 1:
-        for n, path in enumerate(_iterate_paths(args.output, dumped)):
-            emit(path, [c.dumps[n] for c in done], ITERATE_MAXVAL)
+    for n, path in enumerate(_iterate_paths(args.output, len(done[0].dumps))):
+        emit(path, [c.dumps[n] for c in done], ITERATE_MAXVAL)
 
     params = {**_filter_params(cmd, args, w), "maxval": args.maxval}
     return {"inputs": report_inputs, "outputs": outputs, "params": params,
@@ -396,9 +386,7 @@ def _bench_task(args) -> tuple[Callable[[], object], dict]:
     row = argparse.Namespace(**{_dest(k): v for k, v in _flag_defaults(cmd).items()})
     row.radius = row.radius if args.radius is None else args.radius
     w = WindowSpec(row.radius, cmd.boundary or row.boundary)
-    passes = getattr(row, "iters", 1)
-    return (lambda: last_iterate(cmd.run(img, img, img, w, row), passes),
-            _filter_params(cmd, row, w))
+    return lambda: last_iterate(cmd.run(img, img, img, w, row)), _filter_params(cmd, row, w)
 
 
 def _run_bench(args) -> dict:
@@ -428,22 +416,24 @@ def _run_bench(args) -> dict:
     }
 
 
-# --kind -> (the scene's planes from the parsed args, one file suffix per plane)
+# --kind -> (the scene's planes from the parsed args and a noise level, one
+# file suffix per plane, the kind's default noise level or None if it adds none)
 SYNTH_KINDS = {
-    "noise": (lambda a: synth.noise_pair(a.width, a.height, a.seed, a.sigma),
-              ("_clean", "_noisy")),
-    "piecewise": (lambda a: [synth.piecewise(a.width, a.height, a.seed)], ("",)),
-    "texture": (lambda a: [synth.texture_scene(a.width, a.height, a.seed)], ("",)),
-    "flash-pair": (lambda a: synth.flash_pair(a.width, a.height, a.seed),
-                   ("_flash", "_noflash")),
+    "noise": (lambda a, sigma: synth.noise_pair(a.width, a.height, a.seed, sigma),
+              ("_clean", "_noisy"), 0.05),
+    "piecewise": (lambda a, _: [synth.piecewise(a.width, a.height, a.seed)], ("",), None),
+    "texture": (lambda a, _: [synth.texture_scene(a.width, a.height, a.seed)], ("",), None),
+    "flash-pair": (lambda a, sigma: synth.flash_pair(a.width, a.height, a.seed, sigma),
+                   ("_flash", "_noflash"), 0.03),
 }
 
 
 def _run_synth(args) -> dict:
-    make, suffixes = SYNTH_KINDS[args.kind]
+    make, suffixes, level = SYNTH_KINDS[args.kind]
+    sigma = level if level is None or args.sigma is None else args.sigma
     stem, ext = os.path.splitext(args.output)
     outputs = []
-    for suffix, plane in zip(suffixes, make(args)):
+    for suffix, plane in zip(suffixes, make(args, sigma)):
         path = f"{stem}{suffix}{ext or '.pgm'}"
         write_pnm_file(path, [plane], ITERATE_MAXVAL)
         outputs.append(_channel_info(path, [plane]))
@@ -451,7 +441,7 @@ def _run_synth(args) -> dict:
         "inputs": {},
         "outputs": outputs,
         "params": {"kind": args.kind, "seed": args.seed, "width": args.width,
-                   "height": args.height, "sigma": args.sigma},
+                   "height": args.height, "sigma": sigma},
         "metrics": None,
     }
 

@@ -47,10 +47,7 @@ class WindowSpec:
     def __post_init__(self):
         # a boundary given by name becomes the member every check compares to
         object.__setattr__(self, "boundary", Boundary(self.boundary))
-        if not _is_integer(self.radius):
-            raise ValueError(f"window radius must be an integer, got {self.radius!r}")
-        if self.radius < 0:
-            raise ValueError(f"window radius must be >= 0, got {self.radius}")
+        require_params(radius=self.radius)
 
     @property
     def side(self) -> int:
@@ -74,7 +71,10 @@ class EnergyReport:
 
 def as_image(x) -> Image:
     """Coerce to a 2-D float64 array, rejecting anything else."""
-    arr = np.asarray(x, dtype=np.float64)
+    arr = np.asarray(x)
+    if np.iscomplexobj(arr):  # the cast would drop the imaginary part
+        raise ValueError(f"expected a real image, got dtype {arr.dtype}")
+    arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D image, got ndim={arr.ndim}")
     if arr.size == 0:
@@ -106,18 +106,25 @@ _PARAM_RULES = {
     "iters": ("iters", ">= 1", lambda v: v >= 1),
     "tol": ("tol", "> 0", lambda v: v > 0),  # a roll's early-stop threshold
     "sigma": ("sigma", "finite and >= 0", lambda v: 0 <= v < math.inf),  # synth noise level
+    "radius": ("window radius", ">= 0", lambda v: v >= 0),
+    "width": ("width", ">= 1", lambda v: v >= 1),  # an image's or a grid's size
+    "height": ("height", ">= 1", lambda v: v >= 1),
+    "repeat": ("repeat", ">= 1", lambda v: v >= 1),  # gfkit bench's timed calls
 }
+# the counts among them: refused unless an integer
+_INTEGER_PARAMS = frozenset({"iters", "radius", "width", "height", "repeat"})
 
 
 def require_params(**params) -> None:
     """Reject a filter parameter outside its range, naming it (see _PARAM_RULES).
 
-    A value of the wrong kind is refused before its range: ``iters`` must be
-    an integer, every other parameter a real number, and no bool is either.
+    A value of the wrong kind is refused before its range: a count
+    (``_INTEGER_PARAMS``) must be an integer, every other parameter a real
+    number, and no bool is either.
     """
     for key, value in params.items():
         name, rule, ok = _PARAM_RULES[key]
-        if key == "iters" and not _is_integer(value):
+        if key in _INTEGER_PARAMS and not _is_integer(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if not isinstance(value, Real) or isinstance(value, bool):
             raise ValueError(f"{name} must be a real number, got {value!r}")

@@ -49,7 +49,7 @@ guide at 4 (the guide's mean and var + eps, and two planes of the fit).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator, Iterator
+from collections.abc import Callable, Generator
 from dataclasses import dataclass
 from functools import partial
 from typing import TypeVar
@@ -265,7 +265,7 @@ def roll(
     the value of the ``StopIteration`` that ends it.
     """
     moments, coeffs = fit
-    fits = [] if coeffs is None else [coeffs]  # the fit's one reference, popped to hand it over
+    fits = [coeffs]  # the fit's one reference, popped to hand it over
     del fit, coeffs
     counts = moments.counts
     q = p
@@ -286,26 +286,22 @@ def roll(
     return q
 
 
-def last_iterate(
-    iterates: Iterator[T], iters: int, each: Callable[[T], None] | None = None
-) -> T:
-    """The last of a rolling scheme's ``iters`` iterates, or the one it
-    returns if it stops before them (a roll's tol stop).
+def last_iterate(iterates: Generator[T, None, T], each: Callable[[T], None] | None = None) -> T:
+    """The iterate a rolling scheme's stream returns when it ends: its last,
+    whether the scheme ran all its passes or stopped early (a roll's tol).
 
-    Each earlier iterate is let go of before the scheme computes the next,
-    so that one is held at a time; ``each``, if given, sees every iterate
-    as the scheme yields it.
+    Each iterate is let go of before the scheme computes the next, so that
+    one is held at a time; ``each``, if given, sees every iterate as the
+    scheme yields it.
     """
-    for n in range(iters):
+    while True:
         try:
             q = next(iterates)
         except StopIteration as stop:
             return stop.value
         if each is not None:
             each(q)
-        if n < iters - 1:
-            del q
-    return q
+        del q
 
 
 def gf(p: Image, guide: Image, w: WindowSpec, eps: float) -> Image:
@@ -313,7 +309,9 @@ def gf(p: Image, guide: Image, w: WindowSpec, eps: float) -> Image:
     return gf_roll(p, guide, w, eps, 1)[0]
 
 
-def gf_iterates(p: Image, guide: Image, w: WindowSpec, eps: float, iters: int) -> Iterator[Image]:
+def gf_iterates(
+    p: Image, guide: Image, w: WindowSpec, eps: float, iters: int
+) -> Generator[Image, None, Image]:
     """The iterates of ``gf_roll``, each yielded as soon as it exists.
 
     Parameters are checked and the first fit is made at the call.

@@ -12,13 +12,13 @@ and are computed once per call. The base layer gf(flash, flash) is a
 self-guided fit, so it comes from the flash moments' own 2 box passes plus
 2 for its window sums, and every rolling pass shares those moments: n
 passes cost 4 + 4n box passes. ``rfnf_seo_iterates`` and
-``rfnf_gen_iterates`` yield the roll's iterates; each scheme is the last
-of them.
+``rfnf_gen_iterates`` yield the roll's iterates and return the last; each
+scheme is that last iterate.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Generator
 
 import numpy as np
 
@@ -80,7 +80,7 @@ def detail_image(flash: Image, w: WindowSpec, eps: float) -> Image:
 
 def rfnf_seo_iterates(
     noflash: Image, flash: Image, w: WindowSpec, eps: float, lam: float, iters: int
-) -> Iterator[Image]:
+) -> Generator[Image, None, Image]:
     """The iterates of ``rfnf_seo``, each yielded as soon as it exists.
 
     Parameters are checked and the flash moments, the detail layer and the
@@ -96,7 +96,7 @@ def rfnf_seo(
     noflash: Image, flash: Image, w: WindowSpec, eps: float, lam: float, iters: int
 ) -> Image:
     """Additive scheme: q <- gf(q, flash) + lam * detail, from q0 = noflash."""
-    return last_iterate(rfnf_seo_iterates(noflash, flash, w, eps, lam, iters), iters)
+    return last_iterate(rfnf_seo_iterates(noflash, flash, w, eps, lam, iters))
 
 
 def enhanced_flash(flash: Image, w: WindowSpec, eps: float, tau: float) -> Image:
@@ -114,7 +114,7 @@ def rfnf_gen_iterates(
     lam: float,
     tau: float,
     iters: int,
-) -> Iterator[Image]:
+) -> Generator[Image, None, Image]:
     """The iterates of ``rfnf_gen``, each yielded as soon as it exists.
 
     Parameters are checked and the flash moments, the enhanced flash
@@ -138,4 +138,4 @@ def rfnf_gen(
 ) -> Image:
     """Anchored scheme: conservative roll of the no-flash image, guided by
     the flash image and anchored to its enhanced version."""
-    return last_iterate(rfnf_gen_iterates(noflash, flash, w, eps, lam, tau, iters), iters)
+    return last_iterate(rfnf_gen_iterates(noflash, flash, w, eps, lam, tau, iters))

@@ -43,12 +43,12 @@ the other track's inverse update. Sharing them gives the same bits from
 kept as the documented failure mode: it wipes out detail on both tracks.
 
 Each scheme's ``*_iterates`` generator yields its MutualState after every
-iteration; the scheme itself is the last of them.
+iteration and returns the last; the scheme itself is that last state.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +123,7 @@ def _mutual_iterates(
     w: WindowSpec,
     iters: int,
     snapshots: list[MutualSnapshot] | None,
-) -> Iterator[MutualState]:
+) -> Generator[MutualState, None, MutualState]:
     """The anchored mutual loop; lam = beta = 0 is the plain pair.
 
     Each track blends its forward anchored update with the inverse update
@@ -133,11 +133,12 @@ def _mutual_iterates(
     first, so that the old track, its prior, dies before the forward term's
     window sums exist, and each fit is dropped once its last window sum is
     taken (unless ``snapshots`` keeps the fits to the end of the iteration).
-    Every state is yielded as soon as it exists.
+    Every state is yielded as soon as it exists, and the last is returned.
     """
     counts = WindowCounts.of(p.shape, w)
     q, G = p, guide
     for n in range(iters):
+        state = None  # else it would hold the old tracks through this iteration
         ab = gf_coeffs(q, G, w, eps)
         cd = gf_coeffs(G, q, w, eps2)
         # a name still bound to a dead plane would keep it alive through
@@ -159,7 +160,7 @@ def _mutual_iterates(
             snapshots.append(MutualSnapshot(state, ab, cd))
         ab = cd = None
         yield state
-        state = None  # else it would hold the old tracks through the next iteration
+    return state
 
 
 def gf_rmsf_iterates(
@@ -170,7 +171,7 @@ def gf_rmsf_iterates(
     w: WindowSpec,
     iters: int,
     snapshots: list[MutualSnapshot] | None = None,
-) -> Iterator[MutualState]:
+) -> Generator[MutualState, None, MutualState]:
     """The states of ``gf_rmsf``: ``cgf_rmsf_iterates`` at lam = beta = 0."""
     return cgf_rmsf_iterates(p, guide, eps, eps2, 0.0, 0.0, w, iters, snapshots)
 
@@ -192,7 +193,7 @@ def gf_rmsf(
     list keeps them all (debug/testing; costs memory). A caller that needs
     only the states reads them from ``gf_rmsf_iterates``.
     """
-    return last_iterate(gf_rmsf_iterates(p, guide, eps, eps2, w, iters, snapshots), iters)
+    return last_iterate(gf_rmsf_iterates(p, guide, eps, eps2, w, iters, snapshots))
 
 
 def cgf_rmsf_iterates(
@@ -205,7 +206,7 @@ def cgf_rmsf_iterates(
     w: WindowSpec,
     iters: int,
     snapshots: list[MutualSnapshot] | None = None,
-) -> Iterator[MutualState]:
+) -> Generator[MutualState, None, MutualState]:
     """The states of ``cgf_rmsf``, each yielded as soon as it exists.
 
     Parameters and shapes are checked at the call.
@@ -235,22 +236,22 @@ def cgf_rmsf(
     plain scheme, bit for bit. ``snapshots`` takes a list, as in
     ``gf_rmsf``.
     """
-    return last_iterate(
-        cgf_rmsf_iterates(p, guide, eps, eps2, lam, beta, w, iters, snapshots), iters
-    )
+    return last_iterate(cgf_rmsf_iterates(p, guide, eps, eps2, lam, beta, w, iters, snapshots))
 
 
 def _naive_iterates(
     q: Image, G: Image, eps: float, w: WindowSpec, iters: int
-) -> Iterator[MutualState]:
+) -> Generator[MutualState, None, MutualState]:
     for n in range(iters):
         q, G = gf(q, G, w, eps), gf(G, q, w, eps)
-        yield MutualState(q, G, n + 1)
+        state = MutualState(q, G, n + 1)
+        yield state
+    return state
 
 
 def naive_roll37_iterates(
     p: Image, guide: Image, eps: float, w: WindowSpec, iters: int
-) -> Iterator[MutualState]:
+) -> Generator[MutualState, None, MutualState]:
     """The states of ``naive_roll37``, each yielded as soon as it exists.
 
     Parameters and shapes are checked at the call.
@@ -267,7 +268,7 @@ def naive_roll37(
 ) -> MutualState:
     """Cross-guided rolling without the inverse terms (both updates read
     the previous state). Smooths both tracks toward constants."""
-    return last_iterate(naive_roll37_iterates(p, guide, eps, w, iters), iters)
+    return last_iterate(naive_roll37_iterates(p, guide, eps, w, iters))
 
 
 def energy_mutual(

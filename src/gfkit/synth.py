@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Image, WindowSpec, Boundary
+from .core import Boundary, Image, WindowSpec, require_params
 from .boxops import box_mean
 
 
@@ -21,6 +21,7 @@ def piecewise(width: int, height: int, seed: int) -> Image:
     The thin bars matter: they give oversmoothing something to destroy, so
     quality metrics can separate edge-preserving filters from blurrers.
     """
+    require_params(width=width, height=height)
     rng = np.random.default_rng(seed)
     img = np.full((height, width), 0.35, dtype=np.float64)
     margin_y = max(2, height // 8)
@@ -58,6 +59,7 @@ def piecewise(width: int, height: int, seed: int) -> Image:
 
 def noise_pair(width: int, height: int, seed: int, sigma: float = 0.05):
     """(clean, noisy) piecewise scene with additive Gaussian noise."""
+    require_params(sigma=sigma)
     clean = piecewise(width, height, seed)
     rng = np.random.default_rng(seed + 1)
     noisy = clean + sigma * rng.standard_normal(clean.shape)
@@ -77,6 +79,7 @@ def texture_scene(width: int, height: int, seed: int) -> Image:
 
 def flash_pair(width: int, height: int, seed: int, sigma: float = 0.03):
     """(flash, noflash): sharp tone-shifted scene vs blurred noisy scene."""
+    require_params(sigma=sigma)
     scene = texture_scene(width, height, seed)
     # flash look: compressed midtones, detail intact
     lo, hi = scene.min(), scene.max()
@@ -91,5 +94,6 @@ def flash_pair(width: int, height: int, seed: int, sigma: float = 0.03):
 
 def random_image(width: int, height: int, seed: int) -> Image:
     """Uniform [0, 1] noise; the workhorse of the differential tests."""
+    require_params(width=width, height=height)
     rng = np.random.default_rng(seed)
     return rng.random((height, width))

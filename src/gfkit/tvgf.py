@@ -20,7 +20,7 @@ is the same bits as theirs.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Generator
 
 import numpy as np
 
@@ -41,9 +41,7 @@ def tv_denominator(width: int, height: int, w: WindowSpec, lam: float) -> Image:
     of circular forward differences along each axis. D is 0 at DC, so the
     denominator is >= (2r+1)^2 everywhere.
     """
-    if width < 1 or height < 1:
-        raise ValueError(f"grid dimensions must be >= 1, got {width}x{height}")
-    require_params(lam=lam)
+    require_params(width=width, height=height, lam=lam)
     u = np.arange(height, dtype=np.float64)
     v = np.arange(width, dtype=np.float64)
     d = (2.0 - 2.0 * np.cos(2.0 * np.pi * u / height))[:, None] + (
@@ -99,7 +97,7 @@ def tvgf(p: Image, guide: Image, w: WindowSpec, eps: float, lam: float) -> Image
 
 def tvgf_iterates(
     p: Image, guide: Image, w: WindowSpec, eps: float, lam: float, iters: int
-) -> Iterator[Image]:
+) -> Generator[Image, None, Image]:
     """The iterates of ``tvgf_roll``, each yielded as soon as it exists.
 
     Parameters are checked and the first fit is made at the call.

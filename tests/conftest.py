@@ -1,15 +1,34 @@
-"""Shared fixtures.
+"""Shared fixtures and helpers.
 
 ``count_box_passes`` counts calls of ``box_sum``. Every module imports it
 by name, so each ``gfkit`` module binding of the function is rebound to
 one counting wrapper while the measured call runs, then restored.
+``peak_bytes`` is the one tracemalloc measurement of the memory tests.
 """
 
 import sys
+import tracemalloc
 
 import pytest
 
 import gfkit.boxops
+
+
+def peak_bytes(call, warm_up=True, runs=1) -> int:
+    """Least tracemalloc allocation peak of ``runs`` calls of call(), after
+    one untraced call unless ``warm_up`` is False: one-time allocations
+    then do not count, and a test that bounds a cold call turns it off."""
+    if warm_up:
+        call()
+    peaks = []
+    for _ in range(runs):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
 
 
 @pytest.fixture

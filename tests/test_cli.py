@@ -121,6 +121,19 @@ class TestFilterCommands:
             data = Path(f"out_iter{n:03d}.pgm").read_bytes()
             assert data.startswith(b"P5\n32 32\n65535\n")
 
+    def test_dump_iterates_at_one_pass(self, workdir, capsys):
+        # the one iterate of the default --iters 1 was quantized, then dropped
+        make_inputs(workdir)
+        code, report, _ = run_cli(
+            capsys, "gf", "--input", "in.pgm", "--output", "out.pgm",
+            "--radius", "2", "--dump-iterates",
+        )
+        assert code == 0
+        assert [o["path"] for o in report["outputs"]] == ["out.pgm", "out_iter001.pgm"]
+        assert not os.path.exists("out_iter002.pgm")
+        dumped = read_pnm_file("out_iter001.pgm")[0]
+        assert np.max(np.abs(dumped - read_pnm_file("out.pgm")[0])) <= 1.0 / 255
+
     def test_dump_iterates_rmsf_track(self, workdir, capsys):
         make_inputs(workdir)
         code, report, _ = run_cli(
@@ -236,6 +249,14 @@ class TestExitCodes:
              "iters must be >= 1"),
             (["synth", "--kind", "noise", "--output", "o.pgm"], "--sigma", "-1",
              "sigma must be finite and >= 0"),
+            # the sizes and counts take their ranges from core too
+            (["gf", "--input", "in.pgm", "--output", "o.pgm"], "--radius", "-1",
+             "window radius must be >= 0"),
+            (["bench"], "--radius", "-2", "window radius must be >= 0"),
+            (["bench"], "--width", "0", "width must be >= 1"),
+            (["bench"], "--repeat", "0", "repeat must be >= 1"),
+            (["synth", "--kind", "noise", "--output", "o.pgm"], "--height", "-3",
+             "height must be >= 1"),
         ],
     )
     def test_out_of_range_message_carries_the_core_rule(
@@ -436,6 +457,28 @@ class TestSynthCommand:
         for s in suffixes:
             (plane,) = read_pnm_file(f"t{s}.pgm")
             assert plane.shape == (height, width)
+
+    @pytest.mark.parametrize("kind, suffix, level", [
+        ("noise", "_noisy", 0.05), ("flash-pair", "_noflash", 0.03),
+    ])
+    def test_sigma_sets_the_noise_level(self, workdir, capsys, kind, suffix, level):
+        # flash-pair once ignored --sigma and reported the level it did not use
+        def scene(name, *sigma):
+            code, report, _ = run_cli(capsys, "synth", "--kind", kind, "--width", "64",
+                                      "--height", "64", "--output", f"{name}.pgm", *sigma)
+            assert code == 0
+            return report["params"]["sigma"], Path(f"{name}{suffix}.pgm").read_bytes()
+
+        default, zero, given = scene("d"), scene("z", "--sigma", "0"), scene("g", "--sigma", "0.2")
+        assert (default[0], zero[0], given[0]) == (level, 0.0, 0.2)
+        assert len({default[1], zero[1], given[1]}) == 3
+        assert scene("l", "--sigma", str(level))[1] == default[1]
+
+    @pytest.mark.parametrize("kind", ["piecewise", "texture"])
+    def test_noiseless_kind_reports_no_sigma(self, workdir, capsys, kind):
+        code, report, _ = run_cli(capsys, "synth", "--kind", kind, "--width", "16",
+                                  "--height", "16", "--output", "s.pgm", "--sigma", "0.2")
+        assert (code, report["params"]["sigma"]) == (0, None)
 
     def test_unknown_kind_usage_error(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,9 +8,9 @@ are dumped as the scheme yields them, so a longer roll keeps no more
 float iterates.
 """
 
+import argparse
 import json
 import os
-import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from gfkit.cgf import cgf_roll
-from gfkit.cli import FILTER_COMMANDS, main
+from gfkit.cli import FILTER_COMMANDS, _dest, _flag_defaults, main
 from gfkit.core import Boundary, WindowSpec
 from gfkit.gf import gf_roll
 from gfkit.igf import icgf, igf
@@ -27,6 +27,7 @@ from gfkit.metrics import mse, psnr_from_mse, ssim
 from gfkit.rfnf import rfnf_gen_iterates, rfnf_seo_iterates
 from gfkit.rmsf import cgf_rmsf_iterates, gf_rmsf_iterates, naive_roll37_iterates
 from gfkit.tvgf import tvgf_roll
+from conftest import peak_bytes
 from oracles import frozen_cgf_roll, frozen_gf_roll, frozen_tvgf_roll
 
 SCHEMA = json.loads(
@@ -75,6 +76,33 @@ def info(path, channels, h=20, w=24):
 
 def test_library_table_covers_every_command():
     assert set(LIBRARY) == set(FILTER_COMMANDS)
+
+
+@pytest.mark.parametrize("guided", [False, True])
+@pytest.mark.parametrize("name", sorted(FILTER_COMMANDS))
+def test_every_stream_returns_its_last_iterate(name, guided):
+    # the CLI and bench read a run's output from the value its stream
+    # returns, not from a count of its iterates
+    rng = np.random.default_rng(16)
+    x, g = rng.random((20, 24)), rng.random((20, 24))
+    cmd = FILTER_COMMANDS[name]
+    args = argparse.Namespace(**{_dest(k): v for k, v in _flag_defaults(cmd).items()})
+    args.radius = R
+    if "iters" in cmd.params:
+        args.iters = 2
+    stream = cmd.run(x, g if guided else x, x, WindowSpec(R, cmd.boundary or args.boundary), args)
+    seen = []
+    while True:
+        try:
+            seen.append(next(stream))
+        except StopIteration as stop:
+            returned = stop.value
+            break
+    assert len(seen) == getattr(args, "iters", 1)
+    assert returned is not None
+    planes = (lambda it: [it.q, it.G]) if cmd.g_output else (lambda it: [it])
+    for got, want in zip(planes(returned), planes(seen[-1]), strict=True):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("guided", [False, True])
@@ -150,16 +178,10 @@ def peak_of(argv, runs=3):
     string. Identical runs in one process peak up to 30 KiB apart (a
     96x96 rmsf-gf run: 921 to 951 KiB), too wide a spread for a bound a
     few sample planes wide when each side of it is one run."""
-    main(argv)  # warm-up: lazy imports and caches stay out of the peak
-    peaks = []
-    for _ in range(runs):
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    return min(peaks)
+    def call():
+        assert main(argv) == 0
+
+    return peak_bytes(call, runs=runs)  # the warm-up keeps lazy imports out
 
 
 @pytest.mark.parametrize("scored", [False, True])

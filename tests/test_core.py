@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gfkit.cgf import cgf_roll
-from gfkit.core import _PARAM_RULES, Boundary, WindowSpec, require_params
+from gfkit.core import _INTEGER_PARAMS, _PARAM_RULES, Boundary, WindowSpec, require_params
 from gfkit.gf import gf, gf_coeffs, gf_roll
 from gfkit.rfnf import rfnf_gen
 from gfkit.tvgf import tvgf
@@ -84,11 +84,27 @@ class TestParameterKinds:
     X = np.random.default_rng(1).random((8, 8))
 
     @pytest.mark.parametrize("value", ["0.1", None, True, np.bool_(True), 0.1j, [0.1]])
-    @pytest.mark.parametrize("key", sorted(set(_PARAM_RULES) - {"iters"}))
+    @pytest.mark.parametrize("key", sorted(set(_PARAM_RULES) - _INTEGER_PARAMS))
     def test_non_number_is_refused_by_name(self, key, value):
         name = _PARAM_RULES[key][0]
         with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
             require_params(**{key: value})
+
+    @pytest.mark.parametrize("value", ["2", None, True, np.bool_(True), 2.0, np.float64(2.0)])
+    @pytest.mark.parametrize("key", sorted(_INTEGER_PARAMS - {"iters"}))  # iters: above
+    def test_non_integer_count_is_refused_by_name(self, key, value):
+        name = _PARAM_RULES[key][0]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            require_params(**{key: value})
+
+    @pytest.mark.parametrize("key, low", [("radius", 0), ("width", 1), ("height", 1),
+                                          ("repeat", 1)])
+    def test_size_rules(self, key, low):
+        require_params(**{key: low})
+        require_params(**{key: np.int64(low)})
+        name = _PARAM_RULES[key][0]
+        with pytest.raises(ValueError, match=f"^{name} must be >= {low}, got {low - 1}$"):
+            require_params(**{key: low - 1})
 
     @pytest.mark.parametrize("value", [np.float32(0.5), np.float64(0.5), np.int64(2), 2])
     def test_numpy_and_python_numbers_pass(self, value):

@@ -1,8 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from conftest import peak_bytes
 from gfkit.imgio import PnmError, quantize, read_pnm, write_pnm, write_pnm_file
 
 VALID_P5 = b"P5\n2 2\n255\n" + bytes([0, 128, 255, 64])
@@ -85,13 +84,7 @@ class TestRead:
         # three float planes plus the raster bytes: no interleaved float copy
         rng = np.random.default_rng(7)
         data = write_pnm([rng.random((128, 256)) for _ in range(3)], maxval)
-        read_pnm(data)
-        tracemalloc.start()
-        try:
-            read_pnm(data)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = peak_bytes(lambda: read_pnm(data))
         plane = 128 * 256 * 8
         raster = 3 * 128 * 256 * (1 if maxval == 255 else 2)
         assert peak <= 3 * plane + raster + 16384

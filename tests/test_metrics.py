@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from gfkit.metrics import (
     ssim,
 )
 
+from conftest import peak_bytes
 from oracles import naive_ssim
 
 # printed (PSNR, MSE) rows that are self-consistent under peak 1.0:
@@ -202,13 +202,8 @@ class TestSsimStrips:
     def test_peak_memory_below_two_planes_at_1080p(self):
         rng = np.random.default_rng(14)
         x, y = rng.random((1080, 1920)), rng.random((1080, 1920))
-        tracemalloc.start()
-        try:
-            ssim(x, y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * x.nbytes
+        # a cold call: a warm-up would leave SSIM's one-time allocations out
+        assert peak_bytes(lambda: ssim(x, y), warm_up=False) < 2 * x.nbytes
 
 
 @st.composite

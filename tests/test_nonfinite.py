@@ -4,7 +4,7 @@ g of cgf, cgf_roll and icgf is never box-summed, so those entry points
 check it themselves, and so do igf_update and icgf_update for their p,
 their prior and (at lambda > 0) their anchor g. A NaN or Inf weight
 (lambda, beta, tau) or a NaN eps is rejected by name before any
-computation."""
+computation, and a complex image before its cast to float."""
 
 import sys
 import warnings
@@ -16,6 +16,7 @@ from gfkit.cgf import cgf, cgf_roll
 from gfkit.core import Boundary, WindowSpec
 from gfkit.gf import GfCoeffs, gf, gf_coeffs
 from gfkit.igf import icgf, icgf_update, igf, igf_update
+from gfkit.imgio import quantize
 from gfkit.rfnf import enhanced_flash, rfnf_gen, rfnf_seo
 from gfkit.rmsf import cgf_rmsf, gf_rmsf
 from gfkit.tvgf import tvgf
@@ -47,6 +48,30 @@ def test_filter_rejects_non_finite(name, spoiled, bad):
         warnings.simplefilter("error")  # fails before any numpy RuntimeWarning
         with pytest.raises(ValueError, match="NaN or Inf in the input of a box sum"):
             FILTERS[name](p, guide)
+
+
+@pytest.mark.parametrize("spoiled", ["p", "guide"])
+@pytest.mark.parametrize("name", sorted(FILTERS))
+def test_filter_rejects_a_complex_image(name, spoiled):
+    # the cast to float once kept the real part, with only a ComplexWarning
+    rng = np.random.default_rng(4)
+    p, guide = rng.random((12, 10)), rng.random((12, 10))
+    if spoiled == "p":
+        p = p + 1j * p
+    else:
+        guide = guide + 1j * guide
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="expected a real image, got dtype complex128"):
+            FILTERS[name](p, guide)
+
+
+def test_quantize_rejects_a_complex_image():
+    x = np.full((4, 4), 0.5, dtype=np.complex64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="expected a real image, got dtype complex64"):
+            quantize(x)
 
 
 ANCHORED = {

@@ -288,6 +288,6 @@ class TestIterates:
         want = cgf_roll(x, x, x, w, 0.01, 0.5, 50, tol=1e-3)
         assert len(want) < 50
         seen = []
-        got = last_iterate(cgf_iterates(x, x, x, w, 0.01, 0.5, 50, tol=1e-3), 50, seen.append)
+        got = last_iterate(cgf_iterates(x, x, x, w, 0.01, 0.5, 50, tol=1e-3), seen.append)
         assert np.array_equal(got, want[-1])
         assert len(seen) == len(want)

@@ -7,11 +7,10 @@ route, which an equal copy of the input takes, while spending 2 fewer box
 passes per fit and no more memory.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from conftest import peak_bytes
 from gfkit.cgf import cgf, cgf_roll
 from gfkit.cli import main
 from gfkit.core import Boundary, WindowSpec, as_image
@@ -204,21 +203,11 @@ class TestBoxPasses:
         assert capsys.readouterr().err == ""
 
 
-def _peak_bytes(call) -> int:
-    call()  # warm-up: one-time allocations do not count
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestPeakMemory:
     def test_self_guided_fit_peaks_no_higher_than_the_general_fit(self):
         x = np.random.default_rng(1).random((256, 256))
         y = x.copy()
-        assert _peak_bytes(lambda: gf_coeffs(x, x, TRUNC, 0.05)) <= _peak_bytes(
+        assert peak_bytes(lambda: gf_coeffs(x, x, TRUNC, 0.05)) <= peak_bytes(
             lambda: gf_coeffs(x, y, TRUNC, 0.05)
         )
 
@@ -232,10 +221,10 @@ class TestPeakMemory:
         y = x.copy()
         slack = x.nbytes // 2
         denominator = x.shape[0] * (x.shape[1] // 2 + 1) * x.itemsize
-        assert _peak_bytes(lambda: gf(x, y, TRUNC, 0.05)) < _peak_bytes(
+        assert peak_bytes(lambda: gf(x, y, TRUNC, 0.05)) < peak_bytes(
             lambda: gf_apply(gf_coeffs(x, y, TRUNC, 0.05), y, TRUNC)
         ) + slack
-        assert _peak_bytes(lambda: tvgf(x, y, PERIODIC, 0.05, 3.0)) < _peak_bytes(
+        assert peak_bytes(lambda: tvgf(x, y, PERIODIC, 0.05, 3.0)) < peak_bytes(
             lambda: tvgf_solve_q(
                 window_sum_estimate(gf_coeffs(x, y, PERIODIC, 0.05), y, PERIODIC), PERIODIC, 3.0
             )
@@ -259,12 +248,12 @@ class TestPeakMemory:
                 out.append(update(f, moments.counts))
                 del f
 
-        assert _peak_bytes(lambda: gf_roll(x, x, TRUNC, 0.05, iters)) < (
-            _peak_bytes(lambda: reference(TRUNC, anchored_update)) + slack
+        assert peak_bytes(lambda: gf_roll(x, x, TRUNC, 0.05, iters)) < (
+            peak_bytes(lambda: reference(TRUNC, anchored_update)) + slack
         )
-        assert _peak_bytes(lambda: cgf_roll(x, x, x, TRUNC, 0.05, 0.3, iters)) < _peak_bytes(
+        assert peak_bytes(lambda: cgf_roll(x, x, x, TRUNC, 0.05, 0.3, iters)) < peak_bytes(
             lambda: reference(TRUNC, lambda f, counts: anchored_update(f, counts, x, 0.3))
         ) + slack
-        assert _peak_bytes(lambda: tvgf_roll(x, x, PERIODIC, 0.05, 3.0, iters)) < _peak_bytes(
+        assert peak_bytes(lambda: tvgf_roll(x, x, PERIODIC, 0.05, 3.0, iters)) < peak_bytes(
             lambda: reference(PERIODIC, lambda f, counts: tvgf_solve_q(f, PERIODIC, 3.0))
         ) + slack

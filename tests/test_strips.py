@@ -14,8 +14,6 @@ window sum, a self-guided igf or icgf frees its fit early, and one pass of
 every filter command keeps to its row of ``ONE_PASS_BUDGETS``.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -38,6 +36,7 @@ from gfkit.igf import icgf, icgf_update, igf, igf_update
 from gfkit.rfnf import detail_image, enhanced_flash, rfnf_gen, rfnf_seo
 from gfkit.rmsf import alpha_weight, cgf_rmsf, gf_rmsf, naive_roll37
 from gfkit.tvgf import tvgf, tvgf_roll
+from conftest import peak_bytes
 from oracles import (
     frozen_alpha_weight,
     frozen_anchored_update,
@@ -194,13 +193,7 @@ PLANE = SIZE * SIZE * 8
 
 
 def _peak_planes(call) -> float:
-    call()  # warm-up: one-time allocations do not count
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1] / PLANE
-    finally:
-        tracemalloc.stop()
+    return peak_bytes(call) / PLANE
 
 
 @pytest.fixture(scope="module")
@@ -306,14 +299,7 @@ def test_count_blocks_are_filled_without_a_temporary():
     # temporary; a strip loop holds no more than its own blocks
     shape = (SIZE, SIZE)
     counts = WindowCounts.of(shape, TRUNC)
-    call = lambda: each_strip(shape, lambda rows, n: None, 0, counts)
-    call()
-    tracemalloc.start()
-    try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: each_strip(shape, lambda rows, n: None, 0, counts))
     block = 8 * SIZE * (SIZE // 4)  # one strip: a quarter of the rows
     assert peak < 1.1 * block
 

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from gfkit import synth
 
@@ -51,3 +52,22 @@ def test_random_image_range_and_shape():
     img = synth.random_image(20, 10, seed=5)
     assert img.shape == (10, 20)
     assert np.all((img >= 0.0) & (img < 1.0))
+
+
+@pytest.mark.parametrize("make", [
+    synth.piecewise, synth.texture_scene, synth.noise_pair, synth.flash_pair, synth.random_image,
+])
+@pytest.mark.parametrize("width, height", [(0, 5), (5, 0), (0, 0), (-1, 5)])
+def test_size_below_one_is_refused(make, width, height):
+    # piecewise(0, 5, 0) once returned an empty image
+    name = "width" if width < 1 else "height"
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got "):
+        make(width, height, 0)
+
+
+@pytest.mark.parametrize("make", [synth.noise_pair, synth.flash_pair])
+@pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+def test_noise_level_out_of_range_is_refused(make, sigma):
+    # a NaN level once gave an all-NaN noisy image
+    with pytest.raises(ValueError, match="^sigma must be finite and >= 0, got "):
+        make(8, 8, 0, sigma)

@@ -15,7 +15,6 @@ import argparse
 import sys
 import threading
 import time
-import tracemalloc
 import types
 
 import numpy as np
@@ -27,6 +26,7 @@ from gfkit.cli import FILTER_COMMANDS, _dest, _flag_defaults
 from gfkit.core import Boundary, WindowSpec
 from gfkit.gf import energy_gf, gf_coeffs, gf, last_iterate
 from gfkit.metrics import ssim
+from conftest import peak_bytes
 
 SHAPE = (527, 1000)
 PLANE = 8 * SHAPE[0] * SHAPE[1]
@@ -102,7 +102,7 @@ def test_filter_commands(workers, images, command):
     cmd, row, w = _rows(command)
 
     def call():
-        out = last_iterate(cmd.run(p, guide, anchor, w, row), getattr(row, "iters", 1))
+        out = last_iterate(cmd.run(p, guide, anchor, w, row))
         return [out.q, out.G] if cmd.g_output else [out]
 
     _same_on(workers, call)
@@ -124,13 +124,7 @@ def test_more_strip_runs_with_narrow_strips(workers, images, monkeypatch):
 
 
 def _peak_planes(call) -> float:
-    call()  # warm-up: one-time allocations do not count
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1] / PLANE
-    finally:
-        tracemalloc.stop()
+    return peak_bytes(call) / PLANE
 
 
 @pytest.mark.parametrize("call, blocks", [
@@ -254,8 +248,7 @@ def test_no_public_function_runs_off_the_calling_thread(workers, images):
     try:
         for command in sorted(FILTER_COMMANDS):
             cmd, row, w = _rows(command)
-            workers(2, lambda: last_iterate(cmd.run(p, guide, anchor, w, row),
-                                            getattr(row, "iters", 1)))
+            workers(2, lambda: last_iterate(cmd.run(p, guide, anchor, w, row)))
         # looked up at the call, so that the patched bindings run (the
         # package namespace shadows the gf and tvgf modules)
         lib = {mod: sys.modules[f"gfkit.{mod}"] for mod in ("gf", "metrics", "tvgf")}
