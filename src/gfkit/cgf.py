@@ -23,16 +23,8 @@ from collections.abc import Generator
 
 import numpy as np
 
-from .core import (
-    EnergyReport,
-    Image,
-    WindowSpec,
-    as_image,
-    require_finite,
-    require_params,
-    require_same_shape,
-)
-from .gf import GfCoeffs, anchor_term, as_input_and_guide, energy_gf, guide_fit, roll
+from .core import EnergyReport, Image, WindowSpec, as_images, require_finite, require_params
+from .gf import GfCoeffs, anchor_term, energy_gf, guide_fit, roll
 from .boxops import WindowCounts
 
 
@@ -66,9 +58,7 @@ def cgf_iterates(
     require_params(eps=eps, lam=lam, iters=iters)
     if tol is not None:
         require_params(tol=tol)
-    p, guide = as_input_and_guide(p, guide)
-    g = as_image(g)
-    require_same_shape(p, guide, g)
+    p, guide, g = as_images(p, guide, g)
     require_finite(g, "the anchor g")  # never box-summed, so box_sum cannot catch it
     fit = guide_fit(p, guide, w, eps, iters > 1)
     return roll(p, guide, fit, w, anchor_term(g, lam), iters, tol)
@@ -102,6 +92,6 @@ def energy_cgf(
     lam: float,
 ) -> EnergyReport:
     """Exact objective value: window least squares plus lam * sum((q - g)^2)."""
-    g = as_image(g)
-    require_same_shape(q, g)
+    require_params(lam=lam)
+    q, g = as_images(q, g)
     return energy_gf(q, coeffs, guide, w, eps, anchor_term(g, lam))

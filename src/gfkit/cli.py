@@ -212,12 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--radius", type=_param("radius", int),
                     help="window radius; defaults to the filter's own (box: 10)")
     sp.add_argument("--repeat", type=_param("repeat", int), default=5)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_param("seed", int), default=0)
     sp.set_defaults(handler=_run_bench)
 
     sp = sub.add_parser("synth", help="write deterministic synthetic test scenes")
     sp.add_argument("--kind", required=True, choices=tuple(SYNTH_KINDS))
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_param("seed", int), default=0)
     sp.add_argument("--width", type=_param("width", int), default=256)
     sp.add_argument("--height", type=_param("height", int), default=256)
     sp.add_argument("--sigma", type=_param("sigma"),

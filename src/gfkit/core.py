@@ -82,6 +82,21 @@ def as_image(x) -> Image:
     return arr
 
 
+def as_images(*images) -> tuple[Image, ...]:
+    """Each image through ``as_image``, all of one shape: the one gate of a
+    filter's input images.
+
+    An object passed more than once comes back as one converted object, so
+    a fit can see that its input is its guide (``gf.guide_fit``) whatever
+    the input's dtype; an equal copy stays a distinct image.
+    """
+    unique = {id(x): x for x in images}  # an object passed twice is converted once
+    converted = {key: as_image(x) for key, x in unique.items()}
+    out = tuple(converted[id(x)] for x in images)
+    require_same_shape(*out)
+    return out
+
+
 def require_finite(x: Image, what: str) -> None:
     """Reject an image holding a NaN or an Inf, in one scan."""
     if not np.isfinite(x).all():
@@ -110,9 +125,10 @@ _PARAM_RULES = {
     "width": ("width", ">= 1", lambda v: v >= 1),  # an image's or a grid's size
     "height": ("height", ">= 1", lambda v: v >= 1),
     "repeat": ("repeat", ">= 1", lambda v: v >= 1),  # gfkit bench's timed calls
+    "seed": ("seed", ">= 0", lambda v: v >= 0),  # a synthetic scene's random seed
 }
 # the counts among them: refused unless an integer
-_INTEGER_PARAMS = frozenset({"iters", "radius", "width", "height", "repeat"})
+_INTEGER_PARAMS = frozenset({"iters", "radius", "width", "height", "repeat", "seed"})
 
 
 def require_params(**params) -> None:

@@ -38,13 +38,14 @@ the guide mean and cov(guide, p) its unclamped window variance, so
 ``guide_fit`` returns the moments and the fit from the same 2 box passes,
 bit for bit the same as the general route. A self-guided ``gf``, ``cgf``
 or ``tvgf`` then costs 4 box passes instead of 6, and a self-guided roll
-4n instead of 2 + 4n. The test is object identity, made before any
-conversion; an equal copy takes the general route to the same bits. When
-no refit follows (one pass, or ``gf_coeffs``) the moments are read only
-by that fit, so it writes b over the window mean and forms var + eps per
-strip: one self-guided pass peaks at 3 float planes (the guide's window
-sum, its square and that square's window sum), a pass against a distinct
-guide at 4 (the guide's mean and var + eps, and two planes of the fit).
+4n instead of 2 + 4n. The test is object identity, which the schemes'
+image gate ``core.as_images`` keeps through any conversion; an equal
+copy takes the general route to the same bits. When no refit follows
+(one pass, or ``gf_coeffs``) the moments are read only by that fit, so
+it writes b over the window mean and forms var + eps per strip: one
+self-guided pass peaks at 3 float planes (the guide's window sum, its
+square and that square's window sum), a pass against a distinct guide
+at 4 (the guide's mean and var + eps, and two planes of the fit).
 """
 
 from __future__ import annotations
@@ -56,7 +57,16 @@ from typing import TypeVar
 
 import numpy as np
 
-from .core import EnergyReport, Image, WindowSpec, as_image, require_params, require_same_shape
+from .core import (
+    EnergyReport,
+    Image,
+    WindowSpec,
+    as_image,
+    as_images,
+    require_finite,
+    require_params,
+    require_same_shape,
+)
 from .boxops import WindowCounts, box_sum, each_strip, product
 
 T = TypeVar("T")  # one iterate: an image, or a rolling pair's MutualState
@@ -83,18 +93,6 @@ class GuideMoments:
     counts: WindowCounts
     mean: Image | None
     var_eps: Image | None
-
-
-def as_input_and_guide(p, guide) -> tuple[Image, Image]:
-    """p and the guide as float images of one shape.
-
-    p passed as the guide object itself comes back as that object, so the
-    fit can see that it is self-guided even when the conversion copies.
-    """
-    guide = as_image(guide)
-    p = guide if p is guide else as_image(p)
-    require_same_shape(p, guide)
-    return p, guide
 
 
 def fit_coeffs(p: Image, guide: Image, moments: GuideMoments, w: WindowSpec) -> GfCoeffs:
@@ -170,7 +168,7 @@ def gf_coeffs(p: Image, guide: Image, w: WindowSpec, eps: float) -> GfCoeffs:
     require eps > 0. p passed as the guide object itself costs 2 box
     passes instead of 4 and holds no plane of guide moments.
     """
-    p, guide = as_input_and_guide(p, guide)
+    p, guide = as_images(p, guide)
     return guide_fit(p, guide, w, eps, False)[1]
 
 
@@ -236,6 +234,7 @@ def gf_apply(coeffs: GfCoeffs, guide: Image, w: WindowSpec) -> Image:
     """Aggregate the per-window estimates: the lam = 0 update f / n."""
     guide = as_image(guide)
     require_same_shape(coeffs.a, coeffs.b, guide)
+    require_finite(guide, "the guide")  # never box-summed, so box_sum cannot catch it
     counts = WindowCounts.of(guide.shape, w)
     return anchored_update(window_sum_estimate(coeffs, guide, w), counts)
 
@@ -317,7 +316,7 @@ def gf_iterates(
     Parameters are checked and the first fit is made at the call.
     """
     require_params(eps=eps, iters=iters)
-    p, guide = as_input_and_guide(p, guide)
+    p, guide = as_images(p, guide)
     return roll(p, guide, guide_fit(p, guide, w, eps, iters > 1), w, anchor_term(), iters)
 
 
@@ -340,13 +339,12 @@ def energy_gf(q: Image, coeffs: GfCoeffs, guide: Image, w: WindowSpec, eps: floa
     data term of k is a^2 S_GG + 2ab S_G + n b^2 - 2a S_Gq - 2b S_q + S_qq,
     and its ridge eps * n * a^2: 5 box passes, each folded into the
     per-window data as soon as it exists, so an energy costs about as much
-    as one guided-filter pass at any size. The independent check is the
-    pixel-by-pixel sum in ``tests/oracles.py``.
+    as one guided-filter pass at any size. eps = 0 prices no ridge; eps < 0
+    is refused. The independent check is the pixel-by-pixel sum in
+    ``tests/oracles.py``.
     """
-    q = as_image(q)
-    guide = as_image(guide)
-    a, b = coeffs.a, coeffs.b
-    require_same_shape(q, guide, a, b)
+    require_params(fit_eps=eps)
+    q, guide, a, b = as_images(q, guide, coeffs.a, coeffs.b)
     w.check_fits(q.shape)
     # G - c, q - d and b + a c - d leave every residual as it is; at the means
     # c and d, the sums that cancel scale with the images' spread, not level

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Image, WindowSpec, as_image, require_finite, require_params, require_same_shape
-from .gf import GfCoeffs, as_input_and_guide, gf_coeffs
+from .core import Image, WindowSpec, as_images, require_finite, require_params, require_same_shape
+from .gf import GfCoeffs, gf_coeffs
 from .boxops import WindowCounts, box_sum, each_strip, product
 
 # Below this mean of sum(a^2) + lam over the pixel's windows, the quadratic
@@ -37,12 +37,8 @@ def inverse_update(
     fit (``igf``, ``icgf``) frees b and a on the way, so a self-guided
     one-shot inverse filter peaks at 3 planes, its fit's included.
     """
-    p = as_image(p)
-    prior = as_image(prior)
-    require_same_shape(p, prior, coeffs.a, coeffs.b)
-    if lam:
-        g = as_image(g)
-        require_same_shape(p, g)
+    p, prior, g = as_images(p, prior, g) if lam else (*as_images(p, prior), None)
+    require_same_shape(p, coeffs.a, coeffs.b)
     a, b = coeffs.a, coeffs.b
     # each window sum is folded in as soon as it exists; a caller that
     # hands over its only reference to the fit lets b die once a * b
@@ -93,12 +89,10 @@ def icgf_update(
     NaN or Inf in any of them (in g only at lam > 0) raises ValueError
     naming it instead of reaching the output.
     """
-    p = as_image(p)
+    p, prior, g = as_images(p, prior, g) if lam else (*as_images(p, prior), None)
     require_finite(p, "p")
     if lam:
-        g = as_image(g)
         require_finite(g, "the anchor g")
-    prior = as_image(prior)
     require_finite(prior, "prior")
     return inverse_update(coeffs, p, g, w, lam, prior)
 
@@ -114,7 +108,7 @@ def igf(p: Image, guess: Image, w: WindowSpec, eps: float) -> Image:
     guess is the initial guidance estimate the coefficients are fit against.
     """
     require_params(eps=eps)
-    p, guess = as_input_and_guide(p, guess)
+    p, guess = as_images(p, guess)
     # the fit box-sums p and guess, so neither needs a scan of its own
     return inverse_update(gf_coeffs(p, guess, w, eps), p, None, w, 0.0, prior=guess)
 
@@ -122,8 +116,6 @@ def igf(p: Image, guess: Image, w: WindowSpec, eps: float) -> Image:
 def icgf(p: Image, guess: Image, g: Image, w: WindowSpec, eps: float, lam: float) -> Image:
     """Inverse pass with a fidelity anchor g weighted by lam."""
     require_params(eps=eps, lam=lam)
-    g = as_image(g)
+    p, guess, g = as_images(p, guess, g)  # g checked even at lam = 0, where it is not read
     require_finite(g, "the anchor g")  # never box-summed, so box_sum cannot catch it
-    p, guess = as_input_and_guide(p, guess)
-    require_same_shape(p, g)  # checked even at lam = 0, where g is not read
     return inverse_update(gf_coeffs(p, guess, w, eps), p, g, w, lam, prior=guess)

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .boxops import STRIPS_PER_RUN, in_parallel, work_blocks
-from .core import STRIP_BYTES, Image, as_image, require_finite, require_same_shape
+from .core import STRIP_BYTES, Image, as_images, require_finite
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -41,9 +41,7 @@ SSIM_K2 = 0.03
 
 def mse(x: Image, y: Image) -> float:
     """Mean squared difference over all pixels; NaN or Inf raises ValueError."""
-    x = as_image(x)
-    y = as_image(y)
-    require_same_shape(x, y)
+    x, y = as_images(x, y)
     require_finite(x, "x")
     require_finite(y, "y")
     return float(np.mean((x - y) ** 2))
@@ -94,9 +92,7 @@ def ssim(x: Image, y: Image) -> float:
     before any arithmetic, so the check makes no pass of its own over the
     images.
     """
-    x = as_image(x)
-    y = as_image(y)
-    require_same_shape(x, y)
+    x, y = as_images(x, y)
     if min(x.shape) < SSIM_WINDOW:
         raise ValueError(
             f"image too small for SSIM: needs min dimension >= {SSIM_WINDOW}, got {x.shape}"

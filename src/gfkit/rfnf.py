@@ -22,7 +22,7 @@ from collections.abc import Generator
 
 import numpy as np
 
-from .core import Image, WindowSpec, as_image, require_params, require_same_shape
+from .core import Image, WindowSpec, as_image, as_images, require_params
 from .boxops import WindowCounts, each_strip
 from .gf import (
     GuideMoments,
@@ -59,9 +59,7 @@ def _flash_inputs(noflash, flash, w: WindowSpec, eps: float, **params):
     """A flash scheme's checked images, the flash moments with the roll's first
     fit of noflash against them, and the base layer gf(flash, flash)."""
     require_params(eps=eps, **params)
-    noflash = as_image(noflash)
-    flash = as_image(flash)
-    require_same_shape(noflash, flash)
+    noflash, flash = as_images(noflash, flash)
     moments, base = _flash_base(flash, w, eps)
     return noflash, flash, (moments, fit_coeffs(noflash, flash, moments, w)), base
 

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EnergyReport, Image, WindowSpec, as_image, require_params, require_same_shape
+from .core import EnergyReport, Image, WindowSpec, as_image, as_images, require_params
 from .gf import (
     GfCoeffs,
     anchored_update,
@@ -212,9 +212,7 @@ def cgf_rmsf_iterates(
     Parameters and shapes are checked at the call.
     """
     require_params(eps=eps, eps2=eps2, lam=lam, beta=beta, iters=iters)
-    p = as_image(p)
-    guide = as_image(guide)
-    require_same_shape(p, guide)
+    p, guide = as_images(p, guide)
     return _mutual_iterates(p, guide, eps, eps2, lam, beta, w, iters, snapshots)
 
 
@@ -257,9 +255,7 @@ def naive_roll37_iterates(
     Parameters and shapes are checked at the call.
     """
     require_params(eps=eps, iters=iters)
-    q = as_image(p)
-    G = as_image(guide)
-    require_same_shape(q, G)
+    q, G = as_images(p, guide)
     return _naive_iterates(q, G, eps, w, iters)
 
 

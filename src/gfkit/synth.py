@@ -21,7 +21,7 @@ def piecewise(width: int, height: int, seed: int) -> Image:
     The thin bars matter: they give oversmoothing something to destroy, so
     quality metrics can separate edge-preserving filters from blurrers.
     """
-    require_params(width=width, height=height)
+    require_params(width=width, height=height, seed=seed)
     rng = np.random.default_rng(seed)
     img = np.full((height, width), 0.35, dtype=np.float64)
     margin_y = max(2, height // 8)
@@ -94,6 +94,6 @@ def flash_pair(width: int, height: int, seed: int, sigma: float = 0.03):
 
 def random_image(width: int, height: int, seed: int) -> Image:
     """Uniform [0, 1] noise; the workhorse of the differential tests."""
-    require_params(width=width, height=height)
+    require_params(width=width, height=height, seed=seed)
     rng = np.random.default_rng(seed)
     return rng.random((height, width))

@@ -24,9 +24,18 @@ from collections.abc import Generator
 
 import numpy as np
 
-from .core import Boundary, EnergyReport, Image, WindowSpec, as_image, require_params
+from .core import (
+    Boundary,
+    EnergyReport,
+    Image,
+    WindowSpec,
+    as_image,
+    as_images,
+    require_finite,
+    require_params,
+)
 from .boxops import in_parallel, work_blocks
-from .gf import GfCoeffs, PixelTerm, as_input_and_guide, energy_gf, guide_fit, roll
+from .gf import GfCoeffs, PixelTerm, energy_gf, guide_fit, roll
 
 
 def _require_periodic(w: WindowSpec) -> None:
@@ -86,6 +95,7 @@ def tv_term(shape, w: WindowSpec, lam: float) -> PixelTerm:
 def tvgf_solve_q(f: Image, w: WindowSpec, lam: float) -> Image:
     """Solve (|w| + lam * L) q = f for q, L the circular 5-point Laplacian."""
     f = as_image(f)
+    require_finite(f, "f")  # the Fourier solve would spread a NaN or Inf over the plane
     w.check_fits(f.shape)
     return tv_term(f.shape, w, lam).update(f.copy(), None)  # the update writes over f
 
@@ -103,7 +113,7 @@ def tvgf_iterates(
     Parameters are checked and the first fit is made at the call.
     """
     require_params(eps=eps, lam=lam, iters=iters)
-    p, guide = as_input_and_guide(p, guide)
+    p, guide = as_images(p, guide)
     term = tv_term(p.shape, w, lam)  # before the fit, so that no fit plane is alive
     return roll(p, guide, guide_fit(p, guide, w, eps, iters > 1), w, term, iters)
 

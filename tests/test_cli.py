@@ -257,6 +257,9 @@ class TestExitCodes:
             (["bench"], "--repeat", "0", "repeat must be >= 1"),
             (["synth", "--kind", "noise", "--output", "o.pgm"], "--height", "-3",
              "height must be >= 1"),
+            (["synth", "--kind", "piecewise", "--output", "o.pgm"], "--seed", "-1",
+             "seed must be >= 0"),
+            (["bench"], "--seed", "-1", "seed must be >= 0"),
         ],
     )
     def test_out_of_range_message_carries_the_core_rule(

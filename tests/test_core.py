@@ -1,8 +1,18 @@
+import sys
+
 import numpy as np
 import pytest
 
-from gfkit.cgf import cgf_roll
-from gfkit.core import _INTEGER_PARAMS, _PARAM_RULES, Boundary, WindowSpec, require_params
+import gfkit.core
+from gfkit.cgf import cgf, cgf_roll
+from gfkit.core import (
+    _INTEGER_PARAMS,
+    _PARAM_RULES,
+    Boundary,
+    WindowSpec,
+    as_images,
+    require_params,
+)
 from gfkit.gf import gf, gf_coeffs, gf_roll
 from gfkit.rfnf import rfnf_gen
 from gfkit.tvgf import tvgf
@@ -124,3 +134,61 @@ class TestParameterKinds:
         gf_coeffs(self.X, self.X, WindowSpec(1), 0.0)
         with pytest.raises(ValueError, match=r"^eps must be >= 0, got -0.1$"):
             gf_coeffs(self.X, self.X, WindowSpec(1), -0.1)
+
+
+class TestAsImages:
+    X = np.random.default_rng(2).random((8, 6))
+
+    def test_a_shared_input_stays_one_object(self):
+        x32, y32 = self.X.astype(np.float32), self.X.astype(np.float32)
+        p, guide, g = as_images(x32, y32, x32)
+        assert p is g and p is not guide
+        assert p.dtype == guide.dtype == np.float64
+        assert all(out is self.X for out in as_images(self.X, self.X))
+
+    def test_an_equal_copy_stays_distinct_and_takes_the_general_route(self, count_box_passes):
+        copy = self.X.copy()
+        p, guide = as_images(self.X, copy)
+        assert p is self.X and guide is copy
+        fits = []
+        for guide, passes in ((self.X, 2), (copy, 4)):
+            fit = lambda: fits.append(gf_coeffs(self.X, guide, WindowSpec(1), 0.1))  # noqa: E731
+            assert count_box_passes(fit) == passes
+        assert np.array_equal(fits[0].a, fits[1].a)
+        assert np.array_equal(fits[0].b, fits[1].b)
+
+    @pytest.mark.parametrize("images,message", [
+        ((np.zeros((2, 3)), np.zeros((3, 2))), r"^shape mismatch: \[\(2, 3\), \(3, 2\)\]$"),
+        ((np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 4))),
+         r"^shape mismatch: \[\(2, 3\), \(2, 4\)\]$"),
+        ((np.zeros((2, 3)), np.zeros((2, 3), dtype=np.complex64)),
+         r"^expected a real image, got dtype complex64$"),
+        ((np.zeros((2, 3)), np.zeros((1, 2, 3))), r"^expected a 2-D image, got ndim=3$"),
+        ((np.zeros((0, 3)),), r"^empty image$"),
+    ])
+    def test_messages_are_those_of_as_image_and_require_same_shape(self, images, message):
+        with pytest.raises(ValueError, match=message):
+            as_images(*images)
+
+    def test_a_float32_cgf_converts_its_one_image_once(self, monkeypatch, count_box_passes):
+        # p, guide and anchor are one object: one float64 copy serves all
+        # three, and the fit sees that it is self-guided (it once converted
+        # the input three times and took the 6-pass general route)
+        original, copies = gfkit.core.as_image, []
+
+        def counting(x):
+            out = original(x)
+            if out is not x:
+                copies.append(x)
+            return out
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("gfkit.") and getattr(module, "as_image", None) is original:
+                monkeypatch.setattr(module, "as_image", counting)
+        x = self.X.astype(np.float32)
+        out = []
+        assert count_box_passes(lambda: out.append(cgf(x, x, x, WindowSpec(1), 0.01, 0.1))) == 4
+        assert len(copies) == 1
+        q = out[0]
+        y = x.astype(np.float64)
+        assert np.array_equal(q, cgf(y, y, y, WindowSpec(1), 0.01, 0.1))

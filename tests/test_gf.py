@@ -3,7 +3,10 @@ import pytest
 
 from gfkit.core import Boundary, WindowSpec
 from gfkit.boxops import box_mean
+from gfkit.cgf import energy_cgf
 from gfkit.gf import energy_gf, gf, gf_apply, gf_coeffs, gf_roll, guide_fit, GfCoeffs
+from gfkit.rmsf import MutualState, energy_mutual
+from gfkit.tvgf import energy_tvgf
 
 from oracles import (
     energy_gf_reordered,
@@ -209,3 +212,34 @@ class TestEnergy:
         want = energy_gf_reordered(q, a, b, guide, w, 0.1)
         assert got.total == pytest.approx(want, rel=1e-12)
         assert got.total == pytest.approx(got.terms["data"] + got.terms["ridge"])
+
+    # each entry prices the objective with one weight out of range, and the
+    # message it must raise; each once returned a value (energy_gf -457 at
+    # eps = -1, energy_mutual -2409 at eps2 = -5)
+    BAD_WEIGHTS = {
+        "energy_gf-eps": (lambda q, c, g: energy_gf(q, c, g, WindowSpec(1), -1),
+                          "eps must be >= 0, got -1"),
+        "energy_tvgf-eps": (lambda q, c, g: energy_tvgf(
+            q, c, g, WindowSpec(1, Boundary.PERIODIC), -1, 1.0), "eps must be >= 0, got -1"),
+        "energy_mutual-eps2": (lambda q, c, g: energy_mutual(
+            MutualState(q, g, 1), c, c, WindowSpec(1), 0.1, -5), "eps must be >= 0, got -5"),
+        "energy_cgf-lambda": (lambda q, c, g: energy_cgf(q, c, g, g, WindowSpec(1), 0.1, -1),
+                              "lambda must be finite and >= 0, got -1"),
+        "energy_cgf-lambda-nan": (lambda q, c, g: energy_cgf(
+            q, c, g, g, WindowSpec(1), 0.1, float("nan")), "lambda must be finite and >= 0"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_WEIGHTS))
+    def test_out_of_range_weight_is_refused(self, name):
+        rng = np.random.default_rng(16)
+        q, guide = rng.random((8, 8)), rng.random((8, 8))
+        energy, message = self.BAD_WEIGHTS[name]
+        with pytest.raises(ValueError, match=f"^{message}"):
+            energy(q, gf_coeffs(q, guide, WindowSpec(1), 0.1), guide)
+
+    def test_eps_zero_prices_the_data_term_alone(self):
+        rng = np.random.default_rng(17)
+        q, guide = rng.random((8, 8)), rng.random((8, 8))
+        report = energy_gf(q, gf_coeffs(q, guide, WindowSpec(1), 0.0), guide, WindowSpec(1), 0.0)
+        assert report.terms["ridge"] == 0.0
+        assert report.total == report.terms["data"] >= 0.0

@@ -1,10 +1,12 @@
 """Every filter and rolling scheme rejects a NaN or an Inf in its input
-or its guide: box_sum raises, and nothing computes on past it. The anchor
-g of cgf, cgf_roll and icgf is never box-summed, so those entry points
-check it themselves, and so do igf_update and icgf_update for their p,
-their prior and (at lambda > 0) their anchor g. A NaN or Inf weight
-(lambda, beta, tau) or a NaN eps is rejected by name before any
-computation, and a complex image before its cast to float."""
+or its guide: box_sum raises, and nothing computes on past it. Each plane
+that no box pass reads is scanned by the entry point that takes it: the
+anchor g of cgf, cgf_roll and icgf; the p, the prior and (at lambda > 0)
+the anchor g of igf_update and icgf_update; the guide of gf_apply; and
+the f of tvgf_solve_q, which the Fourier solve would spread over the
+whole plane. A NaN or Inf weight (lambda, beta, tau) or a NaN eps is
+rejected by name before any computation, and a complex image before its
+cast to float."""
 
 import sys
 import warnings
@@ -14,12 +16,12 @@ import pytest
 
 from gfkit.cgf import cgf, cgf_roll
 from gfkit.core import Boundary, WindowSpec
-from gfkit.gf import GfCoeffs, gf, gf_coeffs
+from gfkit.gf import GfCoeffs, gf, gf_apply, gf_coeffs
 from gfkit.igf import icgf, icgf_update, igf, igf_update
 from gfkit.imgio import quantize
 from gfkit.rfnf import enhanced_flash, rfnf_gen, rfnf_seo
-from gfkit.rmsf import cgf_rmsf, gf_rmsf
-from gfkit.tvgf import tvgf
+from gfkit.rmsf import cgf_rmsf, gf_rmsf, naive_roll37
+from gfkit.tvgf import tvgf, tvgf_solve_q
 
 TRUNC = WindowSpec(2, Boundary.TRUNCATE)
 PERIODIC = WindowSpec(2, Boundary.PERIODIC)
@@ -34,6 +36,8 @@ FILTERS = {
     "gf_rmsf": lambda p, g: gf_rmsf(p, g, 0.01, 0.01, TRUNC, 2),
     "cgf_rmsf": lambda p, g: cgf_rmsf(p, g, 0.01, 0.01, 0.5, 0.5, TRUNC, 2),
     "rfnf_gen": lambda p, g: rfnf_gen(p, g, TRUNC, 0.01, 0.5, 1.5, 2),
+    "rfnf_seo": lambda p, g: rfnf_seo(p, g, TRUNC, 0.01, 0.5, 2),
+    "naive_roll37": lambda p, g: naive_roll37(p, g, 0.01, TRUNC, 2),
 }
 
 
@@ -191,16 +195,46 @@ def test_inverse_update_rejects_non_finite_input(name, spoiled, where, bad):
             assert np.array_equal(call(coeffs, p, g, prior), clean)
 
 
-@pytest.mark.parametrize("name,scans", [
-    ("igf", []),
-    ("icgf", ["the anchor g"]),
+# each entry hands one public update a plane that it reads but never
+# box-sums, and names that plane; gf_apply's fit is finite
+CLEAN = np.random.default_rng(13).random((12, 10))
+PLANES = {
+    "gf_apply": (lambda x: gf_apply(gf_coeffs(CLEAN, CLEAN, TRUNC, 0.01), x, TRUNC),
+                 "the guide"),
+    "tvgf_solve_q": (lambda x: tvgf_solve_q(x, PERIODIC, 1.0), "f"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (5, 7), (11, 9)])
+@pytest.mark.parametrize("name", sorted(PLANES))
+def test_update_rejects_a_non_finite_plane(name, where, bad):
+    # each once returned a NaN image, tvgf_solve_q an all-NaN plane
+    x = np.random.default_rng(11).random((12, 10))
+    call, what = PLANES[name]
+    x[where] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^NaN or Inf in {what}$"):
+            call(x)
+
+
+@pytest.mark.parametrize("name,module,scans", [
+    ("igf", "gfkit.igf", []),
+    ("icgf", "gfkit.igf", ["the anchor g"]),
+    ("gf_apply", "gfkit.gf", ["the guide"]),
+    ("tvgf_solve_q", "gfkit.tvgf", ["f"]),
 ])
-def test_one_shot_inverse_scans_only_what_no_box_pass_reads(name, scans, monkeypatch):
-    # p and the guess go through the fit's box passes; only icgf's anchor does not
+def test_scans_only_what_no_box_pass_reads(name, module, scans, monkeypatch):
+    # the one-shot inverses' p and guess go through the fit's box passes, and
+    # so do gf_apply's a and b; icgf's anchor, gf_apply's guide and
+    # tvgf_solve_q's f do not
     seen = []
-    monkeypatch.setattr(sys.modules["gfkit.igf"], "require_finite",
-                        lambda x, what: seen.append(what))
+    monkeypatch.setattr(sys.modules[module], "require_finite", lambda x, what: seen.append(what))
     rng = np.random.default_rng(10)
     p, g = rng.random((12, 10)), rng.random((12, 10))
-    FILTERS[name](p, g)
+    if name in PLANES:
+        PLANES[name][0](p)
+    else:
+        FILTERS[name](p, g)
     assert seen == scans

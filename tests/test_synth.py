@@ -71,3 +71,14 @@ def test_noise_level_out_of_range_is_refused(make, sigma):
     # a NaN level once gave an all-NaN noisy image
     with pytest.raises(ValueError, match="^sigma must be finite and >= 0, got "):
         make(8, 8, 0, sigma)
+
+
+@pytest.mark.parametrize("make", [
+    synth.piecewise, synth.texture_scene, synth.noise_pair, synth.flash_pair, synth.random_image,
+])
+@pytest.mark.parametrize("seed", [-1, 0.5, "1"])
+def test_seed_out_of_range_is_refused(make, seed):
+    # -1 once gave numpy's bare "expected non-negative integer"
+    rule = "must be >= 0" if seed == -1 else "must be an integer"
+    with pytest.raises(ValueError, match=f"^seed {rule}, got "):
+        make(8, 8, seed)
