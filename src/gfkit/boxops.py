@@ -147,12 +147,6 @@ def in_parallel(body: Callable[..., T], *args: Sequence) -> list[T]:
 _NON_FINITE = "NaN or Inf in the input of a box sum"
 
 
-def _validate(x: Image, w: WindowSpec) -> Image:
-    x = as_image(x)
-    w.check_fits(x.shape)
-    return x
-
-
 def _row_differences(x: Image, out: Image, r: int, periodic: bool) -> None:
     """out[i] = (window sum of rows around i) - (same around i - 1), i >= 1.
 
@@ -182,7 +176,8 @@ def box_sum(x: Image, w: WindowSpec) -> Image:
 
     Raises ValueError if x holds a NaN or an Inf.
     """
-    x = _validate(x, w)
+    x = as_image(x)
+    w.check_fits(x.shape)
     r = w.radius
     if r == 0:
         if not np.isfinite(x).all():
@@ -234,10 +229,6 @@ class WindowCounts:
         h, width = shape
         return cls(_counts_1d(h, w), _counts_1d(width, w))
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.rows), len(self.cols)
-
 
 def each_strip(
     shape, body: Callable[..., T], scratch: int = 1, counts: WindowCounts | None = None
@@ -282,8 +273,7 @@ def product(x: Image, y: Image) -> Image:
 
 def box_mean(x: Image, w: WindowSpec) -> Image:
     """Windowed average of x, normalized by the actual per-pixel window size."""
-    x = _validate(x, w)
     out = box_sum(x, w)
-    each_strip(x.shape, lambda rows, n: np.divide(out[rows], n, out=out[rows]), 0,
-               WindowCounts.of(x.shape, w))
+    each_strip(out.shape, lambda rows, n: np.divide(out[rows], n, out=out[rows]), 0,
+               WindowCounts.of(out.shape, w))
     return out

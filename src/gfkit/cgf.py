@@ -94,4 +94,5 @@ def energy_cgf(
     """Exact objective value: window least squares plus lam * sum((q - g)^2)."""
     require_params(lam=lam)
     q, g = as_images(q, g)
+    require_finite(g, "the anchor g")  # never box-summed, so box_sum cannot catch it
     return energy_gf(q, coeffs, guide, w, eps, anchor_term(g, lam))

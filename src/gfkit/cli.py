@@ -6,7 +6,7 @@ channel, and the channels stream: as soon as a channel's filter returns,
 its outputs and dumped iterates become integer samples and its input
 plane is freed. A color guidance image collapses to its channel average.
 Every run prints a JSON report to stdout. Exit codes: 0 success, 2 usage
-error, 3 I/O or parse error.
+error, 3 I/O or parse error, 4 out of memory.
 """
 
 from __future__ import annotations
@@ -308,7 +308,7 @@ def _filter_channel(cmd, args, w, idx, chan, guide, anchors) -> _Channel:
 def _run_filter_command(cmd: FilterCommand, args) -> dict:
     in_channels = read_pnm_file(args.input)
     report_inputs = {"input": _channel_info(args.input, in_channels)}
-    shape = in_channels[0].shape
+    shape = args.input_shape = in_channels[0].shape
 
     guide = None  # self-guidance, per channel
     if args.guidance:
@@ -357,6 +357,7 @@ def _run_filter_command(cmd: FilterCommand, args) -> dict:
 
 def _run_metrics(args) -> dict:
     a = read_pnm_file(args.input)
+    args.input_shape = a[0].shape
     b = read_pnm_file(args.metrics_against)
     report = _metrics_report(a, b)
     return {
@@ -457,6 +458,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"gfkit: usage error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:  # named with the input's size if the handler has read it
+        h, w = getattr(args, "input_shape", (None, None))
+        of = "" if h is None else f" on a {w}x{h} input"
+        print(f"gfkit: error: out of memory in {args.command}{of}", file=sys.stderr)
+        return 4
     report["command"] = args.command
     report["wall_time_s"] = time.perf_counter() - t0
     print(json.dumps(report, sort_keys=True))

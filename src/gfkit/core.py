@@ -83,8 +83,8 @@ def as_image(x) -> Image:
 
 
 def as_images(*images) -> tuple[Image, ...]:
-    """Each image through ``as_image``, all of one shape: the one gate of a
-    filter's input images.
+    """Each image through ``as_image``, all of one shape: the one gate of an
+    entry point's images, a fit's a and b planes among them.
 
     An object passed more than once comes back as one converted object, so
     a fit can see that its input is its guide (``gf.guide_fit``) whatever
@@ -92,9 +92,10 @@ def as_images(*images) -> tuple[Image, ...]:
     """
     unique = {id(x): x for x in images}  # an object passed twice is converted once
     converted = {key: as_image(x) for key, x in unique.items()}
-    out = tuple(converted[id(x)] for x in images)
-    require_same_shape(*out)
-    return out
+    shapes = {x.shape for x in converted.values()}
+    if len(shapes) > 1:
+        raise ValueError(f"shape mismatch: {sorted(shapes)}")
+    return tuple(converted[id(x)] for x in images)
 
 
 def require_finite(x: Image, what: str) -> None:
@@ -103,17 +104,12 @@ def require_finite(x: Image, what: str) -> None:
         raise ValueError(f"NaN or Inf in {what}")
 
 
-def require_same_shape(*images: Image) -> None:
-    shapes = {im.shape for im in images}
-    if len(shapes) > 1:
-        raise ValueError(f"shape mismatch: {sorted(shapes)}")
-
-
 # keyword -> (name in the message, requirement, test); NaN fails every test
 _PARAM_RULES = {
     "eps": ("eps", "> 0", lambda v: v > 0),
     "fit_eps": ("eps", ">= 0", lambda v: v >= 0),  # a fit's ridge; 0 for identity checks
     "eps2": ("eps2", "> 0", lambda v: v > 0),
+    "fit_eps2": ("eps2", ">= 0", lambda v: v >= 0),  # the inverse fit's ridge in an energy
     "lam": ("lambda", "finite and >= 0", lambda v: 0 <= v < math.inf),
     "beta": ("beta", "finite and >= 0", lambda v: 0 <= v < math.inf),
     "tau": ("tau", "finite", math.isfinite),

@@ -61,11 +61,9 @@ from .core import (
     EnergyReport,
     Image,
     WindowSpec,
-    as_image,
     as_images,
     require_finite,
     require_params,
-    require_same_shape,
 )
 from .boxops import WindowCounts, box_sum, each_strip, product
 
@@ -232,11 +230,10 @@ def anchor_term(g: Image | None = None, lam: float = 0.0) -> PixelTerm:
 
 def gf_apply(coeffs: GfCoeffs, guide: Image, w: WindowSpec) -> Image:
     """Aggregate the per-window estimates: the lam = 0 update f / n."""
-    guide = as_image(guide)
-    require_same_shape(coeffs.a, coeffs.b, guide)
+    guide, a, b = as_images(guide, coeffs.a, coeffs.b)
     require_finite(guide, "the guide")  # never box-summed, so box_sum cannot catch it
     counts = WindowCounts.of(guide.shape, w)
-    return anchored_update(window_sum_estimate(coeffs, guide, w), counts)
+    return anchored_update(window_sum_estimate(GfCoeffs(a, b), guide, w), counts)
 
 
 def roll(
@@ -345,6 +342,8 @@ def energy_gf(q: Image, coeffs: GfCoeffs, guide: Image, w: WindowSpec, eps: floa
     """
     require_params(fit_eps=eps)
     q, guide, a, b = as_images(q, guide, coeffs.a, coeffs.b)
+    require_finite(a, "the fit's a")  # a and b are never box-summed
+    require_finite(b, "the fit's b")
     w.check_fits(q.shape)
     # G - c, q - d and b + a c - d leave every residual as it is; at the means
     # c and d, the sums that cancel scale with the images' spread, not level

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Image, WindowSpec, as_images, require_finite, require_params, require_same_shape
+from .core import Image, WindowSpec, as_images, require_finite, require_params
 from .gf import GfCoeffs, gf_coeffs
 from .boxops import WindowCounts, box_sum, each_strip, product
 
@@ -37,9 +37,8 @@ def inverse_update(
     fit (``igf``, ``icgf``) frees b and a on the way, so a self-guided
     one-shot inverse filter peaks at 3 planes, its fit's included.
     """
-    p, prior, g = as_images(p, prior, g) if lam else (*as_images(p, prior), None)
-    require_same_shape(p, coeffs.a, coeffs.b)
-    a, b = coeffs.a, coeffs.b
+    # at lam = 0 the anchor is not read, and p stands in for it
+    p, prior, a, b, g = as_images(p, prior, coeffs.a, coeffs.b, g if lam else p)
     # each window sum is folded in as soon as it exists; a caller that
     # hands over its only reference to the fit lets b die once a * b
     # exists and a once a^2 does, each before the box pass that follows

@@ -277,6 +277,7 @@ def energy_mutual(
 ) -> EnergyReport:
     """Exact value of the two-track objective at (q, G, a, b, c, d): the
     ``energy_gf`` of q on G at eps plus that of G on q at eps2."""
+    require_params(fit_eps2=eps2)  # energy_gf would blame it on eps
     forward = energy_gf(state.q, coeffs_ab, state.G, w, eps).terms
     inverse = energy_gf(state.G, coeffs_cd, state.q, w, eps2).terms
     terms = {"data_q": forward["data"], "ridge_a": forward["ridge"],

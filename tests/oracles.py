@@ -180,6 +180,30 @@ def naive_igf_update(a, b, p, w: WindowSpec, prior, degenerate_eps=1e-12):
     return out
 
 
+def anchored_minimizer(guide, g, w: WindowSpec, eps, lam):
+    """The q that minimizes ``energy_cgf`` over (q, a, b), by one dense solve.
+
+    Let F be the map from q to the window sums f of its fit (``gf.roll``'s
+    numerator). F is the sum of every window's ridge hat matrix
+    X (X^T X + diag(eps n_k, 0))^-1 X^T, X = [guide, 1] over the window's
+    pixels, spread onto them: a per-window solve with no box sum. An
+    anchored pass is one Jacobi step on (diag(n + lam) - F) q = lam * g,
+    and this solves that system directly.
+    """
+    h, wd = guide.shape
+    index = np.arange(h * wd).reshape(h, wd)
+    counts, hat = np.zeros(h * wd), np.zeros((h * wd, h * wd))
+    for ky in range(h):
+        for kx in range(wd):
+            pixels = window_values(index, ky, kx, w).ravel()
+            x = np.stack([guide.ravel()[pixels], np.ones(pixels.size)], axis=1)
+            ridge = np.diag([eps * pixels.size, 0.0])
+            hat[np.ix_(pixels, pixels)] += x @ np.linalg.solve(x.T @ x + ridge, x.T)
+            counts[pixels] += 1
+    system = np.diag(counts + lam) - hat
+    return np.linalg.solve(system, lam * np.ravel(g)).reshape(h, wd)
+
+
 def naive_ssim(x, y, peak=1.0, window=11, sigma=1.5, k1=0.01, k2=0.03):
     """SSIM by explicit per-position loops over fully interior windows."""
     t = np.arange(window, dtype=np.float64) - (window - 1) / 2.0

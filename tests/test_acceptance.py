@@ -18,7 +18,7 @@ from gfkit.boxops import WindowCounts, box_mean, box_sum
 from gfkit.cli import FILTER_COMMANDS
 from gfkit.gf import anchor_term, energy_gf, gf, gf_coeffs, gf_iterates, gf_roll
 from gfkit.tvgf import tv_term, tvgf, tvgf_iterates
-from gfkit.cgf import cgf, cgf_iterates, cgf_roll
+from gfkit.cgf import cgf, cgf_iterates, cgf_roll, energy_cgf
 from gfkit.igf import igf, icgf, DEGENERATE_EPS
 from gfkit.rmsf import MutualState, cgf_rmsf, energy_mutual, gf_rmsf, naive_roll37
 from gfkit.rfnf import (
@@ -34,7 +34,7 @@ from gfkit.metrics import mse, psnr, ssim
 from gfkit.imgio import PnmError, read_pnm, write_pnm
 from gfkit import synth
 
-from oracles import energy_gf_reordered, naive_gf
+from oracles import anchored_minimizer, energy_gf_reordered, naive_gf
 from test_imgio import MALFORMED
 
 
@@ -113,24 +113,50 @@ def _inverse_row(p, G0, G1, w, eps, g, lam):
     return rises, partial(energy, fit=fit0), partial(oracle, fit=fit0), G1
 
 
-def fixed_guide_rows(p, guide, w, eps=0.1):
+def fixed_guide_rows(p, guide, w, eps=0.1, lam=2.0, tv_lam=45.0, passes=PASSES):
     """The fixed-guide rows of criterion 02 on window w, each a
     ``_roll_row``; tvgf runs on periodic windows only."""
     detail = detail_image(guide, w, eps)
     counts = WindowCounts.of(p.shape, w)
     rows = [
-        ("gf", gf_iterates(p, guide, w, eps, PASSES), None),
-        ("cgf", cgf_iterates(p, guide, p, w, eps, 2.0, PASSES), anchor_term(p, 2.0)),
-        ("rfnf-gen", rfnf_gen_iterates(p, guide, w, eps, 2.0, 1.5, PASSES),
-         anchor_term(enhanced_flash(guide, w, eps, 1.5), 2.0)),
-        *[("rfnf-seo", rfnf_seo_iterates(p, guide, w, eps, gain, PASSES),
+        ("gf", gf_iterates(p, guide, w, eps, passes), None),
+        ("cgf", cgf_iterates(p, guide, p, w, eps, lam, passes), anchor_term(p, lam)),
+        ("rfnf-gen", rfnf_gen_iterates(p, guide, w, eps, lam, 1.5, passes),
+         anchor_term(enhanced_flash(guide, w, eps, 1.5), lam)),
+        *[("rfnf-seo", rfnf_seo_iterates(p, guide, w, eps, gain, passes),
            detail_term(gain * detail, counts)) for gain in (1.5, -0.5)],
     ]
     if w.boundary is Boundary.PERIODIC:
-        rows.append(("tvgf", tvgf_iterates(p, guide, w, eps, 45.0, PASSES),
-                     tv_term(p.shape, w, 45.0)))
+        rows.append(("tvgf", tvgf_iterates(p, guide, w, eps, tv_lam, passes),
+                     tv_term(p.shape, w, tv_lam)))
     for name, iterates, term in rows:
         yield name, *_roll_row(p, iterates, guide, w, eps, term)
+
+
+def inverse_rows(p, guide, w, eps=0.1, lams=(0.0, 0.01, 2.0, 500.0)):
+    """The inverse passes of criterion 02 from the guess G0 = guide,
+    anchored to p, one per lambda: each an ``_inverse_row``."""
+    for lam in lams:
+        G1 = icgf(p, guide, p, w, eps, lam) if lam else igf(p, guide, w, eps)
+        yield "icgf" if lam else "igf", *_inverse_row(p, guide, G1, w, eps, p, lam)
+
+
+def mutual_row(p, guide, w, eps=0.1, eps2=0.05, passes=PASSES):
+    """Criterion 02's rmsf-gf row: the rises of ``energy_mutual`` over the
+    snapshots, and its last step, the G step that reads the fresh q."""
+    snaps = []
+    gf_rmsf(p, guide, eps, eps2, w, passes, snapshots=snaps)
+    last = snaps[-1]
+    q, ab, cd = last.state.q, last.ab, last.cd
+
+    def energy(G):
+        return energy_mutual(MutualState(q, G, passes), ab, cd, w, eps, eps2).total
+
+    def oracle(G):
+        return _oracle_gf(q, ab, G, w, eps) + _oracle_gf(G, cd, q, w, eps2)
+
+    rises = np.diff([energy_mutual(s.state, s.ab, s.cd, w, eps, eps2).total for s in snaps])
+    return "rmsf-gf", rises, energy, oracle, last.state.G
 
 
 def descent_table(p, guide, r):
@@ -144,22 +170,17 @@ def descent_table(p, guide, r):
     eps = 0.1
     yield from fixed_guide_rows(p, guide, wt, eps)
     yield from fixed_guide_rows(p, guide, wp, eps)
-    for lam in (0.0, 0.01, 2.0, 500.0):  # from the guess G0 = guide, anchored to p
-        G1 = icgf(p, guide, p, wt, eps, lam) if lam else igf(p, guide, wt, eps)
-        yield "icgf" if lam else "igf", *_inverse_row(p, guide, G1, wt, eps, p, lam)
-    snaps = []
-    gf_rmsf(p, guide, eps, 0.05, wt, PASSES, snapshots=snaps)
-    last = snaps[-1]  # its G step, which reads the fresh q
-    q, ab, cd = last.state.q, last.ab, last.cd
+    yield from inverse_rows(p, guide, wt, eps)
+    yield mutual_row(p, guide, wt, eps)
 
-    def energy(G):
-        return energy_mutual(MutualState(q, G, PASSES), ab, cd, wt, eps, 0.05).total
 
-    def oracle(G):
-        return _oracle_gf(q, ab, G, wt, eps) + _oracle_gf(G, cd, q, wt, 0.05)
-
-    yield "rmsf-gf", np.diff([energy_mutual(s.state, s.ab, s.cd, wt, eps, 0.05).total
-                              for s in snaps]), energy, oracle, last.state.G
+def ccd_rows(p, guide, w, eps, eps2, lam, passes):
+    """Every row of criterion 02's table on one window, at one eps, eps2
+    and anchor weight lam (tvgf's too), and ``passes`` passes: the generated
+    cases of ``tests/test_properties.py`` run these."""
+    yield from fixed_guide_rows(p, guide, w, eps, lam, lam, passes)
+    yield from inverse_rows(p, guide, w, eps, (0.0, lam))
+    yield mutual_row(p, guide, w, eps, eps2, passes)
 
 
 def test_criterion_02_ccd_energy_descent():
@@ -295,6 +316,56 @@ def test_criterion_04_conservative_vs_dissipative():
     assert converged_at is not None and converged_at < 200
     report(4, f"gf ratio {gf_ratio:.3f} < 0.20; cgf ratio {cgf_ratio:.3f} > 0.50, "
               f"max-delta < 1e-6 at pass {converged_at} < 200")
+
+
+# (size, radius, boundary) of the anchored rolls' dense solves
+CERTIFIED = [(16, 2, Boundary.TRUNCATE), (16, 3, Boundary.PERIODIC), (12, 20, Boundary.TRUNCATE)]
+
+
+def _to_rest(iterates, q):
+    """The iterates from q0 = q up to the first that moves no pixel by 1e-15."""
+    for nxt in iterates:
+        yield nxt
+        if float(np.max(np.abs(nxt - q))) < 1e-15:
+            return
+        q = nxt
+
+
+@pytest.mark.parametrize("scheme", ["cgf", "rfnf-gen"])
+@pytest.mark.parametrize("size,r,boundary", CERTIFIED)
+def test_criterion_04_anchored_rolls_reach_the_certified_minimizer(size, r, boundary, scheme):
+    # E*(q), the energy at the refit, is 2 lam-strongly convex, and a pass
+    # is a Jacobi step on its minimizer's system with gradient
+    # 2 (n + lam)(q_n - q_{n+1}); so at every pass the gap to the dense
+    # solve's energy is at most sum((n + lam)^2 (q_n - q_{n+1})^2) / lam,
+    # up to the energies' round-off (allowed: 1e-12 of min E)
+    rng = np.random.default_rng(size + r)
+    p, guide = rng.random((size, size)), rng.random((size, size))
+    w, eps, lam = WindowSpec(r, boundary), 0.1, 2.0
+    if scheme == "cgf":
+        g = p
+        qs = [p, *cgf_roll(p, guide, g, w, eps, lam, 20000, tol=1e-15)]
+    else:  # rfnf_gen's roll, anchored to the enhanced flash image
+        g = enhanced_flash(guide, w, eps, 1.5)
+        qs = [p, *_to_rest(rfnf_gen_iterates(p, guide, w, eps, lam, 1.5, 20000), p)]
+    target = anchored_minimizer(guide, g, w, eps, lam)
+
+    def energy(q):
+        return energy_cgf(q, gf_coeffs(q, guide, w, eps), guide, g, w, eps, lam).total
+
+    floor = energy(target)
+    counts = WindowCounts.of(p.shape, w)
+    weight = (np.outer(counts.rows, counts.cols) + lam) ** 2 / lam
+    ratio = 0.0
+    for n, (q, nxt) in enumerate(zip(qs, qs[1:])):
+        gap, bound = energy(q) - floor, float(np.sum(weight * (q - nxt) ** 2))
+        assert gap <= bound + 1e-12 * floor, f"pass {n}: gap {gap:.2e} > bound {bound:.2e}"
+        if bound > 1e-9 * floor:  # above the energies' round-off
+            ratio = max(ratio, gap / bound)
+    diff = float(np.max(np.abs(qs[-1] - target)))
+    assert diff <= 1e-12, f"{scheme} stopped {diff:.2e} from the dense solve"
+    report(4, f"{scheme} {size}x{size}, r = {r}, {boundary.value}: {len(qs) - 1} passes to "
+              f"{diff:.1e} <= 1e-12 of the dense solve; gap/certificate <= {ratio:.2f}")
 
 
 def test_criterion_05_rfnf_linear_approximation():

@@ -1,8 +1,8 @@
 """The package's public surface and the names the benchmark's tracer wraps.
 
 A change to ``gfkit.__all__`` must show up as an edit of the literal below.
-Input images are converted and shape-checked by ``core.as_images`` alone;
-the one other shape check left is of a fit's a and b planes.
+Input images and a fit's a and b planes are converted and shape-checked by
+``core.as_images`` alone.
 The tracer in ``perfbench/tracer.py`` looks every layer function up by name
 when it starts, so a renamed or deleted one would otherwise surface only as
 an ``AttributeError`` inside a benchmark run.
@@ -82,26 +82,33 @@ def test_traced_layer_resolves(module, name):
     assert callable(getattr(sys.modules[f"gfkit.{module}"], name, None))
 
 
-def _callers(name: str) -> list[str]:
-    """module.function for every top-level function or method of src/gfkit
-    outside core whose body calls ``name``."""
+def _functions() -> list[tuple[str, ast.AST]]:
+    """(module.function, node) for every top-level function or method of
+    src/gfkit."""
     found = []
     for path in sorted((Path(gfkit.__file__).parent).glob("*.py")):
-        if path.stem == "core":
-            continue
         tree = ast.parse(path.read_text())
-        defs = [d for node in tree.body
-                for d in (node.body if isinstance(node, ast.ClassDef) else [node])
-                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        for d in defs:
-            if any(isinstance(node, ast.Call)
-                   and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
-                   for node in ast.walk(d)):
-                found.append(f"{path.stem}.{d.name}")
+        found += [(f"{path.stem}.{d.name}", d) for node in tree.body
+                  for d in (node.body if isinstance(node, ast.ClassDef) else [node])
+                  if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))]
     return found
 
 
-def test_only_the_fit_planes_are_shape_checked_outside_core():
-    # a pair of input images goes through core.as_images, which converts
-    # and shape-checks them together
-    assert _callers("require_same_shape") == ["gf.gf_apply", "igf.inverse_update"]
+def test_the_fit_planes_go_through_as_images():
+    # a fit's a and b planes are shape-checked by core.as_images together
+    # with the images they are read with, as every input image is
+    handed = sorted(name for name, d in _functions() if any(
+        isinstance(node, ast.Call) and getattr(node.func, "id", None) == "as_images"
+        and {"coeffs.a", "coeffs.b"} <= {ast.unparse(arg) for arg in node.args}
+        for node in ast.walk(d)))
+    assert handed == ["gf.energy_gf", "gf.gf_apply", "igf.inverse_update"]
+
+
+def test_core_has_one_shape_check():
+    # as_images alone raises a shape mismatch; the other is write_pnm's, of
+    # the integer samples of a PNM's channels, which as_images would cast
+    checks = [name for name, d in _functions()
+              if any(isinstance(node, ast.Constant) and "shape mismatch" in str(node.value)
+                     for node in ast.walk(d))]
+    assert checks == ["core.as_images", "imgio.write_pnm"]
+    assert not hasattr(gfkit.core, "require_same_shape")

@@ -7,6 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import gfkit.cli
 from gfkit.boxops import worker_count
 from gfkit.cli import FILTER_COMMANDS, build_parser, main
 from gfkit.imgio import read_pnm_file, write_pnm_file
@@ -188,6 +189,30 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["blur", "--input", "x"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv,exhausted,size", [
+        (("cgf", "--input", "in.pgm", "--output", "o.pgm"), "cgf_iterates", " on a 40x24 input"),
+        (("rmsf-gf", "--input", "in.pgm", "--output", "o.pgm"), "gf_rmsf_iterates",
+         " on a 40x24 input"),
+        (("metrics", "--input", "in.pgm", "--metrics-against", "in.pgm"), "mse",
+         " on a 40x24 input"),
+        (("gf", "--input", "in.pgm", "--output", "o.pgm"), "read_pnm_file", ""),
+        (("bench", "--filter", "box", "--width", "8", "--height", "8"), "box_sum", ""),
+    ])
+    def test_out_of_memory_exits_4_naming_the_command(self, workdir, capsys, monkeypatch, argv,
+                                                       exhausted, size):
+        # a failed allocation once ended in a traceback and exit 1; the
+        # message names the input's size once the command has read it
+        write_pnm_file("in.pgm", [np.random.default_rng(1).random((24, 40))], 255)
+
+        def fail(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(gfkit.cli, exhausted, fail)
+        code, report, err = run_cli(capsys, *argv)
+        assert (code, report) == (4, None)
+        assert err == f"gfkit: error: out of memory in {argv[0]}{size}\n"
+        assert not os.path.exists("o.pgm")
 
     def test_missing_file_is_io_error(self, workdir, capsys):
         code, _, err = run_cli(capsys, "gf", "--input", "nope.pgm", "--output", "o.pgm")

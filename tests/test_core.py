@@ -166,7 +166,7 @@ class TestAsImages:
         ((np.zeros((2, 3)), np.zeros((1, 2, 3))), r"^expected a 2-D image, got ndim=3$"),
         ((np.zeros((0, 3)),), r"^empty image$"),
     ])
-    def test_messages_are_those_of_as_image_and_require_same_shape(self, images, message):
+    def test_messages_are_those_of_as_image_and_its_shape_check(self, images, message):
         with pytest.raises(ValueError, match=message):
             as_images(*images)
 

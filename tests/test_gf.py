@@ -222,7 +222,7 @@ class TestEnergy:
         "energy_tvgf-eps": (lambda q, c, g: energy_tvgf(
             q, c, g, WindowSpec(1, Boundary.PERIODIC), -1, 1.0), "eps must be >= 0, got -1"),
         "energy_mutual-eps2": (lambda q, c, g: energy_mutual(
-            MutualState(q, g, 1), c, c, WindowSpec(1), 0.1, -5), "eps must be >= 0, got -5"),
+            MutualState(q, g, 1), c, c, WindowSpec(1), 0.1, -5), "eps2 must be >= 0, got -5"),
         "energy_cgf-lambda": (lambda q, c, g: energy_cgf(q, c, g, g, WindowSpec(1), 0.1, -1),
                               "lambda must be finite and >= 0, got -1"),
         "energy_cgf-lambda-nan": (lambda q, c, g: energy_cgf(
@@ -243,3 +243,16 @@ class TestEnergy:
         report = energy_gf(q, gf_coeffs(q, guide, WindowSpec(1), 0.0), guide, WindowSpec(1), 0.0)
         assert report.terms["ridge"] == 0.0
         assert report.total == report.terms["data"] >= 0.0
+
+    def test_eps2_zero_prices_the_inverse_data_term_alone(self):
+        # eps2 has a rule of its own in an energy: like eps it keeps 0, and
+        # below 0 it is refused by its own name (once by eps's)
+        rng = np.random.default_rng(18)
+        q, guide = rng.random((8, 8)), rng.random((8, 8))
+        w = WindowSpec(1)
+        ab, cd = gf_coeffs(q, guide, w, 0.1), gf_coeffs(guide, q, w, 0.0)
+        report = energy_mutual(MutualState(q, guide, 1), ab, cd, w, 0.1, 0.0)
+        assert report.terms["ridge_c"] == 0.0
+        assert report.terms["data_g"] == energy_gf(guide, cd, q, w, 0.0).total >= 0.0
+        with pytest.raises(ValueError, match=r"^eps2 must be >= 0, got -5e-324$"):
+            energy_mutual(MutualState(q, guide, 1), ab, cd, w, 0.1, -5e-324)

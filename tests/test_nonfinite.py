@@ -2,9 +2,11 @@
 or its guide: box_sum raises, and nothing computes on past it. Each plane
 that no box pass reads is scanned by the entry point that takes it: the
 anchor g of cgf, cgf_roll and icgf; the p, the prior and (at lambda > 0)
-the anchor g of igf_update and icgf_update; the guide of gf_apply; and
-the f of tvgf_solve_q, which the Fourier solve would spread over the
-whole plane. A NaN or Inf weight (lambda, beta, tau) or a NaN eps is
+the anchor g of igf_update and icgf_update; the guide of gf_apply; the
+f of tvgf_solve_q, which the Fourier solve would spread over the whole
+plane; and what an energy prices without a box pass, the fit's a and b
+of energy_gf, energy_tvgf and energy_mutual and the anchor g of
+energy_cgf. A NaN or Inf weight (lambda, beta, tau) or a NaN eps is
 rejected by name before any computation, and a complex image before its
 cast to float."""
 
@@ -14,14 +16,14 @@ import warnings
 import numpy as np
 import pytest
 
-from gfkit.cgf import cgf, cgf_roll
+from gfkit.cgf import cgf, cgf_roll, energy_cgf
 from gfkit.core import Boundary, WindowSpec
-from gfkit.gf import GfCoeffs, gf, gf_apply, gf_coeffs
+from gfkit.gf import GfCoeffs, energy_gf, gf, gf_apply, gf_coeffs
 from gfkit.igf import icgf, icgf_update, igf, igf_update
 from gfkit.imgio import quantize
 from gfkit.rfnf import enhanced_flash, rfnf_gen, rfnf_seo
-from gfkit.rmsf import cgf_rmsf, gf_rmsf, naive_roll37
-from gfkit.tvgf import tvgf, tvgf_solve_q
+from gfkit.rmsf import MutualState, cgf_rmsf, energy_mutual, gf_rmsf, naive_roll37
+from gfkit.tvgf import energy_tvgf, tvgf, tvgf_solve_q
 
 TRUNC = WindowSpec(2, Boundary.TRUNCATE)
 PERIODIC = WindowSpec(2, Boundary.PERIODIC)
@@ -195,13 +197,26 @@ def test_inverse_update_rejects_non_finite_input(name, spoiled, where, bad):
             assert np.array_equal(call(coeffs, p, g, prior), clean)
 
 
-# each entry hands one public update a plane that it reads but never
-# box-sums, and names that plane; gf_apply's fit is finite
+# each entry hands one public update or energy a plane that it reads but
+# never box-sums, and names that plane; every other plane is finite
 CLEAN = np.random.default_rng(13).random((12, 10))
+FIT = gf_coeffs(CLEAN, CLEAN, TRUNC, 0.01)
+ENERGIES = {  # each prices CLEAN, guided by itself, with the fit (a, b)
+    "energy_gf": lambda a, b: energy_gf(CLEAN, GfCoeffs(a, b), CLEAN, TRUNC, 0.01),
+    "energy_tvgf": lambda a, b: energy_tvgf(CLEAN, GfCoeffs(a, b), CLEAN, PERIODIC, 0.01, 1.0),
+    "energy_cgf": lambda a, b: energy_cgf(CLEAN, GfCoeffs(a, b), CLEAN, CLEAN, TRUNC, 0.01, 0.5),
+    "energy_mutual": lambda a, b: energy_mutual(
+        MutualState(CLEAN, CLEAN, 1), GfCoeffs(a, b), FIT, TRUNC, 0.01, 0.01),
+}
 PLANES = {
-    "gf_apply": (lambda x: gf_apply(gf_coeffs(CLEAN, CLEAN, TRUNC, 0.01), x, TRUNC),
-                 "the guide"),
+    "gf_apply": (lambda x: gf_apply(FIT, x, TRUNC), "the guide"),
     "tvgf_solve_q": (lambda x: tvgf_solve_q(x, PERIODIC, 1.0), "f"),
+    **{f"{name}-a": (lambda x, e=energy: e(x, FIT.b), "the fit's a")
+       for name, energy in ENERGIES.items()},
+    **{f"{name}-b": (lambda x, e=energy: e(FIT.a, x), "the fit's b")
+       for name, energy in ENERGIES.items()},
+    "energy_cgf-g": (lambda x: energy_cgf(CLEAN, FIT, CLEAN, x, TRUNC, 0.01, 0.5),
+                     "the anchor g"),
 }
 
 
@@ -209,7 +224,8 @@ PLANES = {
 @pytest.mark.parametrize("where", [(0, 0), (5, 7), (11, 9)])
 @pytest.mark.parametrize("name", sorted(PLANES))
 def test_update_rejects_a_non_finite_plane(name, where, bad):
-    # each once returned a NaN image, tvgf_solve_q an all-NaN plane
+    # each once returned a NaN image, tvgf_solve_q an all-NaN plane and
+    # each energy nan
     x = np.random.default_rng(11).random((12, 10))
     call, what = PLANES[name]
     x[where] = bad
@@ -224,11 +240,13 @@ def test_update_rejects_a_non_finite_plane(name, where, bad):
     ("icgf", "gfkit.igf", ["the anchor g"]),
     ("gf_apply", "gfkit.gf", ["the guide"]),
     ("tvgf_solve_q", "gfkit.tvgf", ["f"]),
+    ("energy_gf-a", "gfkit.gf", ["the fit's a", "the fit's b"]),
+    ("energy_cgf-g", "gfkit.cgf", ["the anchor g"]),
 ])
 def test_scans_only_what_no_box_pass_reads(name, module, scans, monkeypatch):
     # the one-shot inverses' p and guess go through the fit's box passes, and
-    # so do gf_apply's a and b; icgf's anchor, gf_apply's guide and
-    # tvgf_solve_q's f do not
+    # so do gf_apply's a and b and an energy's q and guide; icgf's anchor,
+    # gf_apply's guide, tvgf_solve_q's f and an energy's fit and anchor do not
     seen = []
     monkeypatch.setattr(sys.modules[module], "require_finite", lambda x, what: seen.append(what))
     rng = np.random.default_rng(10)
@@ -238,3 +256,4 @@ def test_scans_only_what_no_box_pass_reads(name, module, scans, monkeypatch):
     else:
         FILTERS[name](p, g)
     assert seen == scans
+
