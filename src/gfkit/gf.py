@@ -27,10 +27,11 @@ moments and spends 4 box passes per iteration (fit and window sums), 2 +
 The pointwise arithmetic after each box pass runs over row strips against
 the window counts' 1-D factors (see ``boxops``), so a roll holds the
 guide's mean and variance but no plane of counts. Each plane lives only
-until its last read: ``fit_coeffs`` boxes guide * p before p, and the roll
-hands each fit to ``window_sum_estimate``, which lets a go once sum(a)
-exists and b once sum(b) does. A refit then holds two float planes
-besides the moments and its input, and a window-sum step three.
+until its last read: every product is box-summed over its own plane
+(``box_sum``'s ``times``), and the roll hands each fit to
+``window_sum_estimate``, which lets a go once sum(a) exists and b once
+sum(b) does. A refit then holds two float planes besides the moments and
+its input, and a window-sum step three.
 
 When the input is the guide itself (p is guide, the edge-preserving
 smoothing case), the fit needs only the guide's own moments: mean(p) is
@@ -42,10 +43,12 @@ or ``tvgf`` then costs 4 box passes instead of 6, and a self-guided roll
 image gate ``core.as_images`` keeps through any conversion; an equal
 copy takes the general route to the same bits. When no refit follows
 (one pass, or ``gf_coeffs``) the moments are read only by that fit, so
-it writes b over the window mean and forms var + eps per strip: one
-self-guided pass peaks at 3 float planes (the guide's window sum, its
-square and that square's window sum), a pass against a distinct guide
-at 4 (the guide's mean and var + eps, and two planes of the fit).
+it writes b over the window mean and forms var + eps per strip: the
+self-guided fit holds 2 float planes (the guide's window sum, and its
+square, summed over itself), and one self-guided pass peaks at 3 in its
+window sums (one fit plane, its window sum and f); a pass against a
+distinct guide at 4 (the guide's mean and var + eps, and two planes of
+the fit).
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from .core import (
     require_finite,
     require_params,
 )
-from .boxops import WindowCounts, box_sum, each_strip, product
+from .boxops import WindowCounts, box_sum, each_strip
 
 T = TypeVar("T")  # one iterate: an image, or a rolling pair's MutualState
 
@@ -97,9 +100,10 @@ def fit_coeffs(p: Image, guide: Image, moments: GuideMoments, w: WindowSpec) -> 
     """Ridge fit of p against a guide whose moments are given: 2 box passes.
 
     p and guide must already be float images of the moments' shape. The
-    product guide * p dies before the second window sum is allocated.
+    window sums of guide * p are written over the product itself, so the
+    fit holds no plane besides its own two.
     """
-    a = box_sum(product(guide, p), w)  # window sums of guide * p, then cov(guide, p), then a
+    a = box_sum(guide, w, times=p)  # window sums of guide * p, then cov(guide, p), then a
     mean_p = box_sum(p, w)  # then b
 
     def strip(rows, n, t):
@@ -133,7 +137,7 @@ def guide_fit(
     fit = p is guide
     counts = WindowCounts.of(guide.shape, w)
     mean = box_sum(guide, w)
-    var = box_sum(product(guide, guide), w)  # window sums of guide^2, then the variance
+    var = box_sum(guide, w, times=guide)  # window sums of guide^2, then the variance
     var_eps, b = var, None  # the moments alone: var + eps in the variance's buffer
     if fit:  # a takes the variance's buffer, b the mean's if no refit follows
         var_eps = np.empty_like(var) if refit else None
@@ -328,7 +332,8 @@ def gf_roll(p: Image, guide: Image, w: WindowSpec, eps: float, iters: int) -> li
 
 
 def energy_gf(q: Image, coeffs: GfCoeffs, guide: Image, w: WindowSpec, eps: float,
-              term: PixelTerm | None = None) -> EnergyReport:
+              term: PixelTerm | None = None, *, names: tuple[str, str] = ("a", "b")
+              ) -> EnergyReport:
     """Exact value of the window-wise least-squares objective at (q, a, b),
     plus the pixel term if given, reported under its name.
 
@@ -338,12 +343,13 @@ def energy_gf(q: Image, coeffs: GfCoeffs, guide: Image, w: WindowSpec, eps: floa
     per-window data as soon as it exists, so an energy costs about as much
     as one guided-filter pass at any size. eps = 0 prices no ridge; eps < 0
     is refused. The independent check is the pixel-by-pixel sum in
-    ``tests/oracles.py``.
+    ``tests/oracles.py``. A NaN or Inf in the fit raises ValueError naming
+    the plane by ``names``, the fit's (a, b) unless told otherwise.
     """
     require_params(fit_eps=eps)
     q, guide, a, b = as_images(q, guide, coeffs.a, coeffs.b)
-    require_finite(a, "the fit's a")  # a and b are never box-summed
-    require_finite(b, "the fit's b")
+    require_finite(a, f"the fit's {names[0]}")  # a and b are never box-summed
+    require_finite(b, f"the fit's {names[1]}")
     w.check_fits(q.shape)
     # G - c, q - d and b + a c - d leave every residual as it is; at the means
     # c and d, the sums that cancel scale with the images' spread, not level
@@ -358,7 +364,7 @@ def energy_gf(q: Image, coeffs: GfCoeffs, guide: Image, w: WindowSpec, eps: floa
         np.add(b[rows], br, out=br)
 
     each_strip(q.shape, shift, 0)
-    data = box_sum(product(q0, q0), w)  # S_qq, then each window's data term
+    data = box_sum(q0, w, times=q0)  # S_qq, then each window's data term
 
     def fold(window_sum, coeff):
         # data += coeff * window_sum, coeff written into the strip's block;
@@ -371,10 +377,10 @@ def energy_gf(q: Image, coeffs: GfCoeffs, guide: Image, w: WindowSpec, eps: floa
         each_strip(q.shape, strip)
 
     fold(box_sum(q0, w), lambda rows, t: np.multiply(b0[rows], -2.0, out=t))
-    fold(box_sum(product(g0, q0), w), lambda rows, t: np.multiply(a[rows], -2.0, out=t))
+    fold(box_sum(g0, w, times=q0), lambda rows, t: np.multiply(a[rows], -2.0, out=t))
     fold(box_sum(g0, w), lambda rows, t: np.multiply(np.multiply(a[rows], 2.0, out=t), b0[rows],
                                                      out=t))
-    fold(box_sum(product(g0, g0), w), lambda rows, t: np.multiply(a[rows], a[rows], out=t))
+    fold(box_sum(g0, w, times=g0), lambda rows, t: np.multiply(a[rows], a[rows], out=t))
 
     def ridge_strip(rows, n):
         data[rows] += n * b0[rows] ** 2

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Image, WindowSpec, as_images, require_finite, require_params
 from .gf import GfCoeffs, gf_coeffs
-from .boxops import WindowCounts, box_sum, each_strip, product
+from .boxops import WindowCounts, box_sum, each_strip
 
 # Below this mean of sum(a^2) + lam over the pixel's windows, the quadratic
 # in G_i is flat and any value minimizes it; we keep the prior pixel instead
@@ -32,21 +32,21 @@ def inverse_update(
     caller whose inputs already went through a box pass or a scan (the
     one-shot inverse filters and the rmsf loop's tracks).
 
-    It boxes a * b, then a, then a^2. Besides the fit it holds at most
-    three float planes; a caller that hands over its only reference to the
-    fit (``igf``, ``icgf``) frees b and a on the way, so a self-guided
-    one-shot inverse filter peaks at 3 planes, its fit's included.
+    It boxes a * b, then a, then a^2, each product summed over its own
+    plane (``box_sum``'s ``times``). Besides the fit it holds at most two
+    float planes; a caller that hands over its only reference to the fit
+    (``igf``, ``icgf``) frees b once sum(a * b) exists and a once sum(a^2)
+    does, so a self-guided one-shot inverse filter peaks at 3 planes, its
+    fit's included.
     """
     # at lam = 0 the anchor is not read, and p stands in for it
     p, prior, a, b, g = as_images(p, prior, coeffs.a, coeffs.b, g if lam else p)
     # each window sum is folded in as soon as it exists; a caller that
-    # hands over its only reference to the fit lets b die once a * b
-    # exists and a once a^2 does, each before the box pass that follows
+    # hands over its only reference to the fit lets b die once sum(a * b)
+    # exists and a once sum(a^2) does
     del coeffs
-    ab = product(a, b)
+    sum_ab = box_sum(a, w, times=b)
     del b
-    sum_ab = box_sum(ab, w)
-    del ab
     num = box_sum(a, w)
 
     def fold(rows):
@@ -56,10 +56,8 @@ def inverse_update(
 
     each_strip(num.shape, fold, 0)
     del sum_ab
-    a2 = product(a, a)
+    den = box_sum(a, w, times=a)
     del a
-    den = box_sum(a2, w)
-    del a2
 
     def strip(rows, n, t):
         num_r, den_r = num[rows], den[rows]

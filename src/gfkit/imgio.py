@@ -166,7 +166,7 @@ def write_pnm(channels: list, maxval: int = 255) -> bytes:
         samples[:, idx :: len(planes)] = plane
     magic = b"P5" if len(planes) == 1 else b"P6"
     header = magic + b"\n%d %d\n%d\n" % (width, height, maxval)
-    return header + samples.tobytes()
+    return b"".join((header, samples))  # the raster's one copy, straight from its buffer
 
 
 def read_pnm_file(path) -> list[Image]:

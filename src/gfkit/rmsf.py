@@ -21,15 +21,18 @@ with beta. ``gf_rmsf`` is that loop at lam = beta = 0, so it equals
 ``cgf_rmsf(lam=0, beta=0)`` bit for bit. The descent guarantee above is
 for the plain pair; the anchored pair has no exact energy evaluator yet.
 
-Plane budget: besides p and the guide, an iteration holds at most 9 float
-planes, the two tracks, the four fit planes a, b, c and d and the three
+Plane budget: besides p and the guide, an iteration holds at most 8 float
+planes, the two tracks, the four fit planes a, b, c and d and the two
 transient planes of a fit or an inverse update, plus a few row-strip
-blocks. Each track's inverse term runs before its forward term, so its
+blocks. Every product (a fit's guide squared and guide times input, and
+a * b, a^2, c * d and c^2 in the inverse updates and alpha weights) is
+summed over its own plane, ``box_sum``'s ``times``, so no product plane
+sits beside its window sums. Each track's inverse term runs before its forward term, so its
 prior, the old track, dies before the forward window sums exist, and
 every window sum is folded into its term as soon as it exists. The loop
 holds each fit by name until its last window sum has returned, so the
 one-pass filters' hand-over of a fit (``gf.window_sum_estimate``,
-``igf.inverse_update``) frees nothing here and the peak stays at 9.
+``igf.inverse_update``) frees nothing here and the peak stays at 8.
 
 An iteration runs 20 box passes, 7 of which repeat a window sum taken
 earlier in the same iteration: sum(G), sum(q) and sum(qG) in the second
@@ -64,7 +67,7 @@ from .gf import (
     window_sum_estimate,
 )
 from .igf import inverse_update
-from .boxops import WindowCounts, box_sum, each_strip, product
+from .boxops import WindowCounts, box_sum, each_strip
 
 
 @dataclass
@@ -88,7 +91,7 @@ class MutualSnapshot:
 def alpha_weight(x: Image, w: WindowSpec) -> Image:
     """Blend weight 1 / (1 + mean(x^2)); always in (0, 1]."""
     x = as_image(x)
-    out = box_sum(product(x, x), w)
+    out = box_sum(x, w, times=x)
 
     def strip(rows, n):
         o = out[rows]
@@ -276,10 +279,11 @@ def energy_mutual(
     eps2: float,
 ) -> EnergyReport:
     """Exact value of the two-track objective at (q, G, a, b, c, d): the
-    ``energy_gf`` of q on G at eps plus that of G on q at eps2."""
+    ``energy_gf`` of q on G at eps plus that of G on q at eps2. A NaN or
+    Inf in the inverse fit raises ValueError naming its c or d."""
     require_params(fit_eps2=eps2)  # energy_gf would blame it on eps
     forward = energy_gf(state.q, coeffs_ab, state.G, w, eps).terms
-    inverse = energy_gf(state.G, coeffs_cd, state.q, w, eps2).terms
+    inverse = energy_gf(state.G, coeffs_cd, state.q, w, eps2, names=("c", "d")).terms
     terms = {"data_q": forward["data"], "ridge_a": forward["ridge"],
              "data_g": inverse["data"], "ridge_c": inverse["ridge"]}
     return EnergyReport(total=sum(terms.values()), terms=terms)

@@ -2,7 +2,7 @@
 
 A change to ``gfkit.__all__`` must show up as an edit of the literal below.
 Input images and a fit's a and b planes are converted and shape-checked by
-``core.as_images`` alone.
+``core.as_images`` alone, and no plane is made only to be box-summed.
 The tracer in ``perfbench/tracer.py`` looks every layer function up by name
 when it starts, so a renamed or deleted one would otherwise surface only as
 an ``AttributeError`` inside a benchmark run.
@@ -102,6 +102,17 @@ def test_the_fit_planes_go_through_as_images():
         and {"coeffs.a", "coeffs.b"} <= {ast.unparse(arg) for arg in node.args}
         for node in ast.walk(d)))
     assert handed == ["gf.energy_gf", "gf.gf_apply", "igf.inverse_update"]
+
+
+def test_no_box_sum_takes_a_plane_made_for_it():
+    # a plane made only to be window-summed, a product above all, goes to
+    # box_sum as its times=, which sums it over its own plane; box_sum of a
+    # call would hold that plane and its sums at once
+    calls = [(name, node) for name, d in _functions() for node in ast.walk(d)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "box_sum"]
+    assert len(calls) >= 8  # the walk sees the package's box passes
+    assert [(name, ast.unparse(node)) for name, node in calls
+            if node.args and isinstance(node.args[0], ast.Call)] == []
 
 
 def test_core_has_one_shape_check():

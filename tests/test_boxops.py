@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import gfkit.boxops
 from gfkit.core import Boundary, WindowSpec
 from gfkit.boxops import WindowCounts, box_mean, box_sum
 
@@ -136,6 +138,85 @@ def test_box_sum_rejects_cancelling_infinities():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="NaN or Inf"):
             box_sum(x, WindowSpec(2, Boundary.TRUNCATE))
+
+
+# --- the window sums of a product: box_sum(x, w, times=y) ---------------------
+
+@st.composite
+def product_cases(draw):
+    """(x, y, window, strip rows): both boundaries, values with signed
+    zeros, and half the cases chunked (1 <= r, 4r + 1 <= h, strips of r + 1
+    or the default rows); the others any radius from 0 to a window taller
+    than the image (truncated) or of side 2r + 1 equal to the smaller side
+    (periodic), with strips of r rows, too few to chunk, or the default."""
+    boundary = draw(st.sampled_from(BOTH))
+    periodic = boundary is Boundary.PERIODIC
+    if draw(st.booleans()):
+        r = draw(st.integers(1, 5))
+        h = draw(st.integers(4 * r + 1, 40))
+        width = draw(st.integers(2 * r + 1 if periodic else 1, 12))
+        strips = draw(st.sampled_from([r + 1, None]))
+    else:
+        h, width = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+        r = draw(st.integers(0, (min(h, width) - 1) // 2 if periodic else h + 2))
+        strips = draw(st.sampled_from([r, None]))
+    signed = st.sampled_from([0.0, -0.0]) | st.floats(-100.0, 100.0)
+    x, y = (draw(arrays(np.float64, (h, width), elements=signed)) for _ in range(2))
+    return x, y, WindowSpec(r, boundary), strips
+
+
+def _product_example(shape, r, boundary, strip_rows=None, zeros=False):
+    rng = np.random.default_rng(sum(shape) + r)
+    x, y = rng.uniform(-1.0, 1.0, shape), rng.uniform(-1.0, 1.0, shape)
+    if zeros:  # signed zeros in both, so that products of either sign are zero
+        x[rng.random(shape) < 0.3] = -0.0
+        y[rng.random(shape) < 0.3] = 0.0
+    return x, y, WindowSpec(r, boundary), strip_rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_cases())
+@example(_product_example((17, 5), 0, Boundary.TRUNCATE))  # r = 0
+@example(_product_example((5, 9), 40, Boundary.TRUNCATE))  # taller than the image
+@example(_product_example((9, 9), 4, Boundary.PERIODIC))  # 2r + 1 = the smaller side
+@example(_product_example((21, 5), 2, Boundary.PERIODIC, None, True))  # chunked, signed zeros
+@example(_product_example((40, 12), 9, Boundary.TRUNCATE, None, True))  # r + 1 = a strip's rows
+@example(_product_example((40, 12), 1, Boundary.TRUNCATE, 2))  # chunks of a strip's rows
+def test_sums_of_a_product_are_those_of_box_sum(case):
+    x, y, w, strip_rows = case
+    budget = gfkit.boxops.STRIP_BYTES if strip_rows is None else 8 * x.shape[1] * strip_rows
+    with mock.patch.object(gfkit.boxops, "STRIP_BYTES", budget):
+        got, want = box_sum(x, w, times=y), box_sum(x * y, w)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("boundary", BOTH)
+@pytest.mark.parametrize("r", [0, 1, 3])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
+@pytest.mark.parametrize("where", [(0, 0), (6, 8), (13, 0)])
+def test_sums_of_a_product_reject_what_box_sum_rejects(where, bad, r, boundary):
+    # 1e200 in x and y overflows their product to Inf; 14 rows let r = 3
+    # take the chunked pass
+    rng = np.random.default_rng(12)
+    x, y = rng.uniform(0.5, 1.0, (14, 9)), rng.uniform(0.5, 1.0, (14, 9))
+    x[where] = bad
+    if bad == 1e200:
+        y[where] = bad
+    w = WindowSpec(r, boundary)
+    messages = []
+    for call in (lambda: box_sum(x, w, times=y), lambda: box_sum(x * y, w)):
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            with pytest.raises(ValueError) as err:
+                call()
+        messages.append(str(err.value))
+    assert messages == ["NaN or Inf in the input of a box sum"] * 2
+
+
+def test_sums_of_a_product_check_shapes():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        box_sum(np.ones((4, 5)), WindowSpec(1), times=np.ones((5, 4)))
 
 
 @pytest.mark.parametrize("boundary", BOTH)

@@ -5,10 +5,10 @@ anchor g of cgf, cgf_roll and icgf; the p, the prior and (at lambda > 0)
 the anchor g of igf_update and icgf_update; the guide of gf_apply; the
 f of tvgf_solve_q, which the Fourier solve would spread over the whole
 plane; and what an energy prices without a box pass, the fit's a and b
-of energy_gf, energy_tvgf and energy_mutual and the anchor g of
-energy_cgf. A NaN or Inf weight (lambda, beta, tau) or a NaN eps is
-rejected by name before any computation, and a complex image before its
-cast to float."""
+of energy_gf, energy_tvgf and energy_mutual (whose inverse fit is named
+c and d) and the anchor g of energy_cgf. A NaN or Inf weight (lambda,
+beta, tau) or a NaN eps is rejected by name before any computation, and
+a complex image before its cast to float."""
 
 import sys
 import warnings
@@ -217,6 +217,11 @@ PLANES = {
        for name, energy in ENERGIES.items()},
     "energy_cgf-g": (lambda x: energy_cgf(CLEAN, FIT, CLEAN, x, TRUNC, 0.01, 0.5),
                      "the anchor g"),
+    # the inverse fit's planes, once blamed on the forward fit's a and b
+    **{f"energy_mutual-{plane}": (
+        lambda x, cd=cd: energy_mutual(MutualState(CLEAN, CLEAN, 1), FIT, cd(x), TRUNC, 0.01,
+                                       0.01), f"the fit's {plane}")
+       for plane, cd in [("c", lambda x: GfCoeffs(x, FIT.b)), ("d", lambda x: GfCoeffs(FIT.a, x))]},
 }
 
 

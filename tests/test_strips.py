@@ -8,7 +8,9 @@ are run at the default byte budget (a quarter of these small planes) and
 at one row each, so that every strip edge and remainder is crossed.
 
 tracemalloc then pins what the strips are for, and the planes each pass
-holds: a strip's count block is filled with no temporary, an rmsf run at 256x256 holds at most 10 float planes (15 before),
+holds: a strip's count block is filled with no temporary, a product's
+window sums hold one plane, an rmsf run at 256x256 holds at most 9 float
+planes (15 with whole-plane steps),
 no fixed-guide roll holds a plane of window counts or a fit plane past its
 window sum, a self-guided igf or icgf frees its fit early, and one pass of
 every filter command keeps to its row of ``ONE_PASS_BUDGETS``.
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 import gfkit.boxops
-from gfkit.boxops import WindowCounts, box_mean, each_strip
+from gfkit.boxops import WindowCounts, box_mean, box_sum, each_strip
 from gfkit.cgf import cgf, cgf_roll
 from gfkit.cli import FILTER_COMMANDS
 from gfkit.core import Boundary, WindowSpec
@@ -210,23 +212,24 @@ def narrow_strips(monkeypatch):
 
 
 @pytest.mark.parametrize("scheme", ["gf_rmsf", "cgf_rmsf"])
-def test_rmsf_holds_at_most_ten_planes(pair, scheme):
-    # the two tracks, the four fit planes and the three transient planes of
-    # a fit or an inverse update, plus the strip blocks; the whole-plane
-    # loop held 15
+def test_rmsf_holds_at_most_nine_planes(pair, scheme):
+    # the two tracks, the four fit planes and the two transient planes of a
+    # fit or an inverse update, each product summed over its own plane, plus
+    # the strip blocks (8.56 measured); the whole-plane loop held 15, and
+    # with a product plane beside its window sums 10 (9.08 measured)
     p, guide = pair
     call = {
         "gf_rmsf": lambda: gf_rmsf(p, guide, 0.01, 0.01, WindowSpec(3), 3),
         "cgf_rmsf": lambda: cgf_rmsf(p, guide, 0.01, 0.01, 0.1, 0.1, WindowSpec(3), 3),
     }[scheme]
-    assert _peak_planes(call) <= 10
+    assert _peak_planes(call) <= 9
 
 
 @pytest.mark.parametrize("iters", [1, 3])
 def test_rolls_hold_no_count_plane(pair, narrow_strips, iters):
     # a pass holds the iterates before it, the guide's mean and var + eps
-    # and the two planes of a refit (guide * p dies before the second window
-    # sum, and each fit plane once its own window sum exists); a plane of
+    # and the two planes of a refit (guide * p is summed over its own plane,
+    # and each fit plane dies once its own window sum exists); a plane of
     # window counts would add one more. tvgf also holds its half-spectrum
     # denominator, and its Fourier solve no more than a refit: f, which it
     # overwrites with q, and the half spectrum; rfnf_gen holds its anchor,
@@ -242,9 +245,10 @@ def test_rolls_hold_no_count_plane(pair, narrow_strips, iters):
 
 
 def test_self_guided_inverse_lets_the_fit_go(pair):
-    # the fit keeps no guide moments, and of its a and b, b dies once a * b
-    # exists and a once a^2 does: three planes and the strip blocks are
-    # alive at the peak (four before, five before that)
+    # the fit keeps no guide moments, and of its a and b, b dies once
+    # sum(a * b) exists and a once sum(a^2) does, each product summed over
+    # its own plane: three planes and the strip blocks are alive at the
+    # peak (four before, five before that)
     p, g = pair
     assert _peak_planes(lambda: igf(p, p, WindowSpec(3), 0.05)) < 4
     assert _peak_planes(lambda: icgf(p, p, g, WindowSpec(3), 0.05, 0.3)) < 4
@@ -252,8 +256,8 @@ def test_self_guided_inverse_lets_the_fit_go(pair):
 
 W3, WP3 = WindowSpec(3), WindowSpec(3, Boundary.PERIODIC)
 # filter command -> [(case, one pass of it on (p, g), float planes it may hold)].
-# Self-guided (the CLI's default): the guide's window sum, its square and that
-# square's window sum; then the fit's a and b, written over those sums; then
+# Self-guided (the CLI's default): the guide's window sum and its square,
+# summed over itself; then the fit's a and b, written over those sums; then
 # one fit plane, its window sum and f. A distinct guide adds its mean and
 # var + eps to the fit's two planes. Each budget is that count plus half a
 # plane for the strip blocks and Python's own allocations.
@@ -264,11 +268,13 @@ ONE_PASS_BUDGETS = {
     # the self fit's 3 planes and the half-plane denominator; the solve then
     # holds f, which it overwrites with q, and the half spectrum
     "tvgf": [("self", lambda p, g: tvgf(p, p, WP3, 0.05, 3.0), 4)],
-    # the inverse update boxes a * b, then a, then a^2, each fit plane gone
-    # once its last product exists
+    # the inverse update boxes a * b, then a, then a^2, each product summed
+    # over its own plane and each fit plane gone once its last sum exists
     "igf": [("self", lambda p, g: igf(p, p, W3, 0.05), 3.5)],
     "icgf": [("self", lambda p, g: icgf(p, p, g, W3, 0.05, 0.3), 3.5)],
-    # the new q, the four fit planes and the three planes of an inverse update
+    # the new q, the four fit planes, the G track's inverse term and the two
+    # window sums of its forward term (8.08 measured, as with a product plane
+    # beside its window sums: one iteration peaks where no product is summed)
     "rmsf-gf": [("pair", lambda p, g: gf_rmsf(p, g, 0.01, 0.01, W3, 1), 8.5)],
     "rmsf-cgf": [("pair", lambda p, g: cgf_rmsf(p, g, 0.01, 0.01, 0.1, 0.1, W3, 1), 8.5)],
     # q, then a guided pass of G
@@ -286,6 +292,21 @@ ONE_PASS_BUDGETS = {
 def test_one_pass_keeps_to_its_plane_budget(pair, narrow_strips, call, budget):
     p, g = pair
     assert _peak_planes(lambda: call(p, g)) < budget
+
+
+@pytest.mark.parametrize("w", [W3, WP3], ids=["truncate", "periodic"])
+def test_sums_of_a_product_hold_one_plane(pair, narrow_strips, w):
+    # the product is summed over its own plane, in chunks of r + 1 rows:
+    # as much as a plain pass holds (1.06 measured; 2.00 before)
+    p, g = pair
+    assert _peak_planes(lambda: box_sum(p, w, times=g)) < 1.1
+
+
+def test_a_window_past_a_strip_sums_a_product_beside_it(pair, narrow_strips):
+    # r + 1 = 9 rows pass a strip's 8, so the chunk buffers would too: the
+    # product gets a plain pass into a new plane instead
+    p, g = pair
+    assert 2 < _peak_planes(lambda: box_sum(p, WindowSpec(8), times=g)) < 2.1
 
 
 @pytest.mark.parametrize("command", sorted(FILTER_COMMANDS))

@@ -151,6 +151,18 @@ def test_box_sum(workers, images, boundary, radius):
     _same_on(workers, lambda: [box_sum(x, WindowSpec(radius, boundary))])
 
 
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("radius", [0, 1, 10, 131, 263])  # 131: r + 1 past a strip's 32 rows
+def test_box_sum_of_a_product(workers, images, boundary, radius):
+    # the product is formed over the strips, which split; its window sums
+    # are those of box_sum(x * y) at every worker count
+    x, y = images[:2]
+    w = WindowSpec(radius, boundary)
+    want = box_sum(x * y, w)
+    for k in (1, 2):
+        assert np.array_equal(workers(k, lambda: box_sum(x, w, times=y)), want)
+
+
 @pytest.mark.parametrize("radius", [600, 2000])  # windows past the image
 def test_box_sum_truncated_past_the_image(workers, images, radius):
     x = images[0]
