@@ -14,20 +14,14 @@ its column, so one row test rejects it. The tests re-derive the same
 sums by direct per-offset summation, with no running sum.
 
 The window sums of a product, ``box_sum(x, w, times=y)``, hold one plane
-where ``box_sum(x * y, w)`` holds two. The product goes into a plane of
-the pass's own, and the row differences are written over it from the top
-down in chunks of r + 1 rows, each copied aside before it is written
-over, since the next chunk loses those rows; then the same running sum
-and row pass follow, so the bits are those of ``box_sum(x * y, w)``. At
-1 MP (medians of 60 alternating calls, 2 vCPUs) it ran 9.9 ms against
-10.4 ms for the product and a plain pass over it (r = 6, truncated), 9.5
-against 10.9 ms (r = 10, periodic), and peaked at 1.02 planes against
-2.02. A plain pass may not write over its input, the caller's, so it
-writes the differences of the whole plane into its new output at once:
-chunks into a new plane (the input copied in, then the chunked pass) ran
-slower, 6.3 against 4.6 ms and 7.4 against 5.4 ms. Its chunk buffers
-stay within a row strip's rows (``each_strip``): with r + 1 above those,
-a product's window sums take the plain path over the product.
+where ``box_sum(x * y, w)`` holds two. No product plane exists: the row
+differences are written into the pass's new plane over row strips, and a
+strip forms the product's rows as it reads them, the rows it gains
+straight into its own rows of that plane and the rows it loses into one
+scratch block. Every element gets the operations of ``box_sum(x * y,
+w)``, so the same bits. A plain pass runs the same strips, reading x's
+rows as they are. No pass writes over any array but its new plane, and
+no radius or strip size picks a path.
 
 Every filter step that follows a box pass is pointwise: each output pixel
 is a few arithmetic operations on the window sums, the inputs and the
@@ -49,26 +43,27 @@ was measured to start to pay) stays on the caller. What splits:
 
 - the axis-1 half of ``box_sum`` (``uniform_filter1d`` and the scale by
   the side), by rows;
-- every strip loop, whose strips go to the workers in contiguous runs,
-  each run with its own scratch blocks, allocated by the caller; the
-  strips are those of one thread, and at most one in ``STRIPS_PER_RUN``
-  runs at once, so the scratch stays a bounded share of the plane however
-  many CPUs there are;
+- every strip loop, the row differences of ``box_sum`` among them, whose
+  strips go to the workers in contiguous runs, each run with its own
+  scratch blocks, allocated by the caller; the strips are those of one
+  thread, and at most one in ``STRIPS_PER_RUN`` runs at once, so the
+  scratch stays a bounded share of the plane however many CPUs there are;
 - the Fourier solve of ``tvgf`` and the strips of ``metrics.ssim``.
 
-The axis-0 half of ``box_sum`` stays on the caller. Its running sum is
-one ``np.add`` per row, each too short to release the interpreter lock
-for long, and split by columns it ran slower (1.9 ms against 3.0-4.0 ms
-at 1 MP); its row differences are bound by memory bandwidth, and split
-by columns they took as long as on one thread (1.85 ms against 1.93 ms
-median at 1 MP). Every element goes through the same operations in the
-same order whatever the split, so the results are the same bits at any
-worker count. The one reduction over strips, the ridge of
+The running sum of ``box_sum`` stays on the caller. It is one ``np.add``
+per row, each too short to release the interpreter lock for long, and
+split by columns it ran slower (1.9 ms against 3.0-4.0 ms at 1 MP).
+Every element goes through the same operations in the same order
+whatever the split, so the results are the same bits at any worker
+count. The one reduction over strips, the ridge of
 ``gf.energy_gf``, gets its per-strip values back in strip order, over the
 same strips at any worker count. Each task runs in a copy of the
-caller's context, so the caller's ``np.errstate`` holds in it. A task makes only numpy and scipy calls and
-no call of a public ``gfkit`` function, so a tracer or a test that rebinds
-those functions sees every call on the calling thread.
+caller's context, so the caller's ``np.errstate`` holds in it. A task
+makes only numpy and scipy calls and no call of a public ``gfkit``
+function, so a tracer or a test that rebinds those functions sees every
+call on the calling thread. If a pool thread cannot start (the process
+is out of threads or memory), the caller runs every call no thread took,
+and the process stays on one worker from then on.
 """
 
 from __future__ import annotations
@@ -140,6 +135,22 @@ def work_blocks(n: int, pixels: int, most: int | None = None) -> list[slice]:
     return [slice(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
 
 
+class _Task:
+    """A call that runs once, on the first thread to take it."""
+
+    def __init__(self, call: Callable[[], T]):
+        self.call, self.done, self._taken = call, threading.Event(), threading.Lock()
+        self.result = self.error = None
+
+    def __call__(self) -> None:
+        if self._taken.acquire(blocking=False):
+            try:
+                self.result = self.call()
+            except BaseException as error:  # raised on the caller, in argument order
+                self.error = error
+            self.done.set()
+
+
 def in_parallel(body: Callable[..., T], *args: Sequence) -> list[T]:
     """[body(*a) for a in zip(*args)], the first call on the caller and the
     others on the worker pool, each in a copy of the caller's context.
@@ -147,17 +158,32 @@ def in_parallel(body: Callable[..., T], *args: Sequence) -> list[T]:
     Every call has returned or raised before this returns; then the first
     exception in argument order is raised. ``body`` must not itself call
     ``in_parallel``: the pool has one thread fewer than there are workers.
+    If a pool thread cannot start, the process drops to one worker and the
+    caller runs every call no pool thread took.
     """
+    global _pool, _WORKERS
     calls = [partial(body, *a) for a in zip(*args)]
     if len(calls) == 1:
         return [calls[0]()]
-    pool = _executor()
-    pending = [pool.submit(contextvars.copy_context().run, call) for call in calls[1:]]
+    tasks, pool = [_Task(call) for call in calls[1:]], _executor()
+    try:
+        for task in tasks:
+            pool.submit(contextvars.copy_context().run, task)
+    except RuntimeError:  # a thread could not start; submit queued its item all the same
+        pool.shutdown(wait=False, cancel_futures=True)
+        with _pool_lock:
+            _pool, _WORKERS = None, 1
+        for task in tasks:
+            task()  # unless a pool thread took it
     try:
         first = calls[0]()
     finally:
-        futures.wait(pending)
-    return [first, *(f.result() for f in pending)]
+        for task in tasks:
+            task.done.wait()
+    for task in tasks:
+        if task.error is not None:
+            raise task.error
+    return [first, *(task.result for task in tasks)]
 
 
 _NON_FINITE = "NaN or Inf in the input of a box sum"
@@ -192,85 +218,62 @@ def _difference_bands(h: int, r: int, periodic: bool) -> list[tuple]:
 
 def _difference(out: Image, gain: Image | None, lose: Image | None) -> None:
     """out = gain - lose, either of which may be absent (a row outside the
-    image). A gain may lie ahead of out in the same plane, never behind."""
+    image). The gain may be out itself, a product formed there."""
     if lose is not None:
         if gain is not None:
             np.subtract(gain, lose, out=out)
         else:
             np.negative(lose, out=out)
-    elif gain is not None:
-        out[...] = gain
-    else:
+    elif gain is None:
         out[...] = 0.0
+    elif gain is not out:
+        out[...] = gain
 
 
-def _first_window(top: Image, bottom: Image | None, out: np.ndarray) -> None:
-    """out = the column sums of top, the first window's rows from row 0 on,
-    plus under the periodic boundary those of bottom, the rows it wraps to."""
-    np.sum(top, axis=0, out=out)
-    if bottom is not None:
-        out += bottom.sum(axis=0)
-
-
-def _row_differences(x: Image, out: Image, r: int, periodic: bool) -> None:
+def _row_differences(x: Image, times: Image | None, out: Image, r: int, periodic: bool) -> None:
     """out[0] = the first window's sum and, for i >= 1, out[i] = (window sum
-    of rows around i) - (same around i - 1), from the whole plane x at once."""
-    h = x.shape[0]
-    _first_window(x[: min(r + 1, h)], x[h - r :] if periodic else None, out[0])
-    for first, stop, gain, lose in _difference_bands(h, r, periodic):
-        n = stop - first
-        _difference(out[first:stop], None if gain is None else x[gain : gain + n],
-                    None if lose is None else x[lose : lose + n])
+    of rows around i) - (same around i - 1), of x or, with ``times``, of
+    x * times, over the row strips of out.
 
-
-def _row_differences_in_place(x: Image, r: int, periodic: bool) -> None:
-    """``_row_differences`` written over x, from the top down in chunks of
-    r + 1 rows.
-
-    A chunk's rows are copied into ``kept`` before it is written over: the
-    next chunk loses them, from ``lost``. Its gains lie in x, ahead of it,
-    and still hold what they held, except the first r rows, which the last
-    rows gain under the periodic boundary: those are copied into ``head``
-    at the start. A ufunc reads a row ahead of the one it writes before
-    that row is written, so it needs no buffer of its own. Each row gets
-    the operations of ``_row_differences``, so the same bits. Needs
-    4r + 1 <= h: the first chunk then lies above the last r rows, and the
-    top r rows above every chunk that gains them.
+    A product's rows are formed as a strip reads them: the rows it gains
+    straight into out, the rows it loses into the strip's scratch block.
+    Each element gets the operations of ``box_sum(x * times)``, so the same
+    bits, and no product plane exists.
     """
-    h, width = x.shape
-    chunk = r + 1
-    lost, kept = np.empty((chunk, width)), np.empty((chunk, width))  # the last chunk, this one
-    head = x[:r].copy() if periodic else None
-    for top in range(0, h, chunk):
-        stop = min(top + chunk, h)
-        np.copyto(kept[: stop - top], x[top:stop])
-        if top and stop <= h - r:  # every row of the chunk gains and loses
-            np.subtract(x[top + r : stop + r], lost, out=x[top:stop])
-        else:  # the first chunk and the last ones: band by band
-            if top == 0:
-                _first_window(kept, x[h - r :] if periodic else None, x[0])
-            for first, last, gain, lose in _difference_bands(h, r, periodic):
-                a, b = max(first, top), min(last, stop)
-                if a >= b:
-                    continue
-                n = b - a
-                g0 = None if gain is None else gain + a - first  # the first row gained
-                l0 = None if lose is None else lose + a - first  # and the first lost
-                # a gain above the chunk wraps to the top rows, a loss below
-                # it to the bottom ones
-                _difference(x[a:b],
-                            None if g0 is None else (x if g0 >= top else head)[g0 : g0 + n],
-                            None if l0 is None else x[l0 : l0 + n] if l0 >= top else
-                            lost[a - top : b - top])
-        lost, kept = kept, lost
+    h = x.shape[0]
+
+    def summand(i, n, into=None):
+        # rows i to i + n of what is summed; a product is formed in into
+        if times is None:
+            return x[i : i + n]
+        return np.multiply(x[i : i + n], times[i : i + n], out=into, order="C")
+
+    # the first window's rows as one block and one sum, since numpy sums a
+    # 1-column block pairwise, not row by row; a product's block dies before
+    # the strips' scratch exists
+    np.sum(summand(0, min(r + 1, h)), axis=0, out=out[0])
+    if periodic:  # and the rows it wraps to
+        out[0] += summand(h - r, r).sum(axis=0)
+    bands = _difference_bands(h, r, periodic)
+
+    def strip(rows, lost=None):
+        for first, stop, gain, lose in bands:
+            a, b = max(first, rows.start), min(stop, rows.stop)
+            if a < b:
+                dst, n = out[a:b], b - a
+                _difference(dst, None if gain is None else summand(gain + a - first, n, dst),
+                            None if lose is None else
+                            summand(lose + a - first, n, None if lost is None else lost[:n]))
+
+    each_strip(x.shape, strip, times is not None)
 
 
 def box_sum(x: Image, w: WindowSpec, times: Image | None = None) -> Image:
     """Sum of x over the window around each pixel; with ``times``, the sum
     of x * times, bit for bit box_sum(x * times).
 
-    The product is formed in a plane of its own, and its sums are written
-    over it, so a product and its window sums hold one plane, not two.
+    The product's rows are formed as the pass reads them, so a product's
+    window sums hold one plane, not two.
     Raises ValueError if x, or the product, holds a NaN or an Inf.
     """
     if times is None:
@@ -279,25 +282,15 @@ def box_sum(x: Image, w: WindowSpec, times: Image | None = None) -> Image:
         x, times = as_images(x, times)
     w.check_fits(x.shape)
     r = w.radius
-    if times is not None:
-        product = np.empty(x.shape)
-        each_strip(x.shape, lambda rows: np.multiply(x[rows], times[rows], out=product[rows]), 0)
-        x = product
-        del product
     if r == 0:
-        out = x.copy() if times is None else x
+        out = x.copy() if times is None else np.multiply(x, times, order="C")
         if not np.isfinite(out).all():
             raise ValueError(_NON_FINITE)
         return out
     periodic = w.boundary is Boundary.PERIODIC
+    out = np.empty(x.shape)
     with np.errstate(invalid="ignore"):
-        if times is not None and r + 1 <= _strip_rows(x.shape):
-            out = x
-            _row_differences_in_place(out, r, periodic)
-        else:
-            out = np.empty_like(x, order="C")
-            _row_differences(x, out, r, periodic)
-        x = times = None  # a product whose sums took a new plane dies here
+        _row_differences(x, times, out, r, periodic)
         rows = list(out)  # row views made once: on small planes the loop is call-bound
         for prev, row in zip(rows, rows[1:]):
             np.add(prev, row, out=row)

@@ -29,7 +29,8 @@ def test_kernels_leave_inputs_unchanged_and_return_fresh_arrays(r, boundary):
     before = [x.copy() for x in inputs]
 
     fresh = gf_coeffs(p, guide, w, 0.1)
-    outputs = [box_sum(p, w), fresh.a, fresh.b, alpha_weight(fitted.a, w)]
+    outputs = [box_sum(p, w), box_sum(p, w, times=guide), fresh.a, fresh.b,
+               alpha_weight(fitted.a, w)]
     for coeffs in (fitted, flat):
         outputs += [
             gf_apply(coeffs, guide, w),

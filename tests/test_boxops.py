@@ -109,6 +109,42 @@ def test_box_sum_matches_naive_at_scale(r, boundary, layout):
     assert np.max(np.abs(box_sum(x, w) - naive_box_sum(x, w))) <= 1e-10
 
 
+@st.composite
+def strip_cases(draw):
+    """(image, window, strip rows): both boundaries, any radius from 0 to a
+    window taller than the image (truncated) or of side 2r + 1 equal to the
+    smaller side (periodic), with strips of 1 row, of r rows or the
+    default, so that strip edges fall inside the bands of differences and
+    band edges inside the strips. Values lie on a 2^-10 grid, as in
+    ``box_cases``."""
+    boundary = draw(st.sampled_from(BOTH))
+    h, width = draw(st.integers(1, 40)), draw(st.integers(1, 12))
+    r_max = (min(h, width) - 1) // 2 if boundary is Boundary.PERIODIC else h + 2
+    r = draw(st.integers(0, r_max))
+    x = draw(arrays(np.int64, (h, width), elements=st.integers(-1024, 1024))) / 1024.0
+    return x, WindowSpec(r, boundary), draw(st.sampled_from([1, r, None]))
+
+
+def _strip_example(shape, r, boundary, strip_rows=None):
+    x, _ = _example(shape, r, boundary)
+    return x, WindowSpec(r, boundary), strip_rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(strip_cases())
+@example(_strip_example((17, 5), 0, Boundary.TRUNCATE, 1))  # r = 0
+@example(_strip_example((5, 9), 40, Boundary.TRUNCATE, 1))  # taller than the image
+@example(_strip_example((9, 9), 4, Boundary.PERIODIC, 1))  # 2r + 1 = the smaller side
+@example(_strip_example((37, 7), 3, Boundary.PERIODIC, 3))  # strips of r rows
+@example(_strip_example((40, 12), 9, Boundary.TRUNCATE))  # the default strips
+def test_box_sum_matches_naive_over_strips(case):
+    x, w, strip_rows = case
+    budget = gfkit.boxops.STRIP_BYTES if strip_rows is None else 8 * x.shape[1] * strip_rows
+    with mock.patch.object(gfkit.boxops, "STRIP_BYTES", budget):
+        got = box_sum(x, w)
+    assert np.max(np.abs(got - naive_box_sum(x, w))) <= 1e-10
+
+
 def test_box_sum_truncate_window_taller_than_image():
     # every window covers the whole image: each sum is the image total
     x, w = _example((5, 9), 40, Boundary.TRUNCATE)
@@ -145,10 +181,12 @@ def test_box_sum_rejects_cancelling_infinities():
 @st.composite
 def product_cases(draw):
     """(x, y, window, strip rows): both boundaries, values with signed
-    zeros, and half the cases chunked (1 <= r, 4r + 1 <= h, strips of r + 1
-    or the default rows); the others any radius from 0 to a window taller
+    zeros, and half the cases at least 4r + 1 rows tall (1 <= r), with
+    strips of r + 1 or the default rows, so that each band of differences
+    spans several strips; the others any radius from 0 to a window taller
     than the image (truncated) or of side 2r + 1 equal to the smaller side
-    (periodic), with strips of r rows, too few to chunk, or the default."""
+    (periodic), with strips of r rows, fewer than a window holds, or the
+    default."""
     boundary = draw(st.sampled_from(BOTH))
     periodic = boundary is Boundary.PERIODIC
     if draw(st.booleans()):
@@ -179,9 +217,9 @@ def _product_example(shape, r, boundary, strip_rows=None, zeros=False):
 @example(_product_example((17, 5), 0, Boundary.TRUNCATE))  # r = 0
 @example(_product_example((5, 9), 40, Boundary.TRUNCATE))  # taller than the image
 @example(_product_example((9, 9), 4, Boundary.PERIODIC))  # 2r + 1 = the smaller side
-@example(_product_example((21, 5), 2, Boundary.PERIODIC, None, True))  # chunked, signed zeros
+@example(_product_example((21, 5), 2, Boundary.PERIODIC, None, True))  # signed zeros
 @example(_product_example((40, 12), 9, Boundary.TRUNCATE, None, True))  # r + 1 = a strip's rows
-@example(_product_example((40, 12), 1, Boundary.TRUNCATE, 2))  # chunks of a strip's rows
+@example(_product_example((40, 12), 1, Boundary.TRUNCATE, 2))  # strips of r + 1 rows
 def test_sums_of_a_product_are_those_of_box_sum(case):
     x, y, w, strip_rows = case
     budget = gfkit.boxops.STRIP_BYTES if strip_rows is None else 8 * x.shape[1] * strip_rows
@@ -196,8 +234,7 @@ def test_sums_of_a_product_are_those_of_box_sum(case):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200])
 @pytest.mark.parametrize("where", [(0, 0), (6, 8), (13, 0)])
 def test_sums_of_a_product_reject_what_box_sum_rejects(where, bad, r, boundary):
-    # 1e200 in x and y overflows their product to Inf; 14 rows let r = 3
-    # take the chunked pass
+    # 1e200 in x and y overflows their product to Inf
     rng = np.random.default_rng(12)
     x, y = rng.uniform(0.5, 1.0, (14, 9)), rng.uniform(0.5, 1.0, (14, 9))
     x[where] = bad

@@ -152,10 +152,10 @@ def test_box_sum(workers, images, boundary, radius):
 
 
 @pytest.mark.parametrize("boundary", list(Boundary))
-@pytest.mark.parametrize("radius", [0, 1, 10, 131, 263])  # 131: r + 1 past a strip's 32 rows
+@pytest.mark.parametrize("radius", [0, 1, 10, 131, 263])  # 131: a window past 8 strips of 32 rows
 def test_box_sum_of_a_product(workers, images, boundary, radius):
-    # the product is formed over the strips, which split; its window sums
-    # are those of box_sum(x * y) at every worker count
+    # the product's rows are formed as the strips, which split, read them;
+    # its window sums are those of box_sum(x * y) at every worker count
     x, y = images[:2]
     w = WindowSpec(radius, boundary)
     want = box_sum(x * y, w)
@@ -217,6 +217,56 @@ def test_tasks_run_in_the_callers_context(monkeypatch):
     assert [err["divide"] for err, _ in seen] == ["raise", "raise"]
     assert [err["invalid"] for err, _ in seen] == ["ignore", "ignore"]
     assert seen[1][1] is not threading.current_thread()  # the second ran on the pool
+
+
+def _threads_start_until(monkeypatch, started):
+    """threading.Thread.start, failing from the (started + 1)-th call on as
+    it does when the process is out of threads or memory."""
+    start, calls = threading.Thread.start, []
+
+    def failing(thread):
+        calls.append(thread)
+        if len(calls) > started:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", failing)
+
+
+def test_a_thread_that_cannot_start_leaves_the_work_to_the_caller(workers, images, monkeypatch):
+    # a fresh pool at 2 workers whose one thread fails to start: the caller
+    # runs every call, the bits are those of one worker, and the process
+    # stays on one worker after
+    x, y = images[:2]
+    w = WindowSpec(6)
+    want = workers(1, lambda: [box_sum(x, w), box_sum(x, w, times=y), gf(x, y, w, 0.01)])
+    monkeypatch.setattr(gfkit.boxops, "_pool", None)
+    _threads_start_until(monkeypatch, 0)
+    got = workers(2, lambda: [box_sum(x, w), box_sum(x, w, times=y), gf(x, y, w, 0.01)])
+    for a, b in zip(want, got, strict=True):
+        assert np.array_equal(a, b)
+    assert gfkit.boxops.worker_count() == 1
+    assert len(work_blocks(SHAPE[0], SHAPE[0] * SHAPE[1])) == 1
+
+
+def test_a_call_whose_thread_did_not_start_runs_once(monkeypatch):
+    # at 3 workers the first pool thread starts, busy with call 1, and the
+    # second does not: the call queued for it runs once, and not on a pool
+    # thread after in_parallel returned
+    monkeypatch.setattr(gfkit.boxops, "_WORKERS", 3)
+    monkeypatch.setattr(gfkit.boxops, "_pool", None)
+    _threads_start_until(monkeypatch, 1)
+    ran = []
+
+    def body(k):
+        ran.append(k)
+        time.sleep(0.05 * (k == 1))
+        return k * k
+
+    assert in_parallel(body, range(3)) == [0, 1, 4]
+    time.sleep(0.1)  # a stale call on the started thread would run by now
+    assert sorted(ran) == [0, 1, 2]
+    assert gfkit.boxops.worker_count() == 1
 
 
 def test_errstate_reaches_the_strips_on_the_pool(workers):
