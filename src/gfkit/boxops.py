@@ -37,7 +37,7 @@ only on its own pixel, and each half of a box pass depends only on its
 own rows or columns. So the plane work splits into contiguous blocks
 (``work_blocks``), one per CPU this process may run on, and ``in_parallel``
 runs the first block on the caller and the rest on one thread pool,
-started at the first split and never at import. With one CPU there is no
+made at the first split and never at import. With one CPU there is no
 pool, and a plane below ``PARALLEL_PIXELS`` (2^18 pixels, where splitting
 was measured to start to pay) stays on the caller. What splits:
 
@@ -61,9 +61,11 @@ same strips at any worker count. Each task runs in a copy of the
 caller's context, so the caller's ``np.errstate`` holds in it. A task
 makes only numpy and scipy calls and no call of a public ``gfkit``
 function, so a tracer or a test that rebinds those functions sees every
-call on the calling thread. If a pool thread cannot start (the process
-is out of threads or memory), the caller runs every call no thread took,
-and the process stays on one worker from then on.
+call on the calling thread. The pool starts all its threads when it is
+made, so no later split starts one. If a thread cannot start (the process
+is out of threads or memory), the pool is shut down before any work is
+queued on it, and the process stays on one worker, the caller running
+every call.
 """
 
 from __future__ import annotations
@@ -113,11 +115,27 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _executor() -> futures.ThreadPoolExecutor:
-    global _pool
+def _executor() -> futures.ThreadPoolExecutor | None:
+    # the pool, or None on one worker. A started thread waits at the barrier,
+    # never idle, so each submit starts the next (a pool reuses an idle
+    # thread before it starts one), and the caller's wait trips it. A failed
+    # start aborts it: the started threads, and the wait queued for the
+    # missing one, return at once
+    global _pool, _WORKERS
     with _pool_lock:
-        if _pool is None:
-            _pool = futures.ThreadPoolExecutor(max(1, _WORKERS - 1), "gfkit")
+        if _pool is None and _WORKERS > 1:
+            pool = futures.ThreadPoolExecutor(_WORKERS - 1, "gfkit")
+            started = threading.Barrier(_WORKERS)
+            try:
+                for _ in range(_WORKERS - 1):
+                    pool.submit(started.wait)
+            except RuntimeError:
+                started.abort()
+                pool.shutdown(wait=False)
+                _WORKERS = 1
+                return None
+            started.wait()
+            _pool = pool
         return _pool
 
 
@@ -135,22 +153,6 @@ def work_blocks(n: int, pixels: int, most: int | None = None) -> list[slice]:
     return [slice(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
 
 
-class _Task:
-    """A call that runs once, on the first thread to take it."""
-
-    def __init__(self, call: Callable[[], T]):
-        self.call, self.done, self._taken = call, threading.Event(), threading.Lock()
-        self.result = self.error = None
-
-    def __call__(self) -> None:
-        if self._taken.acquire(blocking=False):
-            try:
-                self.result = self.call()
-            except BaseException as error:  # raised on the caller, in argument order
-                self.error = error
-            self.done.set()
-
-
 def in_parallel(body: Callable[..., T], *args: Sequence) -> list[T]:
     """[body(*a) for a in zip(*args)], the first call on the caller and the
     others on the worker pool, each in a copy of the caller's context.
@@ -158,32 +160,19 @@ def in_parallel(body: Callable[..., T], *args: Sequence) -> list[T]:
     Every call has returned or raised before this returns; then the first
     exception in argument order is raised. ``body`` must not itself call
     ``in_parallel``: the pool has one thread fewer than there are workers.
-    If a pool thread cannot start, the process drops to one worker and the
-    caller runs every call no pool thread took.
+    Without a pool (one worker) the caller runs every call.
     """
-    global _pool, _WORKERS
     calls = [partial(body, *a) for a in zip(*args)]
-    if len(calls) == 1:
-        return [calls[0]()]
-    tasks, pool = [_Task(call) for call in calls[1:]], _executor()
-    try:
-        for task in tasks:
-            pool.submit(contextvars.copy_context().run, task)
-    except RuntimeError:  # a thread could not start; submit queued its item all the same
-        pool.shutdown(wait=False, cancel_futures=True)
-        with _pool_lock:
-            _pool, _WORKERS = None, 1
-        for task in tasks:
-            task()  # unless a pool thread took it
+    pool = _executor() if len(calls) > 1 else None
+    if pool is None:
+        return [call() for call in calls]
+    tasks = [pool.submit(contextvars.copy_context().run, call) for call in calls[1:]]
     try:
         first = calls[0]()
     finally:
         for task in tasks:
-            task.done.wait()
-    for task in tasks:
-        if task.error is not None:
-            raise task.error
-    return [first, *(task.result for task in tasks)]
+            task.exception()  # waits for it
+    return [first, *(task.result() for task in tasks)]
 
 
 _NON_FINITE = "NaN or Inf in the input of a box sum"
@@ -248,12 +237,21 @@ def _row_differences(x: Image, times: Image | None, out: Image, r: int, periodic
             return x[i : i + n]
         return np.multiply(x[i : i + n], times[i : i + n], out=into, order="C")
 
-    # the first window's rows as one block and one sum, since numpy sums a
-    # 1-column block pairwise, not row by row; a product's block dies before
-    # the strips' scratch exists
-    np.sum(summand(0, min(r + 1, h)), axis=0, out=out[0])
+    def window(i, n, into):
+        # into = the sum of rows i to i + n, in blocks of at most STRIP_BYTES:
+        # the first block summed, then each later row added in order, as
+        # np.sum adds the rows of a block of 2 or more columns; it sums one
+        # column pairwise, so that is one block
+        step = h if x.shape[1] == 1 else max(1, STRIP_BYTES // (8 * x.shape[1]))
+        np.sum(summand(i, min(step, n)), axis=0, out=into)
+        for top in range(i + step, i + n, step):
+            for row in summand(top, min(step, i + n - top)):
+                into += row
+        return into
+
+    window(0, min(r + 1, h), out[0])
     if periodic:  # and the rows it wraps to
-        out[0] += summand(h - r, r).sum(axis=0)
+        out[0] += window(h - r, r, np.empty(x.shape[1]))
     bands = _difference_bands(h, r, periodic)
 
     def strip(rows, lost=None):

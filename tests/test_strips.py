@@ -294,13 +294,19 @@ def test_one_pass_keeps_to_its_plane_budget(pair, narrow_strips, call, budget):
     assert _peak_planes(lambda: call(p, g)) < budget
 
 
-@pytest.mark.parametrize("w", [W3, WP3, WindowSpec(8)], ids=["truncate", "periodic", "r8"])
-def test_sums_of_a_product_hold_one_plane(pair, narrow_strips, w):
+@pytest.mark.parametrize("side, w", [
+    (SIZE, W3), (SIZE, WP3), (SIZE, WindowSpec(8)),
+    # a first window of 201 rows, of the whole image, and of 401 rows and
+    # 400 wrapped (1.79, 2.00 and 1.50 planes when it was one block)
+    (SIZE, WindowSpec(200)), (SIZE, WindowSpec(999)), (801, WindowSpec(400, Boundary.PERIODIC)),
+], ids=["truncate", "periodic", "r8", "r200", "r999", "periodic-r400"])
+def test_sums_of_a_product_hold_one_plane(narrow_strips, side, w):
     # the product's rows are formed as the pass reads them, those a strip
-    # loses in its scratch block: as much as a plain pass holds, with
-    # r + 1 = 9 rows past a strip's 8 too (1.07 measured; 2.00 before)
-    p, g = pair
-    assert _peak_planes(lambda: box_sum(p, w, times=g)) < 1.1
+    # loses in its scratch block and the first window's in blocks of a
+    # strip's bytes: as much as a plain pass holds, with r + 1 = 9 rows past
+    # a strip's 8 too (1.07 measured; 2.00 before)
+    p, g = np.random.default_rng(4).random((2, side, side))
+    assert peak_bytes(lambda: box_sum(p, w, times=g)) / p.nbytes < 1.1
 
 
 @pytest.mark.parametrize("command", sorted(FILTER_COMMANDS))

@@ -219,9 +219,10 @@ def test_tasks_run_in_the_callers_context(monkeypatch):
     assert seen[1][1] is not threading.current_thread()  # the second ran on the pool
 
 
-def _threads_start_until(monkeypatch, started):
+def _threads_start_until(monkeypatch, started) -> list:
     """threading.Thread.start, failing from the (started + 1)-th call on as
-    it does when the process is out of threads or memory."""
+    it does when the process is out of threads or memory; returns the
+    threads it was asked to start."""
     start, calls = threading.Thread.start, []
 
     def failing(thread):
@@ -231,6 +232,7 @@ def _threads_start_until(monkeypatch, started):
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", failing)
+    return calls
 
 
 def test_a_thread_that_cannot_start_leaves_the_work_to_the_caller(workers, images, monkeypatch):
@@ -250,9 +252,10 @@ def test_a_thread_that_cannot_start_leaves_the_work_to_the_caller(workers, image
 
 
 def test_a_call_whose_thread_did_not_start_runs_once(monkeypatch):
-    # at 3 workers the first pool thread starts, busy with call 1, and the
-    # second does not: the call queued for it runs once, and not on a pool
-    # thread after in_parallel returned
+    # at 3 workers the first pool thread starts and the second does not:
+    # the pool is given up before any call is queued on it, so every call
+    # runs once, on the caller, and none on the started thread after
+    # in_parallel returned
     monkeypatch.setattr(gfkit.boxops, "_WORKERS", 3)
     monkeypatch.setattr(gfkit.boxops, "_pool", None)
     _threads_start_until(monkeypatch, 1)
@@ -267,6 +270,68 @@ def test_a_call_whose_thread_did_not_start_runs_once(monkeypatch):
     time.sleep(0.1)  # a stale call on the started thread would run by now
     assert sorted(ran) == [0, 1, 2]
     assert gfkit.boxops.worker_count() == 1
+
+
+def test_the_pool_starts_its_threads_once(images, monkeypatch):
+    # the first split starts every pool thread, even with fewer calls than
+    # threads, and no later split asks for one
+    monkeypatch.setattr(gfkit.boxops, "_WORKERS", 3)
+    monkeypatch.setattr(gfkit.boxops, "_pool", None)
+    started = _threads_start_until(monkeypatch, 2)
+    assert in_parallel(lambda k: k, range(2)) == [0, 1]
+    assert len(started) == 2
+    x, y = images[:2]
+    for _ in range(25):
+        box_sum(x, WindowSpec(6))
+        ssim(x, y)
+    assert len(started) == 2
+
+
+def test_a_failed_start_never_strands_another_callers_call(monkeypatch):
+    # three callers on a fresh pool at 4 workers. Of its 3 threads the first
+    # starts, the second starts late (its run waits 0.5 s, as when the OS
+    # schedules it late) and the third cannot start. C splits first and
+    # holds a pool thread on an event; B splits 0.2 s later, A 0.1 s after
+    # B. A failed start must not cancel a call another caller queued: every
+    # caller returns, the process ends on one worker, and the pool threads
+    # that started end too
+    monkeypatch.setattr(gfkit.boxops, "_WORKERS", 4)
+    monkeypatch.setattr(gfkit.boxops, "_pool", None)
+    start, starts = threading.Thread.start, []
+
+    def late_or_failing(thread):
+        starts.append(thread)
+        if len(starts) == 3:
+            raise RuntimeError("can't start new thread")
+        if len(starts) == 2:
+            run = thread.run
+            thread.run = lambda: (time.sleep(0.5), run())
+        start(thread)
+
+    release, results = threading.Event(), {}
+
+    def caller(name, body):
+        results[name] = in_parallel(body, range(2))
+
+    def held(k):
+        if k == 1:
+            release.wait(5)
+        return k
+
+    callers = {name: threading.Thread(target=caller, args=(name, body), daemon=True)
+               for name, body in [("C", held), ("B", lambda k: k), ("A", lambda k: k)]}
+    monkeypatch.setattr(threading.Thread, "start", late_or_failing)
+    for name, pause in [("C", 0.2), ("B", 0.1), ("A", 0.1)]:
+        start(callers[name])  # unpatched: a caller is not a pool thread
+        time.sleep(pause)
+    release.set()
+    for thread in callers.values():
+        thread.join(3)
+    assert results == {"C": [0, 1], "B": [0, 1], "A": [0, 1]}
+    assert gfkit.boxops.worker_count() == 1
+    for thread in starts[:2]:
+        thread.join(3)
+        assert not thread.is_alive()
 
 
 def test_errstate_reaches_the_strips_on_the_pool(workers):
