@@ -43,12 +43,14 @@ was measured to start to pay) stays on the caller. What splits:
 
 - the axis-1 half of ``box_sum`` (``uniform_filter1d`` and the scale by
   the side), by rows;
-- every strip loop, the row differences of ``box_sum`` among them, whose
+- every strip loop, all of them ``each_strip``'s: the row differences of
+  ``box_sum``, the pointwise filter steps and the strips of
+  ``metrics.ssim``, whose blocks hold its window's halo rows as well. The
   strips go to the workers in contiguous runs, each run with its own
   scratch blocks, allocated by the caller; the strips are those of one
   thread, and at most one in ``STRIPS_PER_RUN`` runs at once, so the
   scratch stays a bounded share of the plane however many CPUs there are;
-- the Fourier solve of ``tvgf`` and the strips of ``metrics.ssim``.
+- the Fourier solve of ``tvgf``.
 
 The running sum of ``box_sum`` stays on the caller. It is one ``np.add``
 per row, each too short to release the interpreter lock for long, and
@@ -329,31 +331,35 @@ class WindowCounts:
 
 
 def each_strip(
-    shape, body: Callable[..., T], scratch: int = 1, counts: WindowCounts | None = None
+    shape, body: Callable[..., T], scratch: int = 1, counts: WindowCounts | None = None,
+    halo: int = 0,
 ) -> list[T]:
     """body(rows, *tmp), or with ``counts`` body(rows, n, *tmp), for every
     row strip of a (height, width) grid: the results in strip order.
 
     ``rows`` is the strip's slice of rows and ``tmp`` ``scratch`` blocks of
-    the strip's shape, overwritten by the next strip; ``n`` is a block of
-    the strip's window counts, filled afresh for each strip, so ``body``
-    may overwrite it. A strip spans at most a quarter of the rows, so that
-    on a small plane the blocks stay a small share of the memory a filter
-    holds. The strips are the same at any worker count; they go to the
-    workers in contiguous runs (``work_blocks``), each run with blocks of
-    its own, and at most one strip in ``STRIPS_PER_RUN`` runs at once.
+    the strip's width, overwritten by the next strip. A block holds the
+    strip's rows and ``halo`` rows more: the rows a stencil reads beyond
+    the strip, which its caller passes (a loop with ``counts`` passes
+    none). ``n`` is a block of the strip's window counts, filled afresh
+    for each strip, so ``body`` may overwrite it. A strip spans at most a
+    quarter of the rows, so that on a small plane the blocks stay a small
+    share of the memory a filter holds. The strips are the same at any
+    worker count; they go to the workers in contiguous runs
+    (``work_blocks``), each run with blocks of its own, and at most one
+    strip in ``STRIPS_PER_RUN`` runs at once.
     """
     h, width = shape
     step = _strip_rows(shape)
     tops = range(0, h, step)
     runs = work_blocks(len(tops), h * width, len(tops) // STRIPS_PER_RUN)
-    blocks = np.empty((len(runs), scratch + (counts is not None), step, width))
+    blocks = np.empty((len(runs), scratch + (counts is not None), step + halo, width))
 
     def run(strips, buf):
         results = []
         for top in tops[strips]:
             rows = slice(top, min(top + step, h))
-            tmp = buf[:, : rows.stop - top]
+            tmp = buf[:, : rows.stop - top + halo]
             if counts is not None:  # einsum: a broadcast multiply would buffer a block
                 np.einsum("i,j->ij", counts.rows[rows], counts.cols, out=tmp[0])
             results.append(body(rows, *tmp))

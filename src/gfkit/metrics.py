@@ -4,9 +4,10 @@ All three take [0, 1] data: PSNR and SSIM use a peak of 1.0.
 SSIM follows the common convention: 11x11 Gaussian window with sigma 1.5,
 K1 = 0.01, K2 = 0.03, local map averaged over fully interior positions.
 
-``ssim`` streams the image through strips of rows sized to a fixed byte
-budget, so its working set stays in the L2 cache and its peak memory is
-one interior plane plus a few strip buffers. Each strip runs the separable
+``ssim`` streams the image through the row strips of ``boxops.each_strip``
+over its interior grid, each block padded with the window's 2r halo rows,
+so its working set stays in the L2 cache and its peak memory is one
+interior plane plus a few strip blocks. Each strip runs the separable
 Gaussian over valid rows only, then valid columns only, with the same tap
 order as the symmetric-kernel path of ``scipy.ndimage.correlate1d``: the
 centre tap first, then each mirrored pair from the outermost in. The
@@ -14,14 +15,10 @@ whole-plane formula (two zero-padded ``correlate1d`` passes per local
 mean, cropped to the interior) lets no padded value reach the interior,
 so the streamed result is the same float as that formula, bit for bit.
 
-The strips go to the worker pool of ``boxops`` in contiguous runs, each
-run with its own set of strip buffers, and at most one strip in
-``STRIPS_PER_RUN`` runs at once, so that the buffers stay a bounded share
-of the plane however many CPUs there are. Each interior value depends only
-on its own strip's rows, not on how the strips are split, so
-``np.mean(interior)``, taken on the caller, keeps its bits. A NaN or Inf
-in a strip raises in the worker that copies it in; the caller re-raises
-the first such error in strip order once every worker has stopped.
+``each_strip`` schedules the strips on the worker pool. Each interior
+value depends only on its own strip's rows, so ``np.mean(interior)``,
+taken on the caller, keeps its bits at any worker count. A NaN or Inf in
+a strip raises as the strip copies it in.
 """
 
 from __future__ import annotations
@@ -30,8 +27,8 @@ import math
 
 import numpy as np
 
-from .boxops import STRIPS_PER_RUN, in_parallel, work_blocks
-from .core import STRIP_BYTES, Image, as_images, require_finite
+from .boxops import each_strip
+from .core import Image, as_images, require_finite
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -103,64 +100,52 @@ def ssim(x: Image, y: Image) -> float:
     r = SSIM_WINDOW // 2
     height, width = x.shape
     interior = np.empty((height - 2 * r, width - 2 * r))
-    rows = min(max(1, STRIP_BYTES // (8 * width)), len(interior))
-    tops = range(0, len(interior), rows)
-    runs = work_blocks(len(tops), x.size, len(tops) // STRIPS_PER_RUN)
-    # one set of flat strip buffers per run of strips: a row-wise pass is a
-    # contiguous pass with step `width`, a column-wise pass one with step 1
-    # whose outputs that straddle two rows fall in the border columns and
-    # are never read
-    fields = np.empty((len(runs), 5, (rows + 2 * r) * width))  # x, y, x^2, y^2, xy
-    means = np.empty((len(runs), 5, rows * width))  # mu_x, mu_y, E[x^2], E[y^2], E[xy]
-    squares = np.empty((len(runs), 3, rows * width))
-    column_pass = np.empty((len(runs), rows * width))
-    tmp = np.empty((len(runs), rows * width))
 
-    def run(strips, fields, means, squares, column_pass, tmp):
-        for top in tops[strips]:
-            h = min(rows, len(interior) - top)
-            n = h * width
-            f = fields[:, : (h + 2 * r) * width]
-            f[0].reshape(h + 2 * r, width)[...] = x[top : top + h + 2 * r]
-            f[1].reshape(h + 2 * r, width)[...] = y[top : top + h + 2 * r]
-            for name, field in zip("xy", f):  # inline: a worker calls no public gfkit function
-                if not np.isfinite(field).all():
-                    raise ValueError(f"NaN or Inf in {name}")
-            np.multiply(f[0], f[0], out=f[2])
-            np.multiply(f[1], f[1], out=f[3])
-            np.multiply(f[0], f[1], out=f[4])
-            m = means[:, r : n - r]
-            for src, dst in zip(f, m):
-                _window_pass(src, width, kernel, column_pass[:n], tmp[:n])
-                _window_pass(column_pass[:n], 1, kernel, dst, tmp[: n - 2 * r])
-            # num = (2 mu_x mu_y + c1)(2 cov + c2) and
-            # den = (mu_x^2 + mu_y^2 + c1)(var_x + var_y + c2), in that
-            # operation order
-            mu_x, mu_y, var_x, var_y, cov = m
-            sq = squares[:, r : n - r]
-            np.multiply(m[:2], m[:2], out=sq[:2])
-            np.multiply(mu_x, mu_y, out=sq[2])
-            m[2:] -= sq  # var_x, var_y, cov
-            num = column_pass[r : n - r]
-            np.multiply(mu_x, 2.0, out=num)
-            num *= mu_y
-            num += c1
-            cov *= 2.0
-            cov += c2
-            num *= cov
-            den = sq[0]
-            den += sq[1]
-            den += c1
-            var_x += var_y
-            var_x += c2
-            den *= var_x
-            # num and den sit in column_pass and squares[0]; only their interior
-            # columns are quotients of the formula
-            np.divide(
-                column_pass[:n].reshape(h, width)[:, r : width - r],
-                squares[0, :n].reshape(h, width)[:, r : width - r],
-                out=interior[top : top + h],
-            )
+    def strip(rows, *blocks):
+        # 7 blocks of the strip's rows and 2r halo rows, seen flat: a row-wise
+        # pass is a contiguous pass with step `width`, a column-wise pass one
+        # with step 1 whose outputs that straddle two rows fall in the border
+        # columns and are never read
+        h = rows.stop - rows.start
+        n = h * width
+        blocks[0][...] = x[rows.start : rows.stop + 2 * r]
+        blocks[1][...] = y[rows.start : rows.stop + 2 * r]
+        *fields, column_pass, tmp = (block.reshape(-1) for block in blocks)  # x, y, x^2, y^2, xy
+        for name, field in zip("xy", fields):  # inline: a worker calls no public gfkit function
+            if not np.isfinite(field).all():
+                raise ValueError(f"NaN or Inf in {name}")
+        np.multiply(fields[0], fields[0], out=fields[2])
+        np.multiply(fields[1], fields[1], out=fields[3])
+        np.multiply(fields[0], fields[1], out=fields[4])
+        # each field's local mean over the field, which its column pass has
+        # read: mu_x, mu_y, E[x^2], E[y^2], E[xy]
+        for field in fields:
+            _window_pass(field, width, kernel, column_pass[:n], tmp[:n])
+            _window_pass(column_pass[:n], 1, kernel, field[r : n - r], tmp[: n - 2 * r])
+        mu_x, mu_y, var_x, var_y, cov = (field[r : n - r] for field in fields)
+        # num = (2 mu_x mu_y + c1)(2 cov + c2) and
+        # den = (mu_x^2 + mu_y^2 + c1)(var_x + var_y + c2), each in that
+        # operation order, in the freed column_pass and tmp
+        den, num = column_pass[r : n - r], tmp[r : n - r]
+        np.multiply(mu_x, mu_x, out=den)
+        var_x -= den
+        np.multiply(mu_y, mu_y, out=num)
+        var_y -= num
+        den += num
+        den += c1
+        np.multiply(mu_x, mu_y, out=num)
+        cov -= num
+        np.multiply(mu_x, 2.0, out=num)
+        num *= mu_y
+        num += c1
+        cov *= 2.0
+        cov += c2
+        num *= cov
+        var_x += var_y
+        var_x += c2
+        den *= var_x
+        # only their interior columns are quotients of the formula
+        np.divide(blocks[6][:h, r : width - r], blocks[5][:h, r : width - r], out=interior[rows])
 
-    in_parallel(run, runs, fields, means, squares, column_pass, tmp)
+    each_strip((len(interior), width), strip, 7, halo=2 * r)
     return float(np.mean(interior))

@@ -6,6 +6,7 @@ one counting wrapper while the measured call runs, then restored.
 ``peak_bytes`` is the one tracemalloc measurement of the memory tests.
 """
 
+import gc
 import sys
 import tracemalloc
 
@@ -22,6 +23,10 @@ def peak_bytes(call, warm_up=True, runs=1) -> int:
         call()
     peaks = []
     for _ in range(runs):
+        # a cyclic collection that fired inside one traced call and not
+        # another moved its peak by up to about 90 KB; right after a full
+        # collection none is due
+        gc.collect()
         tracemalloc.start()
         try:
             call()

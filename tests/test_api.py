@@ -123,3 +123,20 @@ def test_core_has_one_shape_check():
                      for node in ast.walk(d))]
     assert checks == ["core.as_images", "imgio.write_pnm"]
     assert not hasattr(gfkit.core, "require_same_shape")
+
+
+def test_boxops_alone_schedules_strips():
+    # each_strip is the one loop that cuts strips into runs: no other module
+    # names STRIPS_PER_RUN or caps work_blocks with a third argument
+    found = set()
+    for path in sorted((Path(gfkit.__file__).parent).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = (getattr(node, "id", None), getattr(node, "attr", None),
+                     getattr(node, "name", None))
+            capped = (isinstance(node, ast.Call)
+                      and "work_blocks" in (getattr(node.func, "id", None),
+                                            getattr(node.func, "attr", None))
+                      and len(node.args) + len(node.keywords) > 2)
+            if "STRIPS_PER_RUN" in named or capped:
+                found.add(path.stem)
+    assert found == {"boxops"}

@@ -175,9 +175,12 @@ SLACK = 16384  # file buffers, report and bookkeeping beyond the planes
 
 def peak_of(argv, runs=3):
     """Least tracemalloc peak of ``runs`` CLI runs, the report printed to a
-    string. Identical runs in one process peak up to 30 KiB apart (a
-    96x96 rmsf-gf run: 921 to 951 KiB), too wide a spread for a bound a
-    few sample planes wide when each side of it is one run."""
+    string. ``peak_bytes`` collects garbage before each traced run, so 20
+    identical runs in one process peak at most 4 KiB apart (a 96x96
+    rmsf-gf run: 921.6 to 925.5 KiB; a cgf run 0.3 KiB apart). Without
+    that, a collection fired inside some runs and not others, and they
+    peaked up to 27 KiB apart, too wide for a bound a few sample planes
+    wide."""
     def call():
         assert main(argv) == 0
 

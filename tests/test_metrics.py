@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.ndimage import correlate1d
 
-from gfkit.core import STRIP_BYTES
+from gfkit.boxops import _strip_rows
 from gfkit.metrics import (
     SSIM_SIGMA,
     SSIM_WINDOW,
@@ -159,14 +159,14 @@ def whole_plane_ssim(x, y):
     return float(np.mean(num / den))
 
 
-def _strip_rows(width):
-    return max(1, STRIP_BYTES // (8 * width))
-
-
 def _strip_boundary_shapes(width):
-    # interior heights one below, at and one above one and two strips
-    rows = _strip_rows(width)
-    return [(h + SSIM_WINDOW - 1, width) for n in (1, 2) for h in (n * rows - 1, n * rows, n * rows + 1)]
+    # interior heights one row below, at and one above four and five strips
+    # of ssim's strip loop, each_strip over the interior grid: from four
+    # strips up the byte budget, not the quarter cap, sets the strip height
+    rows = _strip_rows((1 << 20, width))
+    interiors = [n * rows + d for n in (4, 5) for d in (-1, 0, 1)]
+    assert [_strip_rows((h, width)) for h in interiors] == [rows] * 6
+    return [(h + SSIM_WINDOW - 1, width) for h in interiors]
 
 
 class TestSsimStrips:

@@ -131,9 +131,9 @@ def _peak_planes(call) -> float:
     # a strip loop holds at most 2 blocks a strip: a scratch block and the counts
     (lambda p, g: gf(p, p, WindowSpec(3), 0.05), 2),
     (lambda p, g: gf(p, g, WindowSpec(3), 0.05), 2),
-    # SSIM's 15 buffers a strip and the 10 halo rows of its two fields and
-    # their three products: 17 strips of 32 rows
-    (lambda p, g: ssim(p, g), 15 + 50 / 32),
+    # SSIM's 7 blocks a strip, each of the strip's 32 rows and 10 halo rows:
+    # 17 strips of the interior grid
+    (lambda p, g: ssim(p, g), 7 * (32 + 10) / 32),
 ], ids=["gf-self", "gf-guided", "ssim"])
 def test_scratch_does_not_grow_with_the_worker_count(workers, images, call, blocks):
     # eight workers, whose runs of strips each hold their own blocks: all of
