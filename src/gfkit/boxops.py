@@ -27,10 +27,12 @@ Every filter step that follows a box pass is pointwise: each output pixel
 is a few arithmetic operations on the window sums, the inputs and the
 pixel's window count |w_i|. Those steps run in place over row strips of
 a fixed byte budget (``each_strip``), so their temporaries are a few
-cache-sized blocks and never a whole plane. The window count is the
-product of two 1-D factors (``WindowCounts``); each strip fills its block
-afresh, which gives the same exact integers as the full count plane,
-their outer product, and never holds one.
+cache-sized blocks and never a whole plane. The window count depends
+only on the window and the image size: it is the product of two 1-D
+factors, which a strip loop given the window builds once, and each strip
+fills its block from them afresh. That gives the same exact integers as
+the full count plane, their outer product (``window_counts``, for the
+code that needs the plane whole), and never holds one.
 
 The worker pool. Once the window sums exist, each pixel's result depends
 only on its own pixel, and each half of a box pass depends only on its
@@ -77,14 +79,15 @@ import os
 import threading
 from collections.abc import Callable, Sequence
 from concurrent import futures
-from dataclasses import dataclass
 from functools import partial
 from typing import TypeVar
 
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 
-from .core import STRIP_BYTES, Boundary, Image, WindowSpec, as_image, as_images
+from .core import (
+    STRIP_BYTES, Boundary, Image, WindowSpec, as_image, as_images, require_params,
+)
 
 T = TypeVar("T")
 
@@ -315,37 +318,32 @@ def _counts_1d(n: int, w: WindowSpec) -> np.ndarray:
     return (np.minimum(i + w.radius, n - 1) - np.maximum(i - w.radius, 0) + 1).astype(np.float64)
 
 
-@dataclass(frozen=True, eq=False)
-class WindowCounts:
-    """Per-pixel window size |w_i| as its two 1-D factors: the count at
-    (y, x) is rows[y] * cols[x], a product of small integers and so exact."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-
-    @classmethod
-    def of(cls, shape, w: WindowSpec) -> WindowCounts:
-        w.check_fits(shape)
-        h, width = shape
-        return cls(_counts_1d(h, w), _counts_1d(width, w))
+def window_counts(shape, w: WindowSpec) -> Image:
+    """The plane of window counts |w_i| of a (height, width) grid: the outer
+    product of its two 1-D factors, small integers and so exact."""
+    h, width = shape
+    require_params(height=h, width=width)
+    w.check_fits(shape)
+    return np.outer(_counts_1d(h, w), _counts_1d(width, w))
 
 
 def each_strip(
-    shape, body: Callable[..., T], scratch: int = 1, counts: WindowCounts | None = None,
+    shape, body: Callable[..., T], scratch: int = 1, window: WindowSpec | None = None,
     halo: int = 0,
 ) -> list[T]:
-    """body(rows, *tmp), or with ``counts`` body(rows, n, *tmp), for every
+    """body(rows, *tmp), or with ``window`` body(rows, n, *tmp), for every
     row strip of a (height, width) grid: the results in strip order.
 
     ``rows`` is the strip's slice of rows and ``tmp`` ``scratch`` blocks of
     the strip's width, overwritten by the next strip. A block holds the
     strip's rows and ``halo`` rows more: the rows a stencil reads beyond
-    the strip, which its caller passes (a loop with ``counts`` passes
-    none). ``n`` is a block of the strip's window counts, filled afresh
-    for each strip, so ``body`` may overwrite it. A strip spans at most a
-    quarter of the rows, so that on a small plane the blocks stay a small
-    share of the memory a filter holds. The strips are the same at any
-    worker count; they go to the workers in contiguous runs
+    the strip, which its caller passes (a loop with ``window`` passes
+    none). ``n`` is a block of the strip's window counts |w_i| under that
+    window, filled afresh for each strip from the two 1-D count factors,
+    which the loop builds once, so ``body`` may overwrite it. A strip spans
+    at most a quarter of the rows, so that on a small plane the blocks stay
+    a small share of the memory a filter holds. The strips are the same at
+    any worker count; they go to the workers in contiguous runs
     (``work_blocks``), each run with blocks of its own, and at most one
     strip in ``STRIPS_PER_RUN`` runs at once.
     """
@@ -353,15 +351,17 @@ def each_strip(
     step = _strip_rows(shape)
     tops = range(0, h, step)
     runs = work_blocks(len(tops), h * width, len(tops) // STRIPS_PER_RUN)
-    blocks = np.empty((len(runs), scratch + (counts is not None), step + halo, width))
+    blocks = np.empty((len(runs), scratch + (window is not None), step + halo, width))
+    if window is not None:
+        count_rows, count_cols = _counts_1d(h, window), _counts_1d(width, window)
 
     def run(strips, buf):
         results = []
         for top in tops[strips]:
             rows = slice(top, min(top + step, h))
             tmp = buf[:, : rows.stop - top + halo]
-            if counts is not None:  # einsum: a broadcast multiply would buffer a block
-                np.einsum("i,j->ij", counts.rows[rows], counts.cols, out=tmp[0])
+            if window is not None:  # einsum: a broadcast multiply would buffer a block
+                np.einsum("i,j->ij", count_rows[rows], count_cols, out=tmp[0])
             results.append(body(rows, *tmp))
         return results
 
@@ -371,6 +371,5 @@ def each_strip(
 def box_mean(x: Image, w: WindowSpec) -> Image:
     """Windowed average of x, normalized by the actual per-pixel window size."""
     out = box_sum(x, w)
-    each_strip(out.shape, lambda rows, n: np.divide(out[rows], n, out=out[rows]), 0,
-               WindowCounts.of(out.shape, w))
+    each_strip(out.shape, lambda rows, n: np.divide(out[rows], n, out=out[rows]), 0, w)
     return out

@@ -21,18 +21,15 @@ from __future__ import annotations
 
 from collections.abc import Generator
 
-import numpy as np
-
 from .core import EnergyReport, Image, WindowSpec, as_images, require_finite, require_params
 from .gf import GfCoeffs, anchor_term, energy_gf, guide_fit, roll
-from .boxops import WindowCounts
+from .boxops import window_counts
 
 
 def anchor_weight(shape, w: WindowSpec, lam: float) -> Image:
     """Per-pixel blend weight lam / (|w_i| + lam); |w_i| varies near borders."""
     require_params(lam=lam)
-    counts = WindowCounts.of(shape, w)
-    return lam / (np.outer(counts.rows, counts.cols) + lam)
+    return lam / (window_counts(shape, w) + lam)
 
 
 def cgf(p: Image, guide: Image, g: Image, w: WindowSpec, eps: float, lam: float) -> Image:

@@ -33,7 +33,7 @@ from .cgf import cgf_iterates
 from .igf import icgf, igf
 from .rmsf import cgf_rmsf_iterates, gf_rmsf_iterates, naive_roll37_iterates
 from .rfnf import rfnf_gen_iterates, rfnf_seo_iterates
-from .metrics import mse, psnr_from_mse, ssim
+from .metrics import SSIM_WINDOW, mse, psnr_from_mse, ssim
 from .imgio import PnmError, quantize, read_pnm_file, write_pnm_file
 
 ITERATE_MAXVAL = 65535  # dumped iterates keep 16 bits to limit requantization
@@ -378,6 +378,9 @@ def _bench_task(args) -> tuple[Callable[[], object], dict]:
     input, guide and anchor. ``ssim`` compares it with a second image."""
     img = synth.random_image(args.width, args.height, args.seed)
     if args.filter == "ssim":
+        if args.radius is not None:
+            raise ValueError("--radius does not apply to ssim, whose window is a fixed "
+                             f"{SSIM_WINDOW}x{SSIM_WINDOW}")
         other = synth.random_image(args.width, args.height, args.seed + 1)
         return lambda: ssim(img, other), {}
     if args.filter == "box":

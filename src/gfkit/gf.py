@@ -18,17 +18,18 @@ never increases between passes; ``gf`` is the one-pass case of ``gf_roll``.
 ``energy_gf`` prices the objective from the same box sums as the fit (5
 box passes, in closed form), so the descent can be checked at any size.
 
-The guide is a constant of that objective, so its window counts, mean and
-variance are constants of every pass. Every fit starts at ``guide_fit``:
+The guide is a constant of that objective, so its mean and variance are
+constants of every pass, and the window counts depend only on the window
+and the image size. Every fit starts at ``guide_fit``:
 the guide's moments (2 box passes), then ``fit_coeffs`` against them (2
 box passes); ``gf_coeffs`` is that first fit, and a roll keeps the
 moments and spends 4 box passes per iteration (fit and window sums), 2 +
 4n in all instead of 6n.
-The pointwise arithmetic after each box pass runs over row strips against
-the window counts' 1-D factors (see ``boxops``), so a roll holds the
-guide's mean and variance but no plane of counts. Each plane lives only
-until its last read: every product is box-summed over its own plane
-(``box_sum``'s ``times``), and the roll hands each fit to
+The pointwise arithmetic after each box pass runs over row strips, each
+filling its count block from the window (see ``boxops``), so a roll
+holds the guide's mean and variance but no plane of counts. Each plane
+lives only until its last read: every product is box-summed over its
+own plane (``box_sum``'s ``times``), and the roll hands each fit to
 ``window_sum_estimate``, which lets a go once sum(a) exists and b once
 sum(b) does. A refit then holds two float planes besides the moments and
 its input, and a window-sum step three.
@@ -43,12 +44,12 @@ or ``tvgf`` then costs 4 box passes instead of 6, and a self-guided roll
 image gate ``core.as_images`` keeps through any conversion; an equal
 copy takes the general route to the same bits. When no refit follows
 (one pass, or ``gf_coeffs``) the moments are read only by that fit, so
-it writes b over the window mean and forms var + eps per strip: the
-self-guided fit holds 2 float planes (the guide's window sum, and its
-square, summed over itself), and one self-guided pass peaks at 3 in its
-window sums (one fit plane, its window sum and f); a pass against a
-distinct guide at 4 (the guide's mean and var + eps, and two planes of
-the fit).
+it writes b over the window mean, forms var + eps per strip and returns
+no moments: the self-guided fit holds 2 float planes (the guide's window
+sum, and its square, summed over itself), and one self-guided pass peaks
+at 3 in its window sums (one fit plane, its window sum and f); a pass
+against a distinct guide at 4 (the guide's mean and var + eps, and two
+planes of the fit).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ from .core import (
     require_finite,
     require_params,
 )
-from .boxops import WindowCounts, box_sum, each_strip
+from .boxops import box_sum, each_strip
 
 T = TypeVar("T")  # one iterate: an image, or a rolling pair's MutualState
 
@@ -86,14 +87,12 @@ class GuideMoments:
     """Window statistics of a fixed guide, shared by every fit against it.
 
     ``var_eps`` is the clamped window variance plus the ridge weight eps,
-    the denominator of every slope fit. A self-guided fit that no refit
-    reads after (``guide_fit`` without ``refit``) keeps only the counts,
-    and ``mean`` and ``var_eps`` are None.
+    the denominator of every slope fit. The window counts are not among
+    them: every strip loop fills them from the window.
     """
 
-    counts: WindowCounts
-    mean: Image | None
-    var_eps: Image | None
+    mean: Image
+    var_eps: Image
 
 
 def fit_coeffs(p: Image, guide: Image, moments: GuideMoments, w: WindowSpec) -> GfCoeffs:
@@ -114,13 +113,13 @@ def fit_coeffs(p: Image, guide: Image, moments: GuideMoments, w: WindowSpec) -> 
         ar /= moments.var_eps[rows]
         mp -= np.multiply(ar, mg, out=t)  # mean(p) - a * mean(guide)
 
-    each_strip(a.shape, strip, counts=moments.counts)
+    each_strip(a.shape, strip, window=w)
     return GfCoeffs(a=a, b=mean_p)
 
 
 def guide_fit(
     p: Image, guide: Image, w: WindowSpec, eps: float, refit: bool
-) -> tuple[GuideMoments, GfCoeffs]:
+) -> tuple[GuideMoments | None, GfCoeffs]:
     """The guide's window moments and the fit of p against them: the first
     fit of a roll, ``refit`` telling whether a later fit reads the moments.
 
@@ -131,11 +130,10 @@ def guide_fit(
     of their own, and both routes share every operation up to that
     variance. A self-guided fit that no refit reads after writes b over the
     mean and holds var + eps only per strip, so it keeps no plane but the
-    fit's two, and its moments keep only the window counts.
+    fit's two, and returns None for the moments.
     """
     require_params(fit_eps=eps)
     fit = p is guide
-    counts = WindowCounts.of(guide.shape, w)
     mean = box_sum(guide, w)
     var = box_sum(guide, w, times=guide)  # window sums of guide^2, then the variance
     var_eps, b = var, None  # the moments alone: var + eps in the variance's buffer
@@ -155,10 +153,10 @@ def guide_fit(
             v /= ve
             np.subtract(m, np.multiply(v, m, out=t), out=b[rows])
 
-    each_strip(guide.shape, strip, counts=counts)
+    each_strip(guide.shape, strip, window=w)
     if fit:
-        return GuideMoments(counts, mean if refit else None, var_eps), GfCoeffs(a=var, b=b)
-    moments = GuideMoments(counts, mean, var_eps)
+        return GuideMoments(mean, var_eps) if refit else None, GfCoeffs(a=var, b=b)
+    moments = GuideMoments(mean, var_eps)
     return moments, fit_coeffs(p, guide, moments, w)
 
 
@@ -197,13 +195,11 @@ def window_sum_estimate(coeffs: GfCoeffs, guide: Image, w: WindowSpec) -> Image:
     return f
 
 
-def anchored_update(
-    f: Image, counts: WindowCounts, g: Image | None = None, lam: float = 0.0
-) -> Image:
+def anchored_update(f: Image, w: WindowSpec, g: Image | None = None, lam: float = 0.0) -> Image:
     """The exact pixel minimizer (f + lam * g) / (n + lam), written into f.
 
-    n is the pixel's window count. At lam = 0 the anchor drops out (g is
-    not read) and this is the plain guided filter's f / n.
+    n is the pixel's window count under w. At lam = 0 the anchor drops out
+    (g is not read) and this is the plain guided filter's f / n.
     """
     def strip(rows, n, t):
         if lam:
@@ -211,18 +207,18 @@ def anchored_update(
             n += lam
         f[rows] /= n
 
-    each_strip(f.shape, strip, counts=counts)
+    each_strip(f.shape, strip, window=w)
     return f
 
 
 @dataclass(frozen=True)
 class PixelTerm:
     """A per-pixel term of a scheme's objective: ``value(q)``, and ``update(f,
-    counts)``, the exact pixel minimizer of ``energy_gf`` plus the term given
-    the window sums f (which it may overwrite)."""
+    w)``, the exact pixel minimizer of ``energy_gf`` plus the term given the
+    window sums f (which it may overwrite) over the window w."""
 
     name: str
-    update: Callable[[Image, WindowCounts], Image]
+    update: Callable[[Image, WindowSpec], Image]
     value: Callable[[Image], float]
 
 
@@ -236,14 +232,13 @@ def gf_apply(coeffs: GfCoeffs, guide: Image, w: WindowSpec) -> Image:
     """Aggregate the per-window estimates: the lam = 0 update f / n."""
     guide, a, b = as_images(guide, coeffs.a, coeffs.b)
     require_finite(guide, "the guide")  # never box-summed, so box_sum cannot catch it
-    counts = WindowCounts.of(guide.shape, w)
-    return anchored_update(window_sum_estimate(GfCoeffs(a, b), guide, w), counts)
+    return anchored_update(window_sum_estimate(GfCoeffs(a, b), guide, w), w)
 
 
 def roll(
     p: Image,
     guide: Image,
-    fit: tuple[GuideMoments, GfCoeffs],
+    fit: tuple[GuideMoments | None, GfCoeffs],
     w: WindowSpec,
     term: PixelTerm,
     iters: int,
@@ -252,14 +247,15 @@ def roll(
     """Yield the iterates q1 .. qN of a fixed-guide roll from q0 = p.
 
     ``fit`` is the guide's moments and the fit of p against them (from
-    ``guide_fit``, or against moments the caller holds); every later pass
-    refits the current iterate against those moments. Each fit is handed
-    to ``window_sum_estimate``, so a dies once sum(a) exists and b once
-    sum(b) does (on the last pass the moments die before, all but the
-    counts), and ``term.update(f, counts)`` maps the window sums f to the
-    next iterate: 4 box passes a pass after the first fit. Without tol the
-    roll lets go of each iterate once it is fit, so a consumer that drops
-    the iterates it was given holds one at a time.
+    ``guide_fit``, or against moments the caller holds; None for the
+    moments if no refit follows); every later pass refits the current
+    iterate against those moments. Each fit is handed to
+    ``window_sum_estimate``, so a dies once sum(a) exists and b once sum(b)
+    does (on the last pass the moments die before), and ``term.update(f,
+    w)`` maps the window sums f to the next iterate: 4 box passes a pass
+    after the first fit. Without tol the roll lets go of each iterate once
+    it is fit, so a consumer that drops the iterates it was given holds one
+    at a time.
     If tol is given, the roll stops after the first iterate with
     max |q_{n+1} - q_n| < tol. Either way it returns its last iterate,
     the value of the ``StopIteration`` that ends it.
@@ -267,7 +263,6 @@ def roll(
     moments, coeffs = fit
     fits = [coeffs]  # the fit's one reference, popped to hand it over
     del fit, coeffs
-    counts = moments.counts
     q = p
     for n in range(iters):
         if not fits:
@@ -275,9 +270,9 @@ def roll(
         if tol is None:
             q = None  # after its fit only the tol test reads an iterate
         if n == iters - 1:
-            moments = None  # no refit follows, so only the counts are needed
+            moments = None  # no refit follows
         f = window_sum_estimate(fits.pop(), guide, w)
-        prev, q = q, term.update(f, counts)
+        prev, q = q, term.update(f, w)
         del f  # an update that allocates its result frees f before the yield
         yield q
         if prev is not None and float(np.max(np.abs(q - prev))) < tol:
@@ -387,7 +382,7 @@ def energy_gf(q: Image, coeffs: GfCoeffs, guide: Image, w: WindowSpec, eps: floa
         return eps * float(np.sum(n * a[rows] ** 2))
 
     ridge = 0.0
-    for value in each_strip(q.shape, ridge_strip, 0, WindowCounts.of(q.shape, w)):
+    for value in each_strip(q.shape, ridge_strip, 0, w):
         ridge += value  # in strip order
     terms = {"data": float(np.sum(data)), "ridge": ridge}
     if term is not None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Image, WindowSpec, as_images, require_finite, require_params
 from .gf import GfCoeffs, gf_coeffs
-from .boxops import WindowCounts, box_sum, each_strip
+from .boxops import box_sum, each_strip
 
 # Below this mean of sum(a^2) + lam over the pixel's windows, the quadratic
 # in G_i is flat and any value minimizes it; we keep the prior pixel instead
@@ -70,7 +70,7 @@ def inverse_update(
         num_r /= den_r
         np.copyto(num_r, prior[rows], where=degenerate)
 
-    each_strip(num.shape, strip, counts=WindowCounts.of(p.shape, w))
+    each_strip(num.shape, strip, window=w)
     return num
 
 

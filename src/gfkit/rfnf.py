@@ -23,7 +23,7 @@ from collections.abc import Generator
 import numpy as np
 
 from .core import Image, WindowSpec, as_image, as_images, require_params
-from .boxops import WindowCounts, each_strip
+from .boxops import each_strip, window_counts
 from .gf import (
     GuideMoments,
     PixelTerm,
@@ -41,7 +41,7 @@ def _flash_base(flash: Image, w: WindowSpec, eps: float) -> tuple[GuideMoments, 
     """The flash moments and the base layer gf(flash, flash): 4 box passes."""
     require_params(eps=eps)
     moments, *fit = guide_fit(flash, flash, w, eps, True)  # popped to hand the fit over
-    return moments, anchored_update(window_sum_estimate(fit.pop(), flash, w), moments.counts)
+    return moments, anchored_update(window_sum_estimate(fit.pop(), flash, w), w)
 
 
 def _enhance(flash: Image, base: Image, tau: float) -> Image:
@@ -64,10 +64,10 @@ def _flash_inputs(noflash, flash, w: WindowSpec, eps: float, **params):
     return noflash, flash, (moments, fit_coeffs(noflash, flash, moments, w)), base
 
 
-def detail_term(gain: Image, counts: WindowCounts) -> PixelTerm:
+def detail_term(gain: Image, w: WindowSpec) -> PixelTerm:
     """-2 * sum(n * gain * q), n the window counts: its update is f / n + gain."""
-    return PixelTerm("detail", lambda f, _: np.add(anchored_update(f, counts), gain, out=f),
-                     lambda q: -2.0 * float(np.sum(np.outer(counts.rows, counts.cols) * gain * q)))
+    return PixelTerm("detail", lambda f, _: np.add(anchored_update(f, w), gain, out=f),
+                     lambda q: -2.0 * float(np.sum(window_counts(gain.shape, w) * gain * q)))
 
 
 def detail_image(flash: Image, w: WindowSpec, eps: float) -> Image:
@@ -87,7 +87,7 @@ def rfnf_seo_iterates(
     noflash, flash, fit, detail = _flash_inputs(noflash, flash, w, eps, gain=lam, iters=iters)
     np.subtract(flash, detail, out=detail)  # flash - base, in the base's buffer
     detail *= lam
-    return roll(noflash, flash, fit, w, detail_term(detail, fit[0].counts), iters)
+    return roll(noflash, flash, fit, w, detail_term(detail, w), iters)
 
 
 def rfnf_seo(

@@ -67,7 +67,7 @@ from .gf import (
     window_sum_estimate,
 )
 from .igf import inverse_update
-from .boxops import WindowCounts, box_sum, each_strip
+from .boxops import box_sum, each_strip
 
 
 @dataclass
@@ -99,7 +99,7 @@ def alpha_weight(x: Image, w: WindowSpec) -> Image:
         o += 1.0
         np.divide(1.0, o, out=o)
 
-    each_strip(x.shape, strip, 0, WindowCounts.of(x.shape, w))
+    each_strip(x.shape, strip, 0, w)
     return out
 
 
@@ -138,7 +138,6 @@ def _mutual_iterates(
     taken (unless ``snapshots`` keeps the fits to the end of the iteration).
     Every state is yielded as soon as it exists, and the last is returned.
     """
-    counts = WindowCounts.of(p.shape, w)
     q, G = p, guide
     for n in range(iters):
         state = None  # else it would hold the old tracks through this iteration
@@ -148,12 +147,12 @@ def _mutual_iterates(
         # the next call, so each is unbound as its role ends
         inv = inverse_update(cd, G, guide, w, beta, prior=q)
         q = None
-        fwd = anchored_update(window_sum_estimate(ab, G, w), counts, p, lam)
+        fwd = anchored_update(window_sum_estimate(ab, G, w), w, p, lam)
         q = _blend(alpha_weight(cd.a, w), fwd, inv)
         inv = None
         inv = inverse_update(ab, q, p, w, lam, prior=G)
         G = None
-        fwd = anchored_update(window_sum_estimate(cd, q, w), counts, guide, beta)
+        fwd = anchored_update(window_sum_estimate(cd, q, w), w, guide, beta)
         if snapshots is None:
             cd = None
         G = _blend(alpha_weight(ab.a, w), fwd, inv)

@@ -97,7 +97,7 @@ def tvgf_solve_q(f: Image, w: WindowSpec, lam: float) -> Image:
     f = as_image(f)
     require_finite(f, "f")  # the Fourier solve would spread a NaN or Inf over the plane
     w.check_fits(f.shape)
-    return tv_term(f.shape, w, lam).update(f.copy(), None)  # the update writes over f
+    return tv_term(f.shape, w, lam).update(f.copy(), w)  # the update writes over f
 
 
 def tvgf(p: Image, guide: Image, w: WindowSpec, eps: float, lam: float) -> Image:

@@ -3,7 +3,8 @@
 ``count_box_passes`` counts calls of ``box_sum``. Every module imports it
 by name, so each ``gfkit`` module binding of the function is rebound to
 one counting wrapper while the measured call runs, then restored.
-``peak_bytes`` is the one tracemalloc measurement of the memory tests.
+``peak_bytes`` is the one tracemalloc measurement of the memory tests, and
+``peak_planes`` the same peak counted in float planes.
 """
 
 import gc
@@ -34,6 +35,11 @@ def peak_bytes(call, warm_up=True, runs=1) -> int:
         finally:
             tracemalloc.stop()
     return min(peaks)
+
+
+def peak_planes(call, shape) -> float:
+    """``peak_bytes(call)`` in float64 planes of the given (height, width)."""
+    return peak_bytes(call) / (8 * shape[0] * shape[1])
 
 
 @pytest.fixture

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gfkit.core import Boundary, WindowSpec
-from gfkit.boxops import WindowCounts, box_mean, box_sum
+from gfkit.boxops import box_mean, box_sum, window_counts
 from gfkit.cli import FILTER_COMMANDS
 from gfkit.gf import anchor_term, energy_gf, gf, gf_coeffs, gf_iterates, gf_roll
 from gfkit.tvgf import tv_term, tvgf, tvgf_iterates
@@ -117,14 +117,13 @@ def fixed_guide_rows(p, guide, w, eps=0.1, lam=2.0, tv_lam=45.0, passes=PASSES):
     """The fixed-guide rows of criterion 02 on window w, each a
     ``_roll_row``; tvgf runs on periodic windows only."""
     detail = detail_image(guide, w, eps)
-    counts = WindowCounts.of(p.shape, w)
     rows = [
         ("gf", gf_iterates(p, guide, w, eps, passes), None),
         ("cgf", cgf_iterates(p, guide, p, w, eps, lam, passes), anchor_term(p, lam)),
         ("rfnf-gen", rfnf_gen_iterates(p, guide, w, eps, lam, 1.5, passes),
          anchor_term(enhanced_flash(guide, w, eps, 1.5), lam)),
         *[("rfnf-seo", rfnf_seo_iterates(p, guide, w, eps, gain, passes),
-           detail_term(gain * detail, counts)) for gain in (1.5, -0.5)],
+           detail_term(gain * detail, w)) for gain in (1.5, -0.5)],
     ]
     if w.boundary is Boundary.PERIODIC:
         rows.append(("tvgf", tvgf_iterates(p, guide, w, eps, tv_lam, passes),
@@ -354,8 +353,7 @@ def test_criterion_04_anchored_rolls_reach_the_certified_minimizer(size, r, boun
         return energy_cgf(q, gf_coeffs(q, guide, w, eps), guide, g, w, eps, lam).total
 
     floor = energy(target)
-    counts = WindowCounts.of(p.shape, w)
-    weight = (np.outer(counts.rows, counts.cols) + lam) ** 2 / lam
+    weight = (window_counts(p.shape, w) + lam) ** 2 / lam
     ratio = 0.0
     for n, (q, nxt) in enumerate(zip(qs, qs[1:])):
         gap, bound = energy(q) - floor, float(np.sum(weight * (q - nxt) ** 2))

@@ -125,6 +125,21 @@ def test_core_has_one_shape_check():
     assert not hasattr(gfkit.core, "require_same_shape")
 
 
+def test_window_counts_come_from_the_window():
+    # a strip loop fills its count blocks from the window it is given: boxops
+    # holds the counts in no object (it defines no class), and it alone
+    # builds their 1-D factors
+    assert not [v for v in vars(gfkit.boxops).values()
+                if isinstance(v, type) and v.__module__ == "gfkit.boxops"]
+    found = set()
+    for path in sorted((Path(gfkit.__file__).parent).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if "_counts_1d" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                getattr(node, "name", None)):
+                found.add(path.stem)
+    assert found == {"boxops"}
+
+
 def test_boxops_alone_schedules_strips():
     # each_strip is the one loop that cuts strips into runs: no other module
     # names STRIPS_PER_RUN or caps work_blocks with a third argument

@@ -60,6 +60,13 @@ class TestAnchorWeight:
         with pytest.raises(ValueError):
             anchor_weight((8, 8), W, -1.0)
 
+    @pytest.mark.parametrize("shape,size", [((2.5, 3), "height"), ((0, 3), "height"),
+                                            ((-2, 3), "height"), ((3, 0), "width")])
+    def test_malformed_shape_rejected(self, shape, size):
+        # fractional counts, or an empty plane, were returned before
+        with pytest.raises(ValueError, match=size):
+            anchor_weight(shape, WindowSpec(1), 1.0)
+
 
 class TestRoll:
     def test_anchor_and_input_constant(self):

@@ -529,9 +529,10 @@ class TestBenchCommand:
 
     @pytest.mark.parametrize("kernel", ["box", "ssim", *FILTER_COMMANDS])
     def test_every_kernel_reports(self, workdir, capsys, kernel):
+        radius = [] if kernel == "ssim" else ["--radius", "3"]  # SSIM's window is fixed
         code, report, _ = run_cli(
             capsys, "bench", "--width", "64", "--height", "48",
-            "--filter", kernel, "--radius", "3", "--repeat", "2",
+            "--filter", kernel, *radius, "--repeat", "2",
         )
         assert code == 0
         jsonschema.validate(report, SCHEMA)
@@ -580,3 +581,11 @@ class TestBenchCommand:
         )
         assert code == 2
         assert "too small for SSIM" in err
+
+    def test_ssim_radius_is_usage_error(self, workdir, capsys):
+        # SSIM's window is fixed: a radius would be dropped from the report
+        code, _, err = run_cli(
+            capsys, "bench", "--width", "32", "--height", "32", "--filter", "ssim", "--radius", "3",
+        )
+        assert code == 2
+        assert "--radius does not apply to ssim" in err

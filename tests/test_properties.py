@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gfkit.boxops import WindowCounts
 from gfkit.cgf import cgf
 from gfkit.core import Boundary, WindowSpec
 from gfkit.gf import anchor_term, energy_gf, gf, gf_coeffs
@@ -89,7 +88,7 @@ def test_energy_is_the_per_window_sum(case, kind, data):
         kind = "anchor"  # the TV term runs on periodic windows only
     term = {"none": lambda: None, "anchor": lambda: anchor_term(g, lam),
             "tv": lambda: tv_term(guide.shape, w, lam),
-            "detail": lambda: detail_term(lam * (g - 0.5), WindowCounts.of(guide.shape, w)),
+            "detail": lambda: detail_term(lam * (g - 0.5), w),
             }[kind]()
     fit = gf_coeffs(p, guide, w, eps)
     got = energy_gf(q, fit, guide, w, eps, term).total

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from gfkit.boxops import WindowCounts, box_sum
+from gfkit.boxops import box_sum, window_counts
 from gfkit.cgf import cgf, cgf_iterates, cgf_roll
 from gfkit.core import Boundary, WindowSpec, as_image
 from gfkit.gf import fit_coeffs, gf, gf_coeffs, gf_iterates, gf_roll, guide_fit, last_iterate
@@ -52,8 +52,7 @@ def _images(seed):
 
 def _one_shot_coeffs(p, guide, w, eps):
     """The fit as a single function of p and the guide, in the same order."""
-    factors = WindowCounts.of(p.shape, w)
-    counts = np.outer(factors.rows, factors.cols)
+    counts = window_counts(p.shape, w)
     mean_g = box_sum(guide, w) / counts
     mean_p = box_sum(p, w) / counts
     a = box_sum(guide * p, w) / counts - mean_g * mean_p

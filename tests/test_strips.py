@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import gfkit.boxops
-from gfkit.boxops import WindowCounts, box_mean, box_sum, each_strip
+from gfkit.boxops import box_mean, box_sum, each_strip, window_counts
 from gfkit.cgf import cgf, cgf_roll
 from gfkit.cli import FILTER_COMMANDS
 from gfkit.core import Boundary, WindowSpec
@@ -38,7 +38,7 @@ from gfkit.igf import icgf, icgf_update, igf, igf_update
 from gfkit.rfnf import detail_image, enhanced_flash, rfnf_gen, rfnf_seo
 from gfkit.rmsf import alpha_weight, cgf_rmsf, gf_rmsf, naive_roll37
 from gfkit.tvgf import tvgf, tvgf_roll
-from conftest import peak_bytes
+from conftest import peak_bytes, peak_planes
 from oracles import (
     frozen_alpha_weight,
     frozen_anchored_update,
@@ -107,8 +107,8 @@ def test_fits(strips, images, w, eps):
     fit = gf_coeffs(p, guide, w, eps)
     _same([fit.a, fit.b], frozen_gf_coeffs(p, guide, w, eps))
     moments, _ = guide_fit(p, guide, w, eps, True)
-    counts = np.outer(moments.counts.rows, moments.counts.cols)
-    _same([counts, moments.mean, moments.var_eps], frozen_guide_moments(guide, w, eps))
+    _same([window_counts(p.shape, w), moments.mean, moments.var_eps],
+          frozen_guide_moments(guide, w, eps))
     moments, fit = guide_fit(guide, guide, w, eps, True)
     (_, mean, var_eps), (a, b) = frozen_self_fit(guide, w, eps)
     _same([moments.mean, moments.var_eps, fit.a, fit.b], [mean, var_eps, a, b])
@@ -133,11 +133,10 @@ def test_updates(strips, images, w, lam, beta):
     p, guide, g = images
     fit = gf_coeffs(p, guide, w, 0.05)
     a, b = frozen_gf_coeffs(p, guide, w, 0.05)
-    counts = WindowCounts.of(p.shape, w)
-    plane = np.outer(counts.rows, counts.cols)
+    plane = window_counts(p.shape, w)
     _same([gf_apply(fit, guide, w)],
           [frozen_anchored_update(frozen_window_sums(a, b, guide, w), plane)])
-    _same([anchored_update(frozen_window_sums(a, b, guide, w), counts, g, lam)],
+    _same([anchored_update(frozen_window_sums(a, b, guide, w), w, g, lam)],
           [frozen_anchored_update(frozen_window_sums(a, b, guide, w), plane, g, lam)])
     _same([icgf_update(fit, p, g, w, lam, guide)],
           [frozen_inverse_update(a, b, p, g, w, lam, guide)])
@@ -194,10 +193,6 @@ SIZE = 256
 PLANE = SIZE * SIZE * 8
 
 
-def _peak_planes(call) -> float:
-    return peak_bytes(call) / PLANE
-
-
 @pytest.fixture(scope="module")
 def pair():
     rng = np.random.default_rng(4)
@@ -222,7 +217,7 @@ def test_rmsf_holds_at_most_nine_planes(pair, scheme):
         "gf_rmsf": lambda: gf_rmsf(p, guide, 0.01, 0.01, WindowSpec(3), 3),
         "cgf_rmsf": lambda: cgf_rmsf(p, guide, 0.01, 0.01, 0.1, 0.1, WindowSpec(3), 3),
     }[scheme]
-    assert _peak_planes(call) <= 9
+    assert peak_planes(call, p.shape) <= 9
 
 
 @pytest.mark.parametrize("iters", [1, 3])
@@ -237,11 +232,11 @@ def test_rolls_hold_no_count_plane(pair, narrow_strips, iters):
     p, guide = pair
     budget = iters - 1 + 4 + 0.5
     w = WindowSpec(3)
-    assert _peak_planes(lambda: gf_roll(p, guide, w, 0.05, iters)) < budget
-    assert _peak_planes(lambda: cgf_roll(p, guide, p, w, 0.05, 0.3, iters)) < budget
-    assert _peak_planes(lambda: tvgf_roll(p, guide, WindowSpec(3, Boundary.PERIODIC), 0.05, 3.0,
-                                          iters)) < budget + 0.5
-    assert _peak_planes(lambda: rfnf_gen(p, guide, w, 0.05, 0.3, 1.5, 5)) < 1 + 1 + 4 + 0.5
+    assert peak_planes(lambda: gf_roll(p, guide, w, 0.05, iters), p.shape) < budget
+    assert peak_planes(lambda: cgf_roll(p, guide, p, w, 0.05, 0.3, iters), p.shape) < budget
+    assert peak_planes(lambda: tvgf_roll(p, guide, WindowSpec(3, Boundary.PERIODIC), 0.05, 3.0,
+                                         iters), p.shape) < budget + 0.5
+    assert peak_planes(lambda: rfnf_gen(p, guide, w, 0.05, 0.3, 1.5, 5), p.shape) < 1 + 1 + 4 + 0.5
 
 
 def test_self_guided_inverse_lets_the_fit_go(pair):
@@ -250,8 +245,8 @@ def test_self_guided_inverse_lets_the_fit_go(pair):
     # its own plane: three planes and the strip blocks are alive at the
     # peak (four before, five before that)
     p, g = pair
-    assert _peak_planes(lambda: igf(p, p, WindowSpec(3), 0.05)) < 4
-    assert _peak_planes(lambda: icgf(p, p, g, WindowSpec(3), 0.05, 0.3)) < 4
+    assert peak_planes(lambda: igf(p, p, WindowSpec(3), 0.05), p.shape) < 4
+    assert peak_planes(lambda: icgf(p, p, g, WindowSpec(3), 0.05, 0.3), p.shape) < 4
 
 
 W3, WP3 = WindowSpec(3), WindowSpec(3, Boundary.PERIODIC)
@@ -291,7 +286,7 @@ ONE_PASS_BUDGETS = {
 ])
 def test_one_pass_keeps_to_its_plane_budget(pair, narrow_strips, call, budget):
     p, g = pair
-    assert _peak_planes(lambda: call(p, g)) < budget
+    assert peak_planes(lambda: call(p, g), p.shape) < budget
 
 
 @pytest.mark.parametrize("side, w", [
@@ -306,7 +301,7 @@ def test_sums_of_a_product_hold_one_plane(narrow_strips, side, w):
     # strip's bytes: as much as a plain pass holds, with r + 1 = 9 rows past
     # a strip's 8 too (1.07 measured; 2.00 before)
     p, g = np.random.default_rng(4).random((2, side, side))
-    assert peak_bytes(lambda: box_sum(p, w, times=g)) / p.nbytes < 1.1
+    assert peak_planes(lambda: box_sum(p, w, times=g), p.shape) < 1.1
 
 
 @pytest.mark.parametrize("command", sorted(FILTER_COMMANDS))
@@ -319,23 +314,20 @@ def test_count_blocks_are_filled_without_a_temporary():
     # a broadcast multiply into the count block buffers a block-sized
     # temporary; a strip loop holds no more than its own blocks
     shape = (SIZE, SIZE)
-    counts = WindowCounts.of(shape, TRUNC)
-    peak = peak_bytes(lambda: each_strip(shape, lambda rows, n: None, 0, counts))
+    peak = peak_bytes(lambda: each_strip(shape, lambda rows, n: None, 0, TRUNC))
     block = 8 * SIZE * (SIZE // 4)  # one strip: a quarter of the rows
     assert peak < 1.1 * block
 
 
-def test_roll_updates_receive_the_count_factors(pair):
+def test_roll_updates_receive_the_window(pair):
+    # an update fills its count blocks from the window: no count plane reaches it
     p, guide = pair
     seen = []
 
-    def update(f, counts):
-        seen.append(counts)
+    def update(f, w):
+        seen.append(w)
         return f
 
     fit = guide_fit(p, guide, TRUNC, 0.05, True)
     list(roll(p, guide, fit, TRUNC, PixelTerm("probe", update, None), 2))
-    assert len(seen) == 2
-    for counts in seen:
-        assert isinstance(counts, WindowCounts)
-        assert counts.rows.shape == (SIZE,) and counts.cols.shape == (SIZE,)
+    assert seen == [TRUNC, TRUNC]

@@ -26,10 +26,9 @@ from gfkit.cli import FILTER_COMMANDS, _dest, _flag_defaults
 from gfkit.core import Boundary, WindowSpec
 from gfkit.gf import energy_gf, gf_coeffs, gf, last_iterate
 from gfkit.metrics import ssim
-from conftest import peak_bytes
+from conftest import peak_planes
 
 SHAPE = (527, 1000)
-PLANE = 8 * SHAPE[0] * SHAPE[1]
 
 
 @pytest.fixture(scope="module")
@@ -123,10 +122,6 @@ def test_more_strip_runs_with_narrow_strips(workers, images, monkeypatch):
     assert workers(3, lambda: _strips_and_runs(SHAPE))[1] == 3
 
 
-def _peak_planes(call) -> float:
-    return peak_bytes(call) / PLANE
-
-
 @pytest.mark.parametrize("call, blocks", [
     # a strip loop holds at most 2 blocks a strip: a scratch block and the counts
     (lambda p, g: gf(p, p, WindowSpec(3), 0.05), 2),
@@ -139,8 +134,8 @@ def test_scratch_does_not_grow_with_the_worker_count(workers, images, call, bloc
     # eight workers, whose runs of strips each hold their own blocks: all of
     # them together hold at most one strip in STRIPS_PER_RUN of each block
     p, guide, _ = images
-    one = workers(1, lambda: _peak_planes(lambda: call(p, guide)))
-    eight = workers(8, lambda: _peak_planes(lambda: call(p, guide)))
+    one = workers(1, lambda: peak_planes(lambda: call(p, guide), SHAPE))
+    eight = workers(8, lambda: peak_planes(lambda: call(p, guide), SHAPE))
     assert eight - one < blocks / STRIPS_PER_RUN + 0.01
 
 
