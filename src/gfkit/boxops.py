@@ -85,9 +85,7 @@ from typing import TypeVar
 import numpy as np
 from scipy.ndimage import uniform_filter1d
 
-from .core import (
-    STRIP_BYTES, Boundary, Image, WindowSpec, as_image, as_images, require_params,
-)
+from .core import Boundary, Image, WindowSpec, as_image, as_images, require_params
 
 T = TypeVar("T")
 
@@ -104,6 +102,13 @@ PARALLEL_PIXELS = 1 << 18
 # strip in this many at once, so that at any worker count the blocks of
 # one scratch slot together hold about 1/STRIPS_PER_RUN of the plane or less
 STRIPS_PER_RUN = 8
+# bytes of one row strip of one plane, for every strip loop (``each_strip``:
+# SSIM, the row differences of a box pass and the pointwise steps after
+# it) and the first window's blocks of a box pass. A strip of each of a
+# handful of planes then stays inside a 2 MB L2 cache; among budgets from
+# 32 KiB to 1 MiB, 256 KiB ran fastest for both SSIM and the pointwise
+# steps on 1 MP planes (SSIM: 256-384 KiB, also on 1080p)
+STRIP_BYTES = 1 << 18
 _pool: futures.ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
@@ -243,11 +248,11 @@ def _row_differences(x: Image, times: Image | None, out: Image, r: int, periodic
         return np.multiply(x[i : i + n], times[i : i + n], out=into, order="C")
 
     def window(i, n, into):
-        # into = the sum of rows i to i + n, in blocks of at most STRIP_BYTES:
-        # the first block summed, then each later row added in order, as
-        # np.sum adds the rows of a block of 2 or more columns; it sums one
-        # column pairwise, so that is one block
-        step = h if x.shape[1] == 1 else max(1, STRIP_BYTES // (8 * x.shape[1]))
+        # into = the sum of rows i to i + n, in blocks of a strip's rows: the
+        # first block summed, then each later row added in order, as np.sum
+        # adds the rows of a block of 2 or more columns; it sums one column
+        # pairwise, so that is one block
+        step = h if x.shape[1] == 1 else _strip_rows(x.shape)
         np.sum(summand(i, min(step, n)), axis=0, out=into)
         for top in range(i + step, i + n, step):
             for row in summand(top, min(step, i + n - top)):

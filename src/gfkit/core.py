@@ -17,14 +17,6 @@ import numpy as np
 
 Image = np.ndarray
 
-# bytes of one row strip of one plane, for code that streams planes through
-# row strips (SSIM, and the pointwise steps after a box pass). A strip of
-# each of a handful of planes then stays inside a 2 MB L2 cache; among
-# budgets from 32 KiB to 1 MiB, 256 KiB ran fastest for both on 1 MP planes
-# (SSIM: 256-384 KiB, also on 1080p)
-STRIP_BYTES = 1 << 18
-
-
 def _is_integer(value) -> bool:
     """A Python or numpy integer, and not a bool."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)

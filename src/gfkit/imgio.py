@@ -4,10 +4,16 @@ Pixels map to floats in [0, 1] as raw / maxval. Below maxval 256 a
 sample takes 1 byte, from 256 up 2 bytes, big-endian per the format.
 Comments (# to end of line) are allowed anywhere whitespace is. Parse
 failures raise PnmError carrying a reason code and the byte offset where
-decoding stopped.
+decoding stopped: a header field that is missing or not an integer at
+its first byte (past the whitespace and comments before it), bad
+dimensions or an unsupported maxval just past the field that makes them
+so, a short raster at its end, and a sample above maxval at its first
+byte.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -25,71 +31,47 @@ class PnmError(ValueError):
         self.offset = offset
 
 
-class _Scanner:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
+_SPACE = b" \t\r\n\x0b\x0c"  # the format's whitespace bytes
+# a header field: the whitespace and comments (# to the end of the line)
+# before it, then its token, which runs to the next whitespace or comment
+_FIELD = re.compile(rb"(?:[%b]|#[^\n]*\n?)*([^%b#]*)" % (_SPACE, _SPACE))
 
-    def skip_space_and_comments(self):
-        data = self.data
-        n = len(data)
-        while self.pos < n:
-            c = data[self.pos]
-            if c in b" \t\r\n\x0b\x0c":
-                self.pos += 1
-            elif c == ord("#"):
-                end = data.find(b"\n", self.pos)
-                self.pos = n if end < 0 else end + 1
-            else:
-                return
 
-    def read_token(self) -> bytes:
-        self.skip_space_and_comments()
-        start = self.pos
-        data = self.data
-        while self.pos < len(data) and data[self.pos] not in b" \t\r\n\x0b\x0c#":
-            self.pos += 1
-        if self.pos == start:
-            raise PnmError("header", start, "unexpected end of header")
-        return data[start : self.pos]
-
-    def read_int(self, what: str) -> int:
-        start = self.pos
-        token = self.read_token()
-        if not token.isdigit():
-            raise PnmError("header", start, f"expected integer {what}, got {token!r}")
-        return int(token)
+def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
+    """The integer header field at or after byte ``pos``, and the offset
+    just past it. A missing or non-integer field raises PnmError at the
+    field's first byte."""
+    field = _FIELD.match(data, pos)
+    start, end = field.span(1)
+    if start == end:
+        raise PnmError("header", start, "unexpected end of header")
+    if not field[1].isdigit():
+        raise PnmError("header", start, f"expected integer {what}, got {field[1]!r}")
+    return int(field[1]), end
 
 
 def read_pnm(data: bytes) -> list[Image]:
     """Decode a P5/P6 stream into 1 or 3 float channels in [0, 1]."""
-    sc = _Scanner(data)
-    magic = data[sc.pos : sc.pos + 2]
-    if magic == b"P5":
-        channels = 1
-    elif magic == b"P6":
-        channels = 3
-    else:
-        raise PnmError("magic", sc.pos, f"not a binary PNM stream (magic {magic!r})")
-    sc.pos += 2
-    width = sc.read_int("width")
-    height = sc.read_int("height")
+    channels = {b"P5": 1, b"P6": 3}.get(bytes(data[:2]))
+    if channels is None:
+        raise PnmError("magic", 0, f"not a binary PNM stream (magic {data[:2]!r})")
+    width, pos = _header_int(data, 2, "width")
+    height, pos = _header_int(data, pos, "height")
     if width < 1 or height < 1:
-        raise PnmError("dimension", sc.pos, f"bad dimensions {width}x{height}")
-    maxval_at = sc.pos
-    maxval = sc.read_int("maxval")
+        raise PnmError("dimension", pos, f"bad dimensions {width}x{height}")
+    maxval, pos = _header_int(data, pos, "maxval")
     if not 1 <= maxval <= MAX_MAXVAL:
-        raise PnmError("maxval", maxval_at, f"unsupported maxval {maxval}")
+        raise PnmError("maxval", pos, f"unsupported maxval {maxval}")
     # exactly one whitespace byte separates the header from the raster
-    if sc.pos >= len(data) or data[sc.pos] not in b" \t\r\n\x0b\x0c":
-        raise PnmError("header", sc.pos, "missing whitespace before raster")
-    sc.pos += 1
+    if pos >= len(data) or data[pos] not in _SPACE:
+        raise PnmError("header", pos, "missing whitespace before raster")
+    pos += 1
     dtype = _sample_dtype(maxval).newbyteorder(">")
     need = width * height * channels * dtype.itemsize
-    raster = data[sc.pos : sc.pos + need]
+    raster = data[pos : pos + need]
     if len(raster) < need:
         raise PnmError(
-            "truncated", sc.pos + len(raster), f"raster needs {need} bytes, got {len(raster)}"
+            "truncated", pos + len(raster), f"raster needs {need} bytes, got {len(raster)}"
         )
     raw = np.frombuffer(raster, dtype=dtype).reshape(height, width, channels)
     if maxval < np.iinfo(dtype).max:  # only then can a sample exceed maxval
@@ -97,7 +79,7 @@ def read_pnm(data: bytes) -> list[Image]:
         if over.any():
             first = int(np.argmax(over.reshape(-1)))
             raise PnmError(
-                "sample", sc.pos + first * dtype.itemsize,
+                "sample", pos + first * dtype.itemsize,
                 f"sample {raw.reshape(-1)[first]} exceeds maxval {maxval}",
             )
     # each channel converts straight from the integer raster into its own

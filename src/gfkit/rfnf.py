@@ -13,7 +13,9 @@ self-guided fit, so it comes from the flash moments' own 2 box passes plus
 2 for its window sums, and every rolling pass shares those moments: n
 passes cost 4 + 4n box passes. ``rfnf_seo_iterates`` and
 ``rfnf_gen_iterates`` yield the roll's iterates and return the last; each
-scheme is that last iterate.
+scheme is that last iterate. ``detail_image`` and ``enhanced_flash`` read
+no refit, so their base layer is ``gf(flash, flash)``, one self-guided
+pass that keeps no flash moments.
 """
 
 from __future__ import annotations
@@ -25,23 +27,16 @@ import numpy as np
 from .core import Image, WindowSpec, as_image, as_images, require_params
 from .boxops import each_strip, window_counts
 from .gf import (
-    GuideMoments,
     PixelTerm,
     anchor_term,
     anchored_update,
     fit_coeffs,
+    gf,
     guide_fit,
     last_iterate,
     roll,
     window_sum_estimate,
 )
-
-
-def _flash_base(flash: Image, w: WindowSpec, eps: float) -> tuple[GuideMoments, Image]:
-    """The flash moments and the base layer gf(flash, flash): 4 box passes."""
-    require_params(eps=eps)
-    moments, *fit = guide_fit(flash, flash, w, eps, True)  # popped to hand the fit over
-    return moments, anchored_update(window_sum_estimate(fit.pop(), flash, w), w)
 
 
 def _enhance(flash: Image, base: Image, tau: float) -> Image:
@@ -60,7 +55,8 @@ def _flash_inputs(noflash, flash, w: WindowSpec, eps: float, **params):
     fit of noflash against them, and the base layer gf(flash, flash)."""
     require_params(eps=eps, **params)
     noflash, flash = as_images(noflash, flash)
-    moments, base = _flash_base(flash, w, eps)
+    moments, *fit = guide_fit(flash, flash, w, eps, True)  # popped to hand the fit over
+    base = anchored_update(window_sum_estimate(fit.pop(), flash, w), w)
     return noflash, flash, (moments, fit_coeffs(noflash, flash, moments, w)), base
 
 
@@ -73,7 +69,7 @@ def detail_term(gain: Image, w: WindowSpec) -> PixelTerm:
 def detail_image(flash: Image, w: WindowSpec, eps: float) -> Image:
     """High-frequency layer of the flash image: flash - gf(flash, flash)."""
     flash = as_image(flash)
-    return flash - _flash_base(flash, w, eps)[1]
+    return flash - gf(flash, flash, w, eps)
 
 
 def rfnf_seo_iterates(
@@ -101,7 +97,7 @@ def enhanced_flash(flash: Image, w: WindowSpec, eps: float, tau: float) -> Image
     """Base layer of the flash image with its detail re-amplified by tau."""
     require_params(tau=tau)
     flash = as_image(flash)
-    return _enhance(flash, _flash_base(flash, w, eps)[1], tau)
+    return _enhance(flash, gf(flash, flash, w, eps), tau)
 
 
 def rfnf_gen_iterates(

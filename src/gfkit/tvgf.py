@@ -4,10 +4,12 @@ The pixel update of the plain guided filter is replaced by a screened
 linear solve: the window-sum estimate f, the numerator every fixed-guide
 update shares, is divided in the Fourier domain by |w| + lambda * D, where
 D is the transfer function of the squared forward-difference gradient.
-Windows are forced periodic so that |w| is the constant scalar this
-diagonal solve requires. ``tv_term`` is that solve with its half-spectrum
-denominator built once, and the value lam * sum(TV^2) it minimizes;
-``tvgf_roll`` is ``gf.roll`` with it, and ``tvgf`` its one-pass case.
+The window must be periodic and fit the grid, so that |w| is the
+constant scalar this diagonal solve requires; ``tv_denominator`` refuses
+any other, so every entry point does. ``tv_term`` is that solve with its
+half-spectrum denominator built once, and the value lam * sum(TV^2) it
+minimizes; ``tvgf_roll`` is ``gf.roll`` with it, and ``tvgf`` its
+one-pass case.
 
 The solve writes q over f, so beside f it holds only the half spectrum.
 Each 1-D transform of ``rfft2`` and ``irfft2`` runs on its own row or
@@ -38,19 +40,18 @@ from .boxops import in_parallel, work_blocks
 from .gf import GfCoeffs, PixelTerm, energy_gf, guide_fit, roll
 
 
-def _require_periodic(w: WindowSpec) -> None:
-    if w.boundary is not Boundary.PERIODIC:
-        raise ValueError("the TV-regularized filter requires a periodic window")
-
-
 def tv_denominator(width: int, height: int, w: WindowSpec, lam: float) -> Image:
     """Frequency-domain denominator |w| + lam * D on the (height, width) grid.
 
     D(u, v) = (2 - 2cos(2*pi*v/W)) + (2 - 2cos(2*pi*u/H)), the power spectrum
     of circular forward differences along each axis. D is 0 at DC, so the
-    denominator is >= (2r+1)^2 everywhere.
+    denominator is >= (2r+1)^2 everywhere. |w| is that constant only for a
+    periodic window that fits the grid, so any other window is refused.
     """
+    if w.boundary is not Boundary.PERIODIC:
+        raise ValueError("the TV-regularized filter requires a periodic window")
     require_params(width=width, height=height, lam=lam)
+    w.check_fits((height, width))
     u = np.arange(height, dtype=np.float64)
     v = np.arange(width, dtype=np.float64)
     d = (2.0 - 2.0 * np.cos(2.0 * np.pi * u / height))[:, None] + (
@@ -83,8 +84,7 @@ def _solve_half(f: Image, denominator: Image) -> Image:
 def tv_term(shape, w: WindowSpec, lam: float) -> PixelTerm:
     """lam * sum(TV^2), whose update solves (|w| + lam * L) q = f on the half
     spectrum, writing q over f; ``tv_squared`` has the stencil of
-    ``tv_denominator``."""
-    _require_periodic(w)
+    ``tv_denominator``, which refuses a window the solve cannot take."""
     h, width = shape
     # a copy, so that a roll holds half the grid rather than all of it
     denominator = tv_denominator(width, h, w, lam)[:, : width // 2 + 1].copy()
@@ -96,7 +96,6 @@ def tvgf_solve_q(f: Image, w: WindowSpec, lam: float) -> Image:
     """Solve (|w| + lam * L) q = f for q, L the circular 5-point Laplacian."""
     f = as_image(f)
     require_finite(f, "f")  # the Fourier solve would spread a NaN or Inf over the plane
-    w.check_fits(f.shape)
     return tv_term(f.shape, w, lam).update(f.copy(), w)  # the update writes over f
 
 

@@ -140,6 +140,15 @@ def test_window_counts_come_from_the_window():
     assert found == {"boxops"}
 
 
+def test_imgio_reads_header_fields_with_a_function():
+    # width, height and maxval are read by one function of the stream and
+    # an offset: imgio defines no class but its error
+    path = Path(gfkit.__file__).parent / "imgio.py"
+    classes = [node.name for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ClassDef)]
+    assert classes == ["PnmError"]
+
+
 def test_boxops_alone_schedules_strips():
     # each_strip is the one loop that cuts strips into runs: no other module
     # names STRIPS_PER_RUN or caps work_blocks with a third argument

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from gfkit.cgf import cgf_roll
-from gfkit.cli import FILTER_COMMANDS, _dest, _flag_defaults, main
+from gfkit.cli import FILTER_COMMANDS, PARAM_FLAGS, _dest, _flag_defaults, main
 from gfkit.core import Boundary, WindowSpec
 from gfkit.gf import gf_roll
 from gfkit.igf import icgf, igf
@@ -39,21 +39,31 @@ TRUNC = WindowSpec(R, Boundary.TRUNCATE)
 PERIODIC = WindowSpec(R, Boundary.PERIODIC)
 
 
+# a value for every parameter flag, none of them a command's default and no
+# two alike, so that a flag that reached another parameter than its own
+# would change the files or the report
+EPS, EPS2, LAM, GAIN, BETA, TAU = 0.02, 0.05, 0.3, 0.6, 0.7, 1.6
+FLAG_VALUES = {"radius": R, "boundary": "periodic", "eps": EPS, "eps2": EPS2, "lam": LAM,
+               "gain": GAIN, "beta": BETA, "tau": TAU, "iters": ITERS}
+
 # the library calls each command makes on one channel x with guide g, at
-# the command's default parameters: every iterate, a MutualState (q and
+# FLAG_VALUES, each parameter by name: every iterate, a MutualState (q and
 # the G track) for a command with g_output
 LIBRARY = {
-    "gf": lambda x, g: gf_roll(x, g, TRUNC, 0.1, ITERS),
-    "tvgf": lambda x, g: tvgf_roll(x, g, PERIODIC, 0.01, 45.0, ITERS),
-    "cgf": lambda x, g: cgf_roll(x, g, x, TRUNC, 0.001, 0.01, ITERS),
-    "igf": lambda x, g: [igf(x, g, TRUNC, 0.01)],
-    "icgf": lambda x, g: [icgf(x, g, x, TRUNC, 0.01, 0.01)],
-    "rmsf-gf": lambda x, g: list(gf_rmsf_iterates(x, g, 0.01, 0.01, TRUNC, ITERS)),
-    "rmsf-cgf": lambda x, g: list(
-        cgf_rmsf_iterates(x, g, 0.001, 0.001, 0.01, 0.01, TRUNC, ITERS)),
-    "roll37": lambda x, g: list(naive_roll37_iterates(x, g, 0.01, TRUNC, ITERS)),
-    "rfnf-seo": lambda x, g: list(rfnf_seo_iterates(x, g, TRUNC, 0.1, 1.0, ITERS)),
-    "rfnf-gen": lambda x, g: list(rfnf_gen_iterates(x, g, TRUNC, 0.1, 1.0, 1.0, ITERS)),
+    "gf": lambda x, g: gf_roll(x, g, w=PERIODIC, eps=EPS, iters=ITERS),
+    "tvgf": lambda x, g: tvgf_roll(x, g, w=PERIODIC, eps=EPS, lam=LAM, iters=ITERS),
+    "cgf": lambda x, g: cgf_roll(x, g, x, w=PERIODIC, eps=EPS, lam=LAM, iters=ITERS),
+    "igf": lambda x, g: [igf(x, g, w=PERIODIC, eps=EPS)],
+    "icgf": lambda x, g: [icgf(x, g, x, w=PERIODIC, eps=EPS, lam=LAM)],
+    "rmsf-gf": lambda x, g: list(
+        gf_rmsf_iterates(x, g, eps=EPS, eps2=EPS2, w=PERIODIC, iters=ITERS)),
+    "rmsf-cgf": lambda x, g: list(cgf_rmsf_iterates(
+        x, g, eps=EPS, eps2=EPS2, lam=LAM, beta=BETA, w=PERIODIC, iters=ITERS)),
+    "roll37": lambda x, g: list(naive_roll37_iterates(x, g, eps=EPS, w=PERIODIC, iters=ITERS)),
+    "rfnf-seo": lambda x, g: list(
+        rfnf_seo_iterates(x, g, w=PERIODIC, eps=EPS, lam=GAIN, iters=ITERS)),
+    "rfnf-gen": lambda x, g: list(
+        rfnf_gen_iterates(x, g, w=PERIODIC, eps=EPS, lam=LAM, tau=TAU, iters=ITERS)),
 }
 
 
@@ -113,10 +123,12 @@ def test_files_and_report_match_the_library(workdir, capsys, name, guided):
     write_pnm_file("ref.ppm", [rng.random((20, 24)) for _ in range(3)], 255)
     write_pnm_file("guide.pgm", [rng.random((20, 24))], 65535)
     cmd = FILTER_COMMANDS[name]
-    argv = [name, "--input", "in.ppm", "--output", "out.ppm", "--radius", str(R),
-            "--metrics-against", "ref.ppm"]
+    argv = [name, "--input", "in.ppm", "--output", "out.ppm", "--metrics-against", "ref.ppm"]
+    for key, default in _flag_defaults(cmd).items():
+        assert FLAG_VALUES[key] != default
+        argv += [PARAM_FLAGS[key][0], str(FLAG_VALUES[key])]
     if "iters" in cmd.params:
-        argv += ["--iters", str(ITERS), "--dump-iterates"]
+        argv.append("--dump-iterates")
     if guided:
         argv += ["--guidance", "guide.pgm"]
     if cmd.g_output:
@@ -143,12 +155,9 @@ def test_files_and_report_match_the_library(workdir, capsys, name, guided):
 
     refs = read_pnm_file("ref.ppm")
     mean_mse = float(np.mean([mse(a, b) for a, b in zip(finals, refs)]))
-    params = dict(cmd.params, radius=R, maxval=255,
-                  boundary=(cmd.boundary or Boundary.TRUNCATE).value)
-    if "gain" in params:  # rfnf-seo's --lambda, a detail gain, is reported as lam
-        params["lam"] = params.pop("gain")
-    if "iters" in params:
-        params["iters"] = ITERS
+    # rfnf-seo's --lambda, a detail gain, is reported as lam
+    params = {_dest(key): FLAG_VALUES[key] for key in cmd.params}
+    params.update(maxval=255, boundary=PERIODIC.boundary.value)
     inputs = {"input": info("in.ppm", 3), "metrics_against": info("ref.ppm", 3)}
     if guided:
         inputs["guidance"] = info("guide.pgm", 1)

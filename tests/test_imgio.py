@@ -96,6 +96,18 @@ class TestRead:
         assert err.value.reason == reason
         assert err.value.offset >= 0
 
+    @pytest.mark.parametrize("data,reason,offset", [
+        # a field that is not an integer: its first byte, past the comment
+        (b"P5\n# c\n  x 2\n255\n", "header", 9),
+        # an unsupported maxval: the byte just past the field
+        (b"P5\n2 2\n   70000\n", "maxval", 15),
+    ], ids=["field", "maxval"])
+    def test_header_error_points_where_decoding_stopped(self, data, reason, offset):
+        with pytest.raises(PnmError) as err:
+            read_pnm(data)
+        assert (err.value.reason, err.value.offset) == (reason, offset)
+        assert str(err.value).endswith(f"(at byte {offset})")
+
     def test_every_magic_mutation_rejected(self):
         for i in range(2):
             for b in range(256):

@@ -12,8 +12,9 @@ holds: a strip's count block is filled with no temporary, a product's
 window sums hold one plane, an rmsf run at 256x256 holds at most 9 float
 planes (15 with whole-plane steps),
 no fixed-guide roll holds a plane of window counts or a fit plane past its
-window sum, a self-guided igf or icgf frees its fit early, and one pass of
-every filter command keeps to its row of ``ONE_PASS_BUDGETS``.
+window sum, a self-guided igf or icgf frees its fit early, one pass of
+every filter command keeps to its row of ``ONE_PASS_BUDGETS``, and the
+flash layers hold no flash moments.
 """
 
 import numpy as np
@@ -287,6 +288,18 @@ ONE_PASS_BUDGETS = {
 def test_one_pass_keeps_to_its_plane_budget(pair, narrow_strips, call, budget):
     p, g = pair
     assert peak_planes(lambda: call(p, g), p.shape) < budget
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: detail_image(p, W3, 0.05),
+    lambda p: enhanced_flash(p, W3, 0.05, 1.5),
+], ids=["detail_image", "enhanced_flash"])
+def test_flash_layers_keep_to_a_self_guided_pass(pair, narrow_strips, call):
+    # the base layer is gf(flash, flash): the self fit's 3 planes, then the
+    # layer beside the base or written over it; no flash moments (5.08
+    # measured when the base came with them)
+    p, _ = pair
+    assert peak_planes(lambda: call(p), p.shape) < 3.5
 
 
 @pytest.mark.parametrize("side, w", [

@@ -17,7 +17,7 @@ WP = WindowSpec(2, Boundary.PERIODIC)
 
 class TestDenominator:
     def test_dc_value(self):
-        d = tv_denominator(8, 6, WindowSpec(3, Boundary.PERIODIC), lam=45.0)
+        d = tv_denominator(8, 7, WindowSpec(3, Boundary.PERIODIC), lam=45.0)
         assert d[0, 0] == pytest.approx(49.0)
 
     def test_nyquist_value(self):
@@ -38,6 +38,16 @@ class TestDenominator:
     def test_bad_dims(self):
         with pytest.raises(ValueError):
             tv_denominator(0, 5, WP, 1.0)
+
+    def test_truncating_window_refused(self):
+        # |w| is not one constant under truncation, so no diagonal solve exists
+        with pytest.raises(ValueError, match="periodic window"):
+            tv_denominator(3, 3, WindowSpec(1), 1.0)
+
+    def test_window_larger_than_the_grid_refused(self):
+        # a periodic window of side 3 would overlap itself on a 2x2 grid
+        with pytest.raises(ValueError, match="does not fit"):
+            tv_denominator(2, 2, WindowSpec(1, Boundary.PERIODIC), 1.0)
 
 
 class TestSolve:
