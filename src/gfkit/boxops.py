@@ -306,11 +306,13 @@ def box_sum(x: Image, w: WindowSpec, times: Image | None = None) -> Image:
     if not np.isfinite(out[-1]).all():
         raise ValueError(_NON_FINITE)
     mode = "wrap" if periodic else "constant"
+    # a truncated window past the row's ends sums the whole row; a periodic one fits it
+    side = 2 * min(r, x.shape[1] - 1) + 1
 
     def row_pass(rows):
         block = out[rows]
-        uniform_filter1d(block, w.side, axis=1, output=block, mode=mode)
-        block *= w.side
+        uniform_filter1d(block, side, axis=1, output=block, mode=mode)
+        block *= side
 
     in_parallel(row_pass, work_blocks(out.shape[0], out.size))
     return out
@@ -319,8 +321,8 @@ def box_sum(x: Image, w: WindowSpec, times: Image | None = None) -> Image:
 def _counts_1d(n: int, w: WindowSpec) -> np.ndarray:
     if w.boundary is Boundary.PERIODIC:
         return np.full(n, w.side, dtype=np.float64)
-    i = np.arange(n)
-    return (np.minimum(i + w.radius, n - 1) - np.maximum(i - w.radius, 0) + 1).astype(np.float64)
+    i, r = np.arange(n), min(w.radius, n - 1)  # a wider window counts the whole line
+    return (np.minimum(i + r, n - 1) - np.maximum(i - r, 0) + 1).astype(np.float64)
 
 
 def window_counts(shape, w: WindowSpec) -> Image:

@@ -336,7 +336,6 @@ def _run_filter_command(cmd: FilterCommand, args) -> dict:
         ref_channels = read_pnm_file(args.metrics_against)
         report_inputs["metrics_against"] = _channel_info(args.metrics_against, ref_channels)
         metrics_obj = _metrics_report([c.out for c in done], ref_channels)
-        ref_channels = None
 
     outputs = []
 

@@ -40,6 +40,8 @@ class WindowSpec:
         # a boundary given by name becomes the member every check compares to
         object.__setattr__(self, "boundary", Boundary(self.boundary))
         require_params(radius=self.radius)
+        # a numpy integer would wrap in side and in a box pass's row indices
+        object.__setattr__(self, "radius", int(self.radius))
 
     @property
     def side(self) -> int:
@@ -98,10 +100,12 @@ def require_finite(x: Image, what: str) -> None:
 
 # keyword -> (name in the message, requirement, test); NaN fails every test
 _PARAM_RULES = {
-    "eps": ("eps", "> 0", lambda v: v > 0),
-    "fit_eps": ("eps", ">= 0", lambda v: v >= 0),  # a fit's ridge; 0 for identity checks
-    "eps2": ("eps2", "> 0", lambda v: v > 0),
-    "fit_eps2": ("eps2", ">= 0", lambda v: v >= 0),  # the inverse fit's ridge in an energy
+    "eps": ("eps", "finite and > 0", lambda v: 0 < v < math.inf),
+    # a fit's ridge; 0 for identity checks
+    "fit_eps": ("eps", "finite and >= 0", lambda v: 0 <= v < math.inf),
+    "eps2": ("eps2", "finite and > 0", lambda v: 0 < v < math.inf),
+    # the inverse fit's ridge in an energy
+    "fit_eps2": ("eps2", "finite and >= 0", lambda v: 0 <= v < math.inf),
     "lam": ("lambda", "finite and >= 0", lambda v: 0 <= v < math.inf),
     "beta": ("beta", "finite and >= 0", lambda v: 0 <= v < math.inf),
     "tau": ("tau", "finite", math.isfinite),

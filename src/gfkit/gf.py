@@ -30,9 +30,9 @@ filling its count block from the window (see ``boxops``), so a roll
 holds the guide's mean and variance but no plane of counts. Each plane
 lives only until its last read: every product is box-summed over its
 own plane (``box_sum``'s ``times``), and the roll hands each fit to
-``window_sum_estimate``, which lets a go once sum(a) exists and b once
-sum(b) does. A refit then holds two float planes besides the moments and
-its input, and a window-sum step three.
+``window_sum_estimate``, which lets a go once sum(a) exists, so that
+sum(b) is taken beside b alone. A refit then holds two float planes
+besides the moments and its input, and a window-sum step three.
 
 When the input is the guide itself (p is guide, the edge-preserving
 smoothing case), the fit needs only the guide's own moments: mean(p) is
@@ -177,14 +177,15 @@ def window_sum_estimate(coeffs: GfCoeffs, guide: Image, w: WindowSpec) -> Image:
     summed, the numerator of every forward pixel update. 2 box passes.
 
     A caller that hands over its only reference to the fit lets a die once
-    sum(a) exists, and b once sum(b) does.
+    sum(a) exists, so sum(b) is taken beside one fit plane, not two. b
+    lives to the return: only a strip loop with no scratch runs after
+    sum(b), so letting it go there would lower no peak.
     """
     a, b = coeffs.a, coeffs.b
     del coeffs
     f = box_sum(a, w)
     del a
     sum_b = box_sum(b, w)
-    del b
 
     def strip(rows):
         fr = f[rows]
@@ -250,8 +251,8 @@ def roll(
     ``guide_fit``, or against moments the caller holds; None for the
     moments if no refit follows); every later pass refits the current
     iterate against those moments. Each fit is handed to
-    ``window_sum_estimate``, so a dies once sum(a) exists and b once sum(b)
-    does (on the last pass the moments die before), and ``term.update(f,
+    ``window_sum_estimate``, so a dies once sum(a) exists and b when f is
+    returned (on the last pass the moments die before), and ``term.update(f,
     w)`` maps the window sums f to the next iterate: 4 box passes a pass
     after the first fit. Without tol the roll lets go of each iterate once
     it is fit, so a consumer that drops the iterates it was given holds one

@@ -4,11 +4,11 @@ Pixels map to floats in [0, 1] as raw / maxval. Below maxval 256 a
 sample takes 1 byte, from 256 up 2 bytes, big-endian per the format.
 Comments (# to end of line) are allowed anywhere whitespace is. Parse
 failures raise PnmError carrying a reason code and the byte offset where
-decoding stopped: a header field that is missing or not an integer at
-its first byte (past the whitespace and comments before it), bad
-dimensions or an unsupported maxval just past the field that makes them
-so, a short raster at its end, and a sample above maxval at its first
-byte.
+decoding stopped: a header field that is missing, not an integer or of
+more digits than ``int`` converts at its first byte (past the whitespace
+and comments before it), bad dimensions or an unsupported maxval just
+past the field that makes them so, a short raster at its end, and a
+sample above maxval at its first byte.
 """
 
 from __future__ import annotations
@@ -39,15 +39,18 @@ _FIELD = re.compile(rb"(?:[%b]|#[^\n]*\n?)*([^%b#]*)" % (_SPACE, _SPACE))
 
 def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     """The integer header field at or after byte ``pos``, and the offset
-    just past it. A missing or non-integer field raises PnmError at the
-    field's first byte."""
+    just past it. A missing or non-integer field, or one of more digits
+    than ``int`` converts, raises PnmError at the field's first byte."""
     field = _FIELD.match(data, pos)
     start, end = field.span(1)
     if start == end:
         raise PnmError("header", start, "unexpected end of header")
     if not field[1].isdigit():
         raise PnmError("header", start, f"expected integer {what}, got {field[1]!r}")
-    return int(field[1]), end
+    try:
+        return int(field[1]), end
+    except ValueError:  # past the interpreter's limit on digits converted
+        raise PnmError("header", start, f"{what} has {end - start} digits") from None
 
 
 def read_pnm(data: bytes) -> list[Image]:

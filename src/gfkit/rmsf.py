@@ -29,10 +29,12 @@ a * b, a^2, c * d and c^2 in the inverse updates and alpha weights) is
 summed over its own plane, ``box_sum``'s ``times``, so no product plane
 sits beside its window sums. Each track's inverse term runs before its forward term, so its
 prior, the old track, dies before the forward window sums exist, and
-every window sum is folded into its term as soon as it exists. The loop
-holds each fit by name until its last window sum has returned, so the
-one-pass filters' hand-over of a fit (``gf.window_sum_estimate``,
-``igf.inverse_update``) frees nothing here and the peak stays at 8.
+every window sum is folded into its term as soon as it exists. Both fits
+live to the end of the iteration, with or without ``snapshots`` (which
+only keeps them past it): each track's update peaks with all four fit
+planes alive, so releasing a fit after its last window sum lowers no peak,
+the one-pass filters' hand-over of a fit (``gf.window_sum_estimate``,
+``igf.inverse_update``) frees nothing here, and the peak stays at 8.
 
 An iteration runs 20 box passes, 7 of which repeat a window sum taken
 earlier in the same iteration: sum(G), sum(q) and sum(qG) in the second
@@ -134,8 +136,9 @@ def _mutual_iterates(
     passes per iteration (two fits 8, two inverse updates 6, two window-sum
     estimates 4, two alpha weights 2). Each track's inverse term comes
     first, so that the old track, its prior, dies before the forward term's
-    window sums exist, and each fit is dropped once its last window sum is
-    taken (unless ``snapshots`` keeps the fits to the end of the iteration).
+    window sums exist. Both fits live to the end of the iteration, where
+    ``snapshots``, if given, keeps them with the state; the loop's memory
+    does not otherwise depend on it.
     Every state is yielded as soon as it exists, and the last is returned.
     """
     q, G = p, guide
@@ -153,8 +156,6 @@ def _mutual_iterates(
         inv = inverse_update(ab, q, p, w, lam, prior=G)
         G = None
         fwd = anchored_update(window_sum_estimate(cd, q, w), w, guide, beta)
-        if snapshots is None:
-            cd = None
         G = _blend(alpha_weight(ab.a, w), fwd, inv)
         fwd = inv = None
         state = MutualState(q, G, n + 1)

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 import gfkit.boxops
 from gfkit.core import Boundary, WindowSpec
 from gfkit.boxops import box_mean, box_sum, window_counts
+from gfkit.gf import gf
 
 from oracles import naive_box_sum
 
@@ -151,6 +152,20 @@ def test_box_sum_truncate_window_taller_than_image():
     got = box_sum(x, w)
     assert np.max(np.abs(got - naive_box_sum(x, w))) <= 1e-10
     assert np.max(np.abs(got - x.sum())) <= 1e-10
+
+
+@pytest.mark.parametrize("r", [30, 10**6, 10**12, 2**62, 10**20])
+def test_truncated_window_wider_than_the_image_sums_it_whole(r):
+    # from r = max(h, w) - 1 on, a truncated window covers the whole image
+    # at every pixel, so every radius past it gives that radius's sums and
+    # counts bit for bit; the row pass once took a line buffer of the
+    # window's side (out of memory at 10**12) and the counts overflowed at
+    # 10**20; the naive oracle pads by r, so it cannot take these radii
+    x = np.random.default_rng(9).random((20, 30))
+    whole, w = WindowSpec(29), WindowSpec(r)
+    assert np.array_equal(box_sum(x, w), box_sum(x, whole))
+    assert np.array_equal(window_counts(x.shape, w), window_counts(x.shape, whole))
+    assert np.array_equal(gf(x, x, w, 0.05), gf(x, x, whole, 0.05))
 
 
 @pytest.mark.parametrize("boundary", BOTH)

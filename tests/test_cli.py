@@ -231,6 +231,26 @@ class TestExitCodes:
         assert "sample 1024 exceeds maxval 1023 (at byte 14)" in err
         assert not os.path.exists("o.pgm")
 
+    def test_over_long_header_field_is_parse_error(self, workdir, capsys):
+        # int() refuses a field of more than 4300 digits with a plain
+        # ValueError, which exited 2 as a usage error
+        Path("bad.pgm").write_bytes(b"P5\n" + b"1" * 5000 + b" 2\n255\n")
+        code, _, err = run_cli(capsys, "gf", "--input", "bad.pgm", "--output", "o.pgm")
+        assert code == 3
+        assert "width has 5000 digits (at byte 3)" in err
+        assert not os.path.exists("o.pgm")
+
+    @pytest.mark.parametrize("radius", ["1000000000000", "99999999999999999999"])
+    def test_truncated_window_wider_than_the_image_filters_it_whole(self, workdir, capsys,
+                                                                    radius):
+        # these exited 4 (out of memory) and 1 (an OverflowError's traceback)
+        write_pnm_file("in.pgm", [np.random.default_rng(5).random((30, 40))], 255)
+        for r, out in [(radius, "wide.pgm"), ("39", "whole.pgm")]:
+            code, _, _ = run_cli(capsys, "gf", "--input", "in.pgm", "--output", out,
+                                 "--radius", r)
+            assert code == 0
+        assert Path("wide.pgm").read_bytes() == Path("whole.pgm").read_bytes()
+
     def test_any_input_maxval_is_read(self, workdir, capsys):
         rng = np.random.default_rng(3)
         write_pnm_file("in.pgm", [rng.random((16, 16))], 4095)
@@ -243,6 +263,7 @@ class TestExitCodes:
         "cmd,flag,value",
         [
             ("gf", "--eps", "0"),
+            ("gf", "--eps", "inf"),
             ("cgf", "--lambda", "-1"),
             ("rmsf-cgf", "--eps2", "0"),
             ("rmsf-cgf", "--beta", "-0.5"),
@@ -264,7 +285,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,flag,value,rule",
         [
-            (["gf", "--input", "in.pgm", "--output", "o.pgm"], "--eps", "-1", "eps must be > 0"),
+            (["gf", "--input", "in.pgm", "--output", "o.pgm"], "--eps", "-1",
+             "eps must be finite and > 0"),
             (["cgf", "--input", "in.pgm", "--output", "o.pgm"], "--lambda", "-1",
              "lambda must be finite and >= 0"),
             # rfnf-seo's --lambda is core's detail gain, of either sign

@@ -35,6 +35,17 @@ class TestWindowSpec:
     def test_numpy_integer_radius(self):
         assert WindowSpec(np.int64(3)).side == 7
 
+    @pytest.mark.parametrize("radius", [np.int64(2**62), np.int32(2**30)])
+    def test_numpy_radius_is_held_as_a_python_int(self, radius):
+        # a numpy radius wrapped in side (2 * 2**62 + 1 read -9223372036854775807),
+        # so a periodic window far wider than the image passed check_fits
+        w = WindowSpec(radius, Boundary.PERIODIC)
+        assert type(w.radius) is int
+        assert w.side == 2 * int(radius) + 1
+        with pytest.raises(ValueError, match=f"^periodic window of side {w.side} does not fit "
+                                             "image 30x20$"):
+            w.check_fits((20, 30))
+
     def test_periodic_fit(self):
         WindowSpec(3, Boundary.PERIODIC).check_fits((7, 9))
         with pytest.raises(ValueError):
@@ -132,7 +143,7 @@ class TestParameterKinds:
 
     def test_fit_eps_keeps_zero_and_its_message(self):
         gf_coeffs(self.X, self.X, WindowSpec(1), 0.0)
-        with pytest.raises(ValueError, match=r"^eps must be >= 0, got -0.1$"):
+        with pytest.raises(ValueError, match=r"^eps must be finite and >= 0, got -0.1$"):
             gf_coeffs(self.X, self.X, WindowSpec(1), -0.1)
 
 

@@ -218,11 +218,13 @@ class TestEnergy:
     # eps = -1, energy_mutual -2409 at eps2 = -5)
     BAD_WEIGHTS = {
         "energy_gf-eps": (lambda q, c, g: energy_gf(q, c, g, WindowSpec(1), -1),
-                          "eps must be >= 0, got -1"),
+                          "eps must be finite and >= 0, got -1"),
         "energy_tvgf-eps": (lambda q, c, g: energy_tvgf(
-            q, c, g, WindowSpec(1, Boundary.PERIODIC), -1, 1.0), "eps must be >= 0, got -1"),
+            q, c, g, WindowSpec(1, Boundary.PERIODIC), -1, 1.0),
+            "eps must be finite and >= 0, got -1"),
         "energy_mutual-eps2": (lambda q, c, g: energy_mutual(
-            MutualState(q, g, 1), c, c, WindowSpec(1), 0.1, -5), "eps2 must be >= 0, got -5"),
+            MutualState(q, g, 1), c, c, WindowSpec(1), 0.1, -5),
+            "eps2 must be finite and >= 0, got -5"),
         "energy_cgf-lambda": (lambda q, c, g: energy_cgf(q, c, g, g, WindowSpec(1), 0.1, -1),
                               "lambda must be finite and >= 0, got -1"),
         "energy_cgf-lambda-nan": (lambda q, c, g: energy_cgf(
@@ -254,5 +256,5 @@ class TestEnergy:
         report = energy_mutual(MutualState(q, guide, 1), ab, cd, w, 0.1, 0.0)
         assert report.terms["ridge_c"] == 0.0
         assert report.terms["data_g"] == energy_gf(guide, cd, q, w, 0.0).total >= 0.0
-        with pytest.raises(ValueError, match=r"^eps2 must be >= 0, got -5e-324$"):
+        with pytest.raises(ValueError, match=r"^eps2 must be finite and >= 0, got -5e-324$"):
             energy_mutual(MutualState(q, guide, 1), ab, cd, w, 0.1, -5e-324)

@@ -101,7 +101,9 @@ class TestRead:
         (b"P5\n# c\n  x 2\n255\n", "header", 9),
         # an unsupported maxval: the byte just past the field
         (b"P5\n2 2\n   70000\n", "maxval", 15),
-    ], ids=["field", "maxval"])
+        # a field of more digits than int() converts: its first byte
+        (b"P5\n" + b"1" * 5000 + b" 2\n255\n", "header", 3),
+    ], ids=["field", "maxval", "digits"])
     def test_header_error_points_where_decoding_stopped(self, data, reason, offset):
         with pytest.raises(PnmError) as err:
             read_pnm(data)

@@ -7,8 +7,8 @@ f of tvgf_solve_q, which the Fourier solve would spread over the whole
 plane; and what an energy prices without a box pass, the fit's a and b
 of energy_gf, energy_tvgf and energy_mutual (whose inverse fit is named
 c and d) and the anchor g of energy_cgf. A NaN or Inf weight (lambda,
-beta, tau) or a NaN eps is rejected by name before any computation, and
-a complex image before its cast to float."""
+beta, tau, eps, eps2) is rejected by name before any computation, and a
+complex image before its cast to float."""
 
 import sys
 import warnings
@@ -119,6 +119,11 @@ WEIGHTS = {
     "gf-eps-nan": (lambda p, g: gf(p, g, TRUNC, NAN), "eps"),
     "igf-eps-nan": (lambda p, g: igf(p, g, TRUNC, NAN), "eps"),
     "gf_rmsf-eps2-nan": (lambda p, g: gf_rmsf(p, g, 0.01, NAN, TRUNC, 1), "eps2"),
+    # an infinite ridge returned the box mean, and priced a ridge of nan
+    "gf-eps-inf": (lambda p, g: gf(p, g, TRUNC, INF), "eps"),
+    "energy_gf-eps-inf": (lambda p, g: energy_gf(p, gf_coeffs(p, g, TRUNC, 0.01), g, TRUNC, INF),
+                          "eps"),
+    "gf_rmsf-eps2-inf": (lambda p, g: gf_rmsf(p, g, 0.01, INF, TRUNC, 1), "eps2"),
 }
 
 
