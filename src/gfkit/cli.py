@@ -27,6 +27,8 @@ import numpy as np
 from . import synth
 from .core import Boundary, Image, WindowSpec, require_params
 from .boxops import box_sum, worker_count
+# the streams of the FILTER_COMMANDS rows, which call each by its name here
+# when they run, so that a binding patched on this module takes effect
 from .gf import gf_iterates, last_iterate
 from .tvgf import tvgf_iterates
 from .cgf import cgf_iterates
@@ -73,19 +75,28 @@ PARAM_FLAGS = {
 class FilterCommand:
     """One filter subcommand. ``params`` maps each of its ``PARAM_FLAGS``
     keys to its default; a fixed ``boundary`` replaces the --boundary flag.
-    ``run(channel, guide, anchor, w, args)`` returns a stream of the
-    filter's iterates that returns its output, the last of them: one per
-    pass of a rolling scheme (a command with --iters, which alone takes
-    --dump-iterates), else just the output. With ``g_output`` every
-    iterate is a MutualState (q and the guidance track G)."""
+    ``stream`` names the library function the command runs, which takes
+    each parameter but the radius by its flag's dest, and g, the anchor,
+    with ``anchor``. With ``g_output`` every iterate is a MutualState (q
+    and the guidance track G)."""
 
     help: str
     params: dict
-    run: Callable
+    stream: str
     anchor: bool = False
     g_output: bool = False
     boundary: Boundary | None = None
     description: str | None = None
+
+    def run(self, x: Image, guide: Image, anchor: Image, w: WindowSpec, args):
+        """A stream of the filter's iterates that returns its output, the
+        last of them: one per pass of a rolling scheme (a command with
+        --iters, which alone takes --dump-iterates), else just the output."""
+        values = {_dest(key): getattr(args, _dest(key)) for key in self.params if key != "radius"}
+        if self.anchor:
+            values["g"] = anchor
+        result = globals()[self.stream](x, guide, w=w, **values)
+        return result if "iters" in self.params else _one_pass(result)
 
 
 _INVERSE = (
@@ -103,51 +114,37 @@ def _one_pass(output: Image) -> Generator[Image, None, Image]:
 
 # the defaults mirror the documented recommended settings per filter
 FILTER_COMMANDS = {
-    "gf": FilterCommand(
-        "guided filter", {"radius": 10, "eps": 0.1, "iters": 1},
-        lambda x, g, anchor, w, a: gf_iterates(x, g, w, a.eps, a.iters)),
+    "gf": FilterCommand("guided filter", {"radius": 10, "eps": 0.1, "iters": 1}, "gf_iterates"),
     "tvgf": FilterCommand(
         "TV-regularized guided filter (periodic windows)",
-        {"radius": 10, "eps": 0.01, "lam": 45.0, "iters": 1},
-        lambda x, g, anchor, w, a: tvgf_iterates(x, g, w, a.eps, a.lam, a.iters),
+        {"radius": 10, "eps": 0.01, "lam": 45.0, "iters": 1}, "tvgf_iterates",
         boundary=Boundary.PERIODIC),
     "cgf": FilterCommand(
         "conservative guided filter (anchored)",
-        {"radius": 6, "eps": 0.001, "lam": 0.01, "iters": 1},
-        lambda x, g, anchor, w, a: cgf_iterates(x, g, anchor, w, a.eps, a.lam, a.iters),
-        anchor=True),
+        {"radius": 6, "eps": 0.001, "lam": 0.01, "iters": 1}, "cgf_iterates", anchor=True),
     "igf": FilterCommand(
-        "inverse guided filter", {"radius": 6, "eps": 0.01},
-        lambda x, g, anchor, w, a: _one_pass(igf(x, g, w, a.eps)), description=_INVERSE),
+        "inverse guided filter", {"radius": 6, "eps": 0.01}, "igf", description=_INVERSE),
     "icgf": FilterCommand(
-        "inverse guided filter with anchor", {"radius": 6, "eps": 0.01, "lam": 0.01},
-        lambda x, g, anchor, w, a: _one_pass(icgf(x, g, anchor, w, a.eps, a.lam)),
+        "inverse guided filter with anchor", {"radius": 6, "eps": 0.01, "lam": 0.01}, "icgf",
         anchor=True, description=_INVERSE),
     "rmsf-gf": FilterCommand(
         "mutual-structure rolling (plain pair)",
-        {"radius": 6, "eps": 0.01, "eps2": 0.01, "iters": 5},
-        lambda x, g, anchor, w, a: gf_rmsf_iterates(x, g, a.eps, a.eps2, w, a.iters),
+        {"radius": 6, "eps": 0.01, "eps2": 0.01, "iters": 5}, "gf_rmsf_iterates",
         g_output=True),
     "rmsf-cgf": FilterCommand(
         "mutual-structure rolling (anchored pair)",
         {"radius": 6, "eps": 0.001, "eps2": 0.001, "lam": 0.01, "beta": 0.01, "iters": 5},
-        lambda x, g, anchor, w, a: cgf_rmsf_iterates(
-            x, g, a.eps, a.eps2, a.lam, a.beta, w, a.iters),
-        g_output=True),
+        "cgf_rmsf_iterates", g_output=True),
     "roll37": FilterCommand(
         "cross-guided rolling without inverse terms "
         "(documented failure baseline: wipes out detail)",
-        {"radius": 6, "eps": 0.01, "iters": 5},
-        lambda x, g, anchor, w, a: naive_roll37_iterates(x, g, a.eps, w, a.iters),
-        g_output=True),
+        {"radius": 6, "eps": 0.01, "iters": 5}, "naive_roll37_iterates", g_output=True),
     "rfnf-seo": FilterCommand(
         "flash/no-flash rolling, additive detail",
-        {"radius": 10, "eps": 0.1, "gain": 1.0, "iters": 5},
-        lambda x, g, anchor, w, a: rfnf_seo_iterates(x, g, w, a.eps, a.lam, a.iters)),
+        {"radius": 10, "eps": 0.1, "gain": 1.0, "iters": 5}, "rfnf_seo_iterates"),
     "rfnf-gen": FilterCommand(
         "flash/no-flash rolling, anchored",
-        {"radius": 10, "eps": 0.1, "lam": 1.0, "tau": 1.0, "iters": 5},
-        lambda x, g, anchor, w, a: rfnf_gen_iterates(x, g, w, a.eps, a.lam, a.tau, a.iters)),
+        {"radius": 10, "eps": 0.1, "lam": 1.0, "tau": 1.0, "iters": 5}, "rfnf_gen_iterates"),
 }
 
 
@@ -349,25 +346,17 @@ def _run_filter_command(cmd: FilterCommand, args) -> dict:
     for n, path in enumerate(_iterate_paths(args.output, len(done[0].dumps))):
         emit(path, [c.dumps[n] for c in done], ITERATE_MAXVAL)
 
-    params = {**_filter_params(cmd, args, w), "maxval": args.maxval}
-    return {"inputs": report_inputs, "outputs": outputs, "params": params,
-            "metrics": metrics_obj}
+    return {"inputs": report_inputs, "outputs": outputs, "metrics": metrics_obj,
+            "params": {**_filter_params(cmd, args, w), "maxval": args.maxval}}
 
 
 def _run_metrics(args) -> dict:
     a = read_pnm_file(args.input)
     args.input_shape = a[0].shape
     b = read_pnm_file(args.metrics_against)
-    report = _metrics_report(a, b)
-    return {
-        "inputs": {
-            "input": _channel_info(args.input, a),
-            "metrics_against": _channel_info(args.metrics_against, b),
-        },
-        "outputs": [],
-        "params": {},
-        "metrics": report,
-    }
+    inputs = {"input": _channel_info(args.input, a),
+              "metrics_against": _channel_info(args.metrics_against, b)}
+    return {"inputs": inputs, "metrics": _metrics_report(a, b)}
 
 
 def _bench_task(args) -> tuple[Callable[[], object], dict]:
@@ -407,12 +396,9 @@ def _run_bench(args) -> dict:
     finally:
         tracemalloc.stop()
     return {
-        "inputs": {},
-        "outputs": [],
         "params": {"filter": args.filter, "width": args.width, "height": args.height,
                    "repeat": args.repeat, "seed": args.seed, "workers": worker_count(),
                    **params},
-        "metrics": None,
         "timings_s": times,
         "median_s": statistics.median(times),
         "peak_mb": peak_bytes / 1e6,
@@ -433,7 +419,9 @@ SYNTH_KINDS = {
 
 def _run_synth(args) -> dict:
     make, suffixes, level = SYNTH_KINDS[args.kind]
-    sigma = level if level is None or args.sigma is None else args.sigma
+    if level is None and args.sigma is not None:
+        raise ValueError(f"--sigma does not apply to {args.kind}, which adds no noise")
+    sigma = level if args.sigma is None else args.sigma
     stem, ext = os.path.splitext(args.output)
     outputs = []
     for suffix, plane in zip(suffixes, make(args, sigma)):
@@ -441,19 +429,18 @@ def _run_synth(args) -> dict:
         write_pnm_file(path, [plane], ITERATE_MAXVAL)
         outputs.append(_channel_info(path, [plane]))
     return {
-        "inputs": {},
         "outputs": outputs,
         "params": {"kind": args.kind, "seed": args.seed, "width": args.width,
                    "height": args.height, "sigma": sigma},
-        "metrics": None,
     }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
+    report = {"inputs": {}, "outputs": [], "params": {}, "metrics": None}
     try:
-        report = args.handler(args)
+        report.update(args.handler(args))
     except (PnmError, OSError) as exc:
         print(f"gfkit: error: {exc}", file=sys.stderr)
         return 3

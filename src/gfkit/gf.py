@@ -276,7 +276,7 @@ def roll(
         prev, q = q, term.update(f, w)
         del f  # an update that allocates its result frees f before the yield
         yield q
-        if prev is not None and float(np.max(np.abs(q - prev))) < tol:
+        if tol is not None and float(np.max(np.abs(q - prev))) < tol:
             return q
         prev = None
     return q

@@ -526,8 +526,13 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("kind", ["piecewise", "texture"])
     def test_noiseless_kind_reports_no_sigma(self, workdir, capsys, kind):
-        code, report, _ = run_cli(capsys, "synth", "--kind", kind, "--width", "16",
-                                  "--height", "16", "--output", "s.pgm", "--sigma", "0.2")
+        # a noise level the scene would not use is refused, as bench refuses
+        # ssim's radius, and writes no file
+        argv = ["synth", "--kind", kind, "--width", "16", "--height", "16", "--output", "s.pgm"]
+        code, _, err = run_cli(capsys, *argv, "--sigma", "0.2")
+        assert (code, os.path.exists("s.pgm")) == (2, False)
+        assert f"--sigma does not apply to {kind}" in err
+        code, report, _ = run_cli(capsys, *argv)
         assert (code, report["params"]["sigma"]) == (0, None)
 
     def test_unknown_kind_usage_error(self, workdir, capsys):

@@ -9,6 +9,8 @@ float iterates.
 """
 
 import argparse
+import dataclasses
+import inspect
 import json
 import os
 from pathlib import Path
@@ -17,6 +19,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from gfkit import cli
 from gfkit.cgf import cgf_roll
 from gfkit.cli import FILTER_COMMANDS, PARAM_FLAGS, _dest, _flag_defaults, main
 from gfkit.core import Boundary, WindowSpec
@@ -86,6 +89,22 @@ def info(path, channels, h=20, w=24):
 
 def test_library_table_covers_every_command():
     assert set(LIBRARY) == set(FILTER_COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(FILTER_COMMANDS))
+def test_row_names_a_stream_that_takes_its_parameters(name):
+    # a row is data: it names a stream of gfkit.cli, looked up when the row
+    # runs, which takes every parameter of the row but the radius by its
+    # flag's dest, and the anchor as g
+    cmd = FILTER_COMMANDS[name]
+    assert not [f.name for f in dataclasses.fields(cmd) if callable(getattr(cmd, f.name))]
+    fn = vars(cli)[cmd.stream]
+    assert inspect.isfunction(fn)
+    x = np.zeros((20, 24))
+    values = {_dest(key): value for key, value in cmd.params.items() if key != "radius"}
+    if cmd.anchor:
+        values["g"] = x
+    inspect.signature(fn).bind(x, x, w=TRUNC, **values)
 
 
 @pytest.mark.parametrize("guided", [False, True])
