@@ -9,9 +9,13 @@ window's change (the row that enters minus the row that leaves), and one
 contiguous ``np.add`` per row accumulates them. Along the rows it runs
 scipy's C running mean (``scipy.ndimage.uniform_filter1d``) in place on
 that plane: zero extension gives the truncated window, wrap extension
-the periodic one. A NaN or Inf in the input survives to the last row of
-its column, so one row test rejects it. The tests re-derive the same
-sums by direct per-offset summation, with no running sum.
+the periodic one. Like the worker pool, scipy.ndimage loads at first
+use, never at import: ``box_sum`` imports it on the calling thread at its
+first pass. It was about two thirds of ``import gfkit``'s time, and a
+process that makes no box pass (scoring images, an error exit) never
+loads it. A NaN or Inf in the input survives to the last row of its
+column, so one row test rejects it. The tests re-derive the same sums
+by direct per-offset summation, with no running sum.
 
 The window sums of a product, ``box_sum(x, w, times=y)``, hold one plane
 where ``box_sum(x * y, w)`` holds two. No product plane exists: the row
@@ -83,7 +87,6 @@ from functools import partial
 from typing import TypeVar
 
 import numpy as np
-from scipy.ndimage import uniform_filter1d
 
 from .core import Boundary, Image, WindowSpec, as_image, as_images, require_params
 
@@ -308,6 +311,9 @@ def box_sum(x: Image, w: WindowSpec, times: Image | None = None) -> Image:
     mode = "wrap" if periodic else "constant"
     # a truncated window past the row's ends sums the whole row; a periodic one fits it
     side = 2 * min(r, x.shape[1] - 1) + 1
+
+    # loaded at the first pass, never at import: it was most of import gfkit's time
+    from scipy.ndimage import uniform_filter1d
 
     def row_pass(rows):
         block = out[rows]

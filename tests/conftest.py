@@ -4,12 +4,17 @@
 by name, so each ``gfkit`` module binding of the function is rebound to
 one counting wrapper while the measured call runs, then restored.
 ``peak_bytes`` is the one tracemalloc measurement of the memory tests, and
-``peak_planes`` the same peak counted in float planes.
+``peak_planes`` the same peak counted in float planes. ``fresh_python``
+runs a script in a new interpreter, for what only a process's first
+import or first call shows.
 """
 
 import gc
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +45,17 @@ def peak_bytes(call, warm_up=True, runs=1) -> int:
 def peak_planes(call, shape) -> float:
     """``peak_bytes(call)`` in float64 planes of the given (height, width)."""
     return peak_bytes(call) / (8 * shape[0] * shape[1])
+
+
+def fresh_python(script: str, *argv: str) -> None:
+    """Runs ``script`` with ``argv`` in a new interpreter that imports this
+    ``gfkit``, and fails the test unless it exits 0."""
+    src = str(Path(gfkit.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.fixture

@@ -3,6 +3,8 @@
 A change to ``gfkit.__all__`` must show up as an edit of the literal below.
 Input images and a fit's a and b planes are converted and shape-checked by
 ``core.as_images`` alone, and no plane is made only to be box-summed.
+``import gfkit`` loads no scipy: ``box_sum`` imports the one function it
+uses at its first pass.
 The tracer in ``perfbench/tracer.py`` looks every layer function up by name
 when it starts, so a renamed or deleted one would otherwise surface only as
 an ``AttributeError`` inside a benchmark run.
@@ -16,6 +18,7 @@ import pytest
 
 import gfkit
 import gfkit.cli  # noqa: F401  (the tracer's "cli" layer)
+from conftest import fresh_python
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -164,3 +167,50 @@ def test_boxops_alone_schedules_strips():
             if "STRIPS_PER_RUN" in named or capped:
                 found.add(path.stem)
     assert found == {"boxops"}
+
+
+def _imports_scipy(node: ast.AST) -> bool:
+    names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+             else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+    return any(name.split(".")[0] == "scipy" for name in names)
+
+
+def test_scipy_is_imported_in_box_sum_alone():
+    # scipy.ndimage is most of import gfkit's time, and only the axis-1 half
+    # of a box pass calls it: no module imports scipy at module level, and
+    # the one scipy import is box_sum's
+    found = []
+    for path in sorted((Path(gfkit.__file__).parent).glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for d in (node.body if isinstance(node, ast.ClassDef) else [node]):
+                where = d.name if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+                found += [(path.stem, where) for n in ast.walk(d) if _imports_scipy(n)]
+    assert found == [("boxops", "box_sum")]
+
+
+_FIRST_BOX_PASS = """
+import sys
+import numpy as np
+import gfkit, gfkit.cli
+
+def loaded():
+    return "scipy.ndimage" in sys.modules
+
+assert not loaded(), "import gfkit, gfkit.cli"
+stem = sys.argv[1]
+for argv, code in [
+    (["synth", "--kind", "noise", "--width", "16", "--height", "16", "--output", stem], 0),
+    (["metrics", "--input", stem + "_clean.pgm", "--metrics-against", stem + "_noisy.pgm"], 0),
+    (["bench", "--filter", "ssim", "--radius", "3"], 2),
+]:
+    assert gfkit.cli.main(argv) == code, argv
+    assert not loaded(), argv
+gfkit.box_sum(np.ones((4, 4)), gfkit.WindowSpec(1))
+assert loaded(), "box_sum"
+"""
+
+
+def test_scipy_loads_at_the_first_box_pass(tmp_path):
+    # a fresh process: the import, and commands that make no box pass, leave
+    # scipy.ndimage unloaded; the first box_sum loads it
+    fresh_python(_FIRST_BOX_PASS, str(tmp_path / "scene"))
