@@ -11,7 +11,8 @@ scipy's C running mean (``scipy.ndimage.uniform_filter1d``) in place on
 that plane: zero extension gives the truncated window, wrap extension
 the periodic one. Like the worker pool, scipy.ndimage loads at first
 use, never at import: ``box_sum`` imports it on the calling thread at its
-first pass. It was about two thirds of ``import gfkit``'s time, and a
+first pass. That moves about two thirds of ``import gfkit``'s time into
+the first box pass, where a filtering process still pays it; only a
 process that makes no box pass (scoring images, an error exit) never
 loads it. A NaN or Inf in the input survives to the last row of its
 column, so one row test rejects it. The tests re-derive the same sums

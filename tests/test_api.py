@@ -4,7 +4,8 @@ A change to ``gfkit.__all__`` must show up as an edit of the literal below.
 Input images and a fit's a and b planes are converted and shape-checked by
 ``core.as_images`` alone, and no plane is made only to be box-summed.
 ``import gfkit`` loads no scipy: ``box_sum`` imports the one function it
-uses at its first pass.
+uses at its first pass, and four threads making that pass at once get the
+serial bits.
 The tracer in ``perfbench/tracer.py`` looks every layer function up by name
 when it starts, so a renamed or deleted one would otherwise surface only as
 an ``AttributeError`` inside a benchmark run.
@@ -190,6 +191,7 @@ def test_scipy_is_imported_in_box_sum_alone():
 
 _FIRST_BOX_PASS = """
 import sys
+import threading
 import numpy as np
 import gfkit, gfkit.cli
 
@@ -205,12 +207,36 @@ for argv, code in [
 ]:
     assert gfkit.cli.main(argv) == code, argv
     assert not loaded(), argv
-gfkit.box_sum(np.ones((4, 4)), gfkit.WindowSpec(1))
+
+# four threads make the first box_sum at once, so all four reach its
+# scipy import together; 600x520 planes split over the pool
+gfkit.boxops._WORKERS = 2
+rng = np.random.default_rng(5)
+planes = [rng.random((600, 520)) for _ in range(4)]
+windows = [gfkit.WindowSpec(2 + k, ("truncate", "periodic")[k % 2]) for k in range(4)]
+together, got = threading.Barrier(4), [None] * 4
+
+def first_pass(k):
+    together.wait(30)
+    got[k] = gfkit.box_sum(planes[k], windows[k])
+
+threads = [threading.Thread(target=first_pass, args=(k,)) for k in range(4)]
+sys.setswitchinterval(1e-5)  # the threads interleave often inside the import
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+    assert not thread.is_alive()
 assert loaded(), "box_sum"
+gfkit.boxops._WORKERS = 1
+for k in range(4):
+    assert got[k] is not None and np.array_equal(got[k], gfkit.box_sum(planes[k], windows[k])), k
 """
 
 
 def test_scipy_loads_at_the_first_box_pass(tmp_path):
     # a fresh process: the import, and commands that make no box pass, leave
-    # scipy.ndimage unloaded; the first box_sum loads it
+    # scipy.ndimage unloaded; the first box_sum loads it, and gives the
+    # serial bits when four threads make it at once
+    assert 600 * 520 >= gfkit.boxops.PARALLEL_PIXELS
     fresh_python(_FIRST_BOX_PASS, str(tmp_path / "scene"))

@@ -8,9 +8,7 @@ with the one-worker run. The planes sit above ``PARALLEL_PIXELS``, with
 a height that is a multiple of neither the strip height at this width (32
 rows) nor any worker count tried. tracemalloc then pins that the scratch
 of the strip loops and of SSIM does not grow with the worker count past
-what ``STRIPS_PER_RUN`` allows. A process's first box passes, which
-import scipy.ndimage, give the same bits when several threads make them
-at once.
+what ``STRIPS_PER_RUN`` allows.
 """
 
 import argparse
@@ -28,7 +26,7 @@ from gfkit.cli import FILTER_COMMANDS, _dest, _flag_defaults
 from gfkit.core import Boundary, WindowSpec
 from gfkit.gf import energy_gf, gf_coeffs, gf, last_iterate
 from gfkit.metrics import ssim
-from conftest import fresh_python, peak_planes
+from conftest import peak_planes
 
 SHAPE = (527, 1000)
 
@@ -385,42 +383,3 @@ def test_no_public_function_runs_off_the_calling_thread(workers, images):
             setattr(module, attr, value)
     assert {"box_sum", "each_strip", "in_parallel", "ssim"} <= set(calls)
     assert off == []
-
-
-_FIRST_PASSES = """
-import sys
-import threading
-import numpy as np
-import gfkit.boxops
-from gfkit.boxops import box_sum
-from gfkit.core import WindowSpec
-
-assert "scipy.ndimage" not in sys.modules
-gfkit.boxops._WORKERS = 2  # the pool splits on any machine
-rng = np.random.default_rng(5)
-planes = [rng.random((600, 520)) for _ in range(4)]
-windows = [WindowSpec(2 + k, ("truncate", "periodic")[k % 2]) for k in range(4)]
-together, got = threading.Barrier(4), [None] * 4
-
-def first_pass(k):
-    together.wait(30)
-    got[k] = box_sum(planes[k], windows[k])
-
-threads = [threading.Thread(target=first_pass, args=(k,)) for k in range(4)]
-sys.setswitchinterval(1e-5)  # the threads interleave often inside the import
-for thread in threads:
-    thread.start()
-for thread in threads:
-    thread.join(60)
-    assert not thread.is_alive()
-gfkit.boxops._WORKERS = 1
-for k in range(4):
-    assert got[k] is not None and np.array_equal(got[k], box_sum(planes[k], windows[k])), k
-"""
-
-
-def test_concurrent_first_box_passes():
-    # four threads make a fresh process's first box_sum at once, so all four
-    # reach box_sum's scipy import together; each result is the serial bits
-    assert 600 * 520 >= gfkit.boxops.PARALLEL_PIXELS
-    fresh_python(_FIRST_PASSES)
