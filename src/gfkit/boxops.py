@@ -55,7 +55,8 @@ was measured to start to pay) stays on the caller. What splits:
   ``metrics.ssim``, whose blocks hold its window's halo rows as well. The
   strips go to the workers in contiguous runs, each run with its own
   scratch blocks, allocated by the caller; the strips are those of one
-  thread, and at most one in ``STRIPS_PER_RUN`` runs at once, so the
+  thread, and the runs are capped by the rows their blocks hold, halo
+  included, at one in ``STRIPS_PER_RUN`` of the strips' rows, so the
   scratch stays a bounded share of the plane however many CPUs there are;
 - the Fourier solve of ``tvgf``.
 
@@ -102,9 +103,9 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # at 512^2 (2^18) 8% and 4% faster (winning 39 and 36 of 40 pairs), one
 # tvgf pass 9% faster; at 1 MP 22%, 22% and 26% faster
 PARALLEL_PIXELS = 1 << 18
-# a loop whose runs of strips each hold scratch blocks runs at most one
-# strip in this many at once, so that at any worker count the blocks of
-# one scratch slot together hold about 1/STRIPS_PER_RUN of the plane or less
+# a loop whose runs of strips each hold scratch blocks runs so few at once
+# that at any worker count the blocks of one scratch slot, halo rows
+# included, together hold about 1/STRIPS_PER_RUN of the plane or less
 STRIPS_PER_RUN = 8
 # bytes of one row strip of one plane, for every strip loop (``each_strip``:
 # SSIM, the row differences of a box pass and the pointwise steps after
@@ -358,13 +359,14 @@ def each_strip(
     at most a quarter of the rows, so that on a small plane the blocks stay
     a small share of the memory a filter holds. The strips are the same at
     any worker count; they go to the workers in contiguous runs
-    (``work_blocks``), each run with blocks of its own, and at most one
-    strip in ``STRIPS_PER_RUN`` runs at once.
+    (``work_blocks``), each run with blocks of its own, and so few runs at
+    once that their blocks, halo rows included, hold at most one row in
+    ``STRIPS_PER_RUN`` of the strips'.
     """
     h, width = shape
     step = _strip_rows(shape)
     tops = range(0, h, step)
-    runs = work_blocks(len(tops), h * width, len(tops) // STRIPS_PER_RUN)
+    runs = work_blocks(len(tops), h * width, len(tops) * step // ((step + halo) * STRIPS_PER_RUN))
     blocks = np.empty((len(runs), scratch + (window is not None), step + halo, width))
     if window is not None:
         count_rows, count_cols = _counts_1d(h, window), _counts_1d(width, window)

@@ -7,7 +7,10 @@ K1 = 0.01, K2 = 0.03, local map averaged over fully interior positions.
 ``ssim`` streams the image through the row strips of ``boxops.each_strip``
 over its interior grid, each block padded with the window's 2r halo rows,
 so its working set stays in the L2 cache and its peak memory is one
-interior plane plus a few strip blocks. Each strip runs the separable
+interior plane plus a few strip blocks. The denominator reads var_x and
+var_y only as their sum, so a strip filters four fields, x, y, x^2 + y^2
+and xy, in six blocks: the other two hold a pass's output and scratch,
+then the numerator and denominator. Each strip runs the separable
 Gaussian over valid rows only, then valid columns only, with the same tap
 order as the symmetric-kernel path of ``scipy.ndimage.correlate1d``: the
 centre tap first, then each mirrored pair from the outermost in. The
@@ -102,7 +105,7 @@ def ssim(x: Image, y: Image) -> float:
     interior = np.empty((height - 2 * r, width - 2 * r))
 
     def strip(rows, *blocks):
-        # 7 blocks of the strip's rows and 2r halo rows, seen flat: a row-wise
+        # 6 blocks of the strip's rows and 2r halo rows, seen flat: a row-wise
         # pass is a contiguous pass with step `width`, a column-wise pass one
         # with step 1 whose outputs that straddle two rows fall in the border
         # columns and are never read
@@ -110,29 +113,31 @@ def ssim(x: Image, y: Image) -> float:
         n = h * width
         blocks[0][...] = x[rows.start : rows.stop + 2 * r]
         blocks[1][...] = y[rows.start : rows.stop + 2 * r]
-        *fields, column_pass, tmp = (block.reshape(-1) for block in blocks)  # x, y, x^2, y^2, xy
+        *fields, column_pass, tmp = (block.reshape(-1) for block in blocks)  # x, y, x^2 + y^2, xy
         for name, field in zip("xy", fields):  # inline: a worker calls no public gfkit function
             if not np.isfinite(field).all():
                 raise ValueError(f"NaN or Inf in {name}")
         np.multiply(fields[0], fields[0], out=fields[2])
-        np.multiply(fields[1], fields[1], out=fields[3])
-        np.multiply(fields[0], fields[1], out=fields[4])
+        np.multiply(fields[1], fields[1], out=fields[3])  # y^2, before xy takes its block
+        fields[2] += fields[3]
+        np.multiply(fields[0], fields[1], out=fields[3])
         # each field's local mean over the field, which its column pass has
-        # read: mu_x, mu_y, E[x^2], E[y^2], E[xy]
+        # read: mu_x, mu_y, E[x^2 + y^2], E[xy]
         for field in fields:
             _window_pass(field, width, kernel, column_pass[:n], tmp[:n])
             _window_pass(column_pass[:n], 1, kernel, field[r : n - r], tmp[: n - 2 * r])
-        mu_x, mu_y, var_x, var_y, cov = (field[r : n - r] for field in fields)
-        # num = (2 mu_x mu_y + c1)(2 cov + c2) and
-        # den = (mu_x^2 + mu_y^2 + c1)(var_x + var_y + c2), each in that
-        # operation order, in the freed column_pass and tmp
+        mu_x, mu_y, var, cov = (field[r : n - r] for field in fields)
+        # num = (2 mu_x mu_y + c1)(2 cov + c2) and, with m = mu_x^2 + mu_y^2,
+        # den = (m + c1)(E[x^2 + y^2] - m + c2), each in that operation
+        # order, in the freed column_pass and tmp
         den, num = column_pass[r : n - r], tmp[r : n - r]
         np.multiply(mu_x, mu_x, out=den)
-        var_x -= den
         np.multiply(mu_y, mu_y, out=num)
-        var_y -= num
         den += num
+        var -= den
+        var += c2
         den += c1
+        den *= var
         np.multiply(mu_x, mu_y, out=num)
         cov -= num
         np.multiply(mu_x, 2.0, out=num)
@@ -141,11 +146,8 @@ def ssim(x: Image, y: Image) -> float:
         cov *= 2.0
         cov += c2
         num *= cov
-        var_x += var_y
-        var_x += c2
-        den *= var_x
         # only their interior columns are quotients of the formula
-        np.divide(blocks[6][:h, r : width - r], blocks[5][:h, r : width - r], out=interior[rows])
+        np.divide(blocks[5][:h, r : width - r], blocks[4][:h, r : width - r], out=interior[rows])
 
-    each_strip((len(interior), width), strip, 7, halo=2 * r)
+    each_strip((len(interior), width), strip, 6, halo=2 * r)
     return float(np.mean(interior))

@@ -6,9 +6,11 @@ CPU. These tests force the worker count through ``boxops._WORKERS``, so
 the threaded path runs even on a one-CPU machine, and compare each result
 with the one-worker run. The planes sit above ``PARALLEL_PIXELS``, with
 a height that is a multiple of neither the strip height at this width (32
-rows) nor any worker count tried. tracemalloc then pins that the scratch
-of the strip loops and of SSIM does not grow with the worker count past
-what ``STRIPS_PER_RUN`` allows.
+rows) nor any worker count tried. SSIM runs on a taller plane: its blocks
+hold 10 halo rows as well, and the runs are capped by the rows their
+blocks hold, so its interior grid needs about 1000 rows to split 3 ways.
+tracemalloc then pins that the scratch of the strip loops and of SSIM
+does not grow with the worker count past what ``STRIPS_PER_RUN`` allows.
 """
 
 import argparse
@@ -29,12 +31,19 @@ from gfkit.metrics import ssim
 from conftest import peak_planes
 
 SHAPE = (527, 1000)
+SSIM_SHAPE = (1005, 1000)  # an interior grid of 995 rows: 32 strips of up to 32
 
 
 @pytest.fixture(scope="module")
 def images():
     rng = np.random.default_rng(17)
     return [rng.random(SHAPE) for _ in range(3)]
+
+
+@pytest.fixture(scope="module")
+def ssim_images():
+    rng = np.random.default_rng(19)
+    return [rng.random(SSIM_SHAPE) for _ in range(2)]
 
 
 @pytest.fixture
@@ -58,6 +67,8 @@ def _same_on(workers, call, counts=(2, 3)):
 def test_planes_are_above_the_cut_off():
     assert SHAPE[0] * SHAPE[1] >= gfkit.boxops.PARALLEL_PIXELS
     assert SHAPE[0] % 32 and SHAPE[0] % 131 and SHAPE[0] % 2 and SHAPE[0] % 3
+    interior = SSIM_SHAPE[0] - 10
+    assert interior % 32 and interior % 2 and interior % 3
     assert len(work_blocks(SHAPE[0], SHAPE[0] * SHAPE[1])) == gfkit.boxops._WORKERS
 
 
@@ -83,6 +94,21 @@ def test_strip_runs_are_capped(workers):
     assert strips == [slice(t, min(t + 32, SHAPE[0])) for t in range(0, SHAPE[0], 32)]
     assert runs == 2
     assert workers(1, lambda: _strips_and_runs(SHAPE)) == (strips, 1)
+
+
+def test_ssim_strip_runs_are_capped_by_their_halo(workers, ssim_images, monkeypatch):
+    # 32 strips of 32 rows, whose blocks hold 42: 3 runs' blocks hold 126
+    # rows, at most one in 8 of the strips' 1024, where 4 would hold 168
+    runs = []
+
+    def counted(body, *args):
+        runs.append(len(args[0]))
+        return in_parallel(body, *args)
+
+    monkeypatch.setattr(gfkit.boxops, "in_parallel", counted)
+    for k in (2, 3, 8):
+        workers(k, lambda: ssim(*ssim_images))
+    assert runs == [2, 3, 3]
 
 
 def _rows(command):
@@ -122,20 +148,19 @@ def test_more_strip_runs_with_narrow_strips(workers, images, monkeypatch):
     assert workers(3, lambda: _strips_and_runs(SHAPE))[1] == 3
 
 
-@pytest.mark.parametrize("call, blocks", [
+@pytest.mark.parametrize("call, pair, blocks", [
     # a strip loop holds at most 2 blocks a strip: a scratch block and the counts
-    (lambda p, g: gf(p, p, WindowSpec(3), 0.05), 2),
-    (lambda p, g: gf(p, g, WindowSpec(3), 0.05), 2),
-    # SSIM's 7 blocks a strip, each of the strip's 32 rows and 10 halo rows:
-    # 17 strips of the interior grid
-    (lambda p, g: ssim(p, g), 7 * (32 + 10) / 32),
+    (lambda p, g: gf(p, p, WindowSpec(3), 0.05), "images", 2),
+    (lambda p, g: gf(p, g, WindowSpec(3), 0.05), "images", 2),
+    # SSIM's 6 blocks a strip, their halo rows included in the runs' cap
+    (ssim, "ssim_images", 6),
 ], ids=["gf-self", "gf-guided", "ssim"])
-def test_scratch_does_not_grow_with_the_worker_count(workers, images, call, blocks):
+def test_scratch_does_not_grow_with_the_worker_count(workers, request, call, pair, blocks):
     # eight workers, whose runs of strips each hold their own blocks: all of
-    # them together hold at most one strip in STRIPS_PER_RUN of each block
-    p, guide, _ = images
-    one = workers(1, lambda: peak_planes(lambda: call(p, guide), SHAPE))
-    eight = workers(8, lambda: peak_planes(lambda: call(p, guide), SHAPE))
+    # them together hold at most one row in STRIPS_PER_RUN of each block
+    p, guide = request.getfixturevalue(pair)[:2]
+    one = workers(1, lambda: peak_planes(lambda: call(p, guide), p.shape))
+    eight = workers(8, lambda: peak_planes(lambda: call(p, guide), p.shape))
     assert eight - one < blocks / STRIPS_PER_RUN + 0.01
 
 
@@ -169,24 +194,24 @@ def test_box_sum_fewer_rows_than_workers(workers):
     _same_on(workers, lambda: [box_sum(x, WindowSpec(1)), box_sum(x, WindowSpec(5))])
 
 
-def test_energy_and_ssim(workers, images):
+def test_energy_and_ssim(workers, images, ssim_images):
     p, guide, _ = images
     w = WindowSpec(5)
 
     def call():
         fit = gf_coeffs(p, guide, w, 0.01)
         energy = energy_gf(gf(p, guide, w, 0.01), fit, guide, w, 0.01)
-        return [np.array([energy.total, *energy.terms.values()]), np.array(ssim(p, guide))]
+        return [np.array([energy.total, *energy.terms.values()]), np.array(ssim(*ssim_images))]
 
     _same_on(workers, call)
 
 
 @pytest.mark.parametrize("where", ["first", "last"])
-def test_ssim_nan_in_a_strip_raises(workers, images, where):
-    x = images[0].copy()
+def test_ssim_nan_in_a_strip_raises(workers, ssim_images, where):
+    x = ssim_images[0].copy()
     x[0 if where == "first" else -1, 500] = np.nan
     with pytest.raises(ValueError, match="NaN or Inf in x"):
-        workers(2, lambda: ssim(x, images[1]))
+        workers(2, lambda: ssim(x, ssim_images[1]))
 
 
 def test_the_first_error_is_raised_after_every_task_stopped(monkeypatch):
@@ -267,7 +292,7 @@ def test_a_call_whose_thread_did_not_start_runs_once(monkeypatch):
     assert gfkit.boxops.worker_count() == 1
 
 
-def test_the_pool_starts_its_threads_once(images, monkeypatch):
+def test_the_pool_starts_its_threads_once(images, ssim_images, monkeypatch):
     # the first split starts every pool thread, even with fewer calls than
     # threads, and no later split asks for one
     monkeypatch.setattr(gfkit.boxops, "_WORKERS", 3)
@@ -275,10 +300,9 @@ def test_the_pool_starts_its_threads_once(images, monkeypatch):
     started = _threads_start_until(monkeypatch, 2)
     assert in_parallel(lambda k: k, range(2)) == [0, 1]
     assert len(started) == 2
-    x, y = images[:2]
     for _ in range(25):
-        box_sum(x, WindowSpec(6))
-        ssim(x, y)
+        box_sum(images[0], WindowSpec(6))
+        ssim(*ssim_images)
     assert len(started) == 2
 
 
@@ -337,7 +361,7 @@ def test_errstate_reaches_the_strips_on_the_pool(workers):
         workers(2, lambda: gf_coeffs(g, g, WindowSpec(2), 0.0))
 
 
-def test_no_public_function_runs_off_the_calling_thread(workers, images):
+def test_no_public_function_runs_off_the_calling_thread(workers, images, ssim_images):
     # a tracer rebinds gfkit's functions at every module binding, as
     # conftest's count_box_passes does, and keeps one span stack
     p, guide, anchor = images
@@ -374,7 +398,7 @@ def test_no_public_function_runs_off_the_calling_thread(workers, images):
         # looked up at the call, so that the patched bindings run (the
         # package namespace shadows the gf and tvgf modules)
         lib = {mod: sys.modules[f"gfkit.{mod}"] for mod in ("gf", "metrics", "tvgf")}
-        workers(2, lambda: lib["metrics"].ssim(p, guide))
+        workers(2, lambda: lib["metrics"].ssim(*ssim_images))
         workers(2, lambda: lib["tvgf"].tvgf(p, p, WindowSpec(3, Boundary.PERIODIC), 0.01, 3.0))
         fit = workers(2, lambda: lib["gf"].gf_coeffs(p, guide, WindowSpec(3), 0.01))
         workers(2, lambda: lib["gf"].energy_gf(p, fit, guide, WindowSpec(3), 0.01))
