@@ -4,8 +4,12 @@ Where the forward filter predicts the input from the guidance, these run
 the local linear model the other way: fit (a, b) regressing the smoothed
 observation p on the current guess G, then solve each pixel of G from the
 overlapping window models. The per-pixel minimizer is one anchored update,
-G_i = (sum(a) * p_i - sum(a*b) + lam * g_i) / (sum(a^2) + lam), with one
-degenerate rule; the plain inverse is its lam = 0 case, bit for bit.
+``icgf_update``, G_i = (sum(a) * p_i - sum(a*b) + lam * g_i) / (sum(a^2) + lam)
+with one degenerate rule; the plain inverse ``igf_update`` is its lam = 0
+case, bit for bit. The update scans none of its planes: ``igf``, ``icgf``
+and the rmsf loop, which call it, hand it only planes that their fits
+box-sum or that they scan themselves.
+
 Standalone output is rarely meaningful; the inverse filters exist to be
 paired with their forward counterparts inside the mutual-structure rolling
 scheme, where they act as the structure-restoring half.
@@ -25,12 +29,21 @@ from .boxops import box_sum, each_strip
 DEGENERATE_EPS = 1e-12
 
 
-def inverse_update(
+def icgf_update(
     coeffs: GfCoeffs, p: Image, g: Image, w: WindowSpec, lam: float, prior: Image
 ) -> Image:
-    """``icgf_update`` without its scans of ``p``, ``g`` and ``prior``, for a
-    caller whose inputs already went through a box pass or a scan (the
-    one-shot inverse filters and the rmsf loop's tracks).
+    """Anchored per-pixel solve of the inverted window models.
+
+    G_i = (sum(a) * p_i - sum(a*b) + lam * g_i) / (sum(a^2) + lam), falling
+    back to the prior pixel wherever sum(a^2) + lam < n_i * DEGENERATE_EPS,
+    n_i the pixel's window count. At lam = 0 the anchor drops out and g is
+    not read.
+
+    ``p``, ``g`` and ``prior`` are not scanned here: every caller hands over
+    planes already checked. ``igf`` and ``icgf`` fit against p and the prior
+    (the guess), whose box passes reject a NaN or Inf, and ``icgf`` scans its
+    anchor; the rmsf loop's planes are its tracks and inputs, box-summed in
+    every fit. Called directly, it lets a NaN or Inf through to the output.
 
     It boxes a * b, then a, then a^2, each product summed over its own
     plane (``box_sum``'s ``times``). Besides the fit it holds at most two
@@ -74,26 +87,6 @@ def inverse_update(
     return num
 
 
-def icgf_update(
-    coeffs: GfCoeffs, p: Image, g: Image, w: WindowSpec, lam: float, prior: Image
-) -> Image:
-    """Anchored per-pixel solve of the inverted window models.
-
-    G_i = (sum(a) * p_i - sum(a*b) + lam * g_i) / (sum(a^2) + lam), falling
-    back to the prior pixel wherever sum(a^2) + lam < n_i * DEGENERATE_EPS,
-    n_i the pixel's window count. At lam = 0 the anchor drops out and g is
-    not read. ``p``, ``g`` and ``prior`` are never box-summed here, so a
-    NaN or Inf in any of them (in g only at lam > 0) raises ValueError
-    naming it instead of reaching the output.
-    """
-    p, prior, g = as_images(p, prior, g) if lam else (*as_images(p, prior), None)
-    require_finite(p, "p")
-    if lam:
-        require_finite(g, "the anchor g")
-    require_finite(prior, "prior")
-    return inverse_update(coeffs, p, g, w, lam, prior)
-
-
 def igf_update(coeffs: GfCoeffs, p: Image, w: WindowSpec, prior: Image) -> Image:
     """The unanchored solve: ``icgf_update`` at lam = 0."""
     return icgf_update(coeffs, p, None, w, 0.0, prior)
@@ -107,7 +100,7 @@ def igf(p: Image, guess: Image, w: WindowSpec, eps: float) -> Image:
     require_params(eps=eps)
     p, guess = as_images(p, guess)
     # the fit box-sums p and guess, so neither needs a scan of its own
-    return inverse_update(gf_coeffs(p, guess, w, eps), p, None, w, 0.0, prior=guess)
+    return icgf_update(gf_coeffs(p, guess, w, eps), p, None, w, 0.0, prior=guess)
 
 
 def icgf(p: Image, guess: Image, g: Image, w: WindowSpec, eps: float, lam: float) -> Image:
@@ -115,4 +108,4 @@ def icgf(p: Image, guess: Image, g: Image, w: WindowSpec, eps: float, lam: float
     require_params(eps=eps, lam=lam)
     p, guess, g = as_images(p, guess, g)  # g checked even at lam = 0, where it is not read
     require_finite(g, "the anchor g")  # never box-summed, so box_sum cannot catch it
-    return inverse_update(gf_coeffs(p, guess, w, eps), p, g, w, lam, prior=guess)
+    return icgf_update(gf_coeffs(p, guess, w, eps), p, g, w, lam, prior=guess)

@@ -14,10 +14,10 @@ then an exact block minimization of the shared objective.
 
 Both schemes run one loop. Its smoothing term is the forward anchored
 update (f + lam * anchor) / (n + lam) of ``gf.anchored_update`` and its
-inverse term ``igf.inverse_update`` (``icgf_update`` without its input
-scans: here every input is a box-summed track or an input the first fit
-box-sums); the q track anchors to p with lam, the G track to the guide
-with beta. ``gf_rmsf`` is that loop at lam = beta = 0, so it equals
+inverse term ``igf.icgf_update``, which scans none of its planes: here
+every one is a box-summed track or an input the first fit box-sums. The
+q track anchors to p with lam, the G track to the guide with beta.
+``gf_rmsf`` is that loop at lam = beta = 0, so it equals
 ``cgf_rmsf(lam=0, beta=0)`` bit for bit. The descent guarantee above is
 for the plain pair; the anchored pair has no exact energy evaluator yet.
 
@@ -34,7 +34,7 @@ live to the end of the iteration, with or without ``snapshots`` (which
 only keeps them past it): each track's update peaks with all four fit
 planes alive, so releasing a fit after its last window sum lowers no peak,
 the one-pass filters' hand-over of a fit (``gf.window_sum_estimate``,
-``igf.inverse_update``) frees nothing here, and the peak stays at 8.
+``igf.icgf_update``) frees nothing here, and the peak stays at 8.
 
 An iteration runs 20 box passes, 7 of which repeat a window sum taken
 earlier in the same iteration: sum(G), sum(q) and sum(qG) in the second
@@ -68,7 +68,7 @@ from .gf import (
     last_iterate,
     window_sum_estimate,
 )
-from .igf import inverse_update
+from .igf import icgf_update
 from .boxops import box_sum, each_strip
 
 
@@ -148,12 +148,12 @@ def _mutual_iterates(
         cd = gf_coeffs(G, q, w, eps2)
         # a name still bound to a dead plane would keep it alive through
         # the next call, so each is unbound as its role ends
-        inv = inverse_update(cd, G, guide, w, beta, prior=q)
+        inv = icgf_update(cd, G, guide, w, beta, prior=q)
         q = None
         fwd = anchored_update(window_sum_estimate(ab, G, w), w, p, lam)
         q = _blend(alpha_weight(cd.a, w), fwd, inv)
         inv = None
-        inv = inverse_update(ab, q, p, w, lam, prior=G)
+        inv = icgf_update(ab, q, p, w, lam, prior=G)
         G = None
         fwd = anchored_update(window_sum_estimate(cd, q, w), w, guide, beta)
         G = _blend(alpha_weight(ab.a, w), fwd, inv)

@@ -105,7 +105,7 @@ def test_the_fit_planes_go_through_as_images():
         isinstance(node, ast.Call) and getattr(node.func, "id", None) == "as_images"
         and {"coeffs.a", "coeffs.b"} <= {ast.unparse(arg) for arg in node.args}
         for node in ast.walk(d)))
-    assert handed == ["gf.energy_gf", "gf.gf_apply", "igf.inverse_update"]
+    assert handed == ["gf.energy_gf", "gf.gf_apply", "igf.icgf_update"]
 
 
 def test_no_box_sum_takes_a_plane_made_for_it():

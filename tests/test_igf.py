@@ -3,7 +3,7 @@ import pytest
 
 from gfkit.core import Boundary, WindowSpec
 from gfkit.gf import gf_coeffs
-from gfkit.igf import DEGENERATE_EPS, icgf, igf, igf_update, inverse_update
+from gfkit.igf import DEGENERATE_EPS, icgf, icgf_update, igf, igf_update
 from gfkit.boxops import box_mean, box_sum
 
 from oracles import naive_igf_update, window_values
@@ -16,7 +16,7 @@ class TestIgf:
         # igf requires eps > 0, so the eps = 0 identity is pinned on its update
         rng = np.random.default_rng(0)
         p = rng.random((12, 12))
-        out = inverse_update(gf_coeffs(p, p, W, 0.0), p, None, W, 0.0, p)
+        out = icgf_update(gf_coeffs(p, p, W, 0.0), p, None, W, 0.0, p)
         np.testing.assert_allclose(out, p, atol=1e-9)
 
     def test_constant_input_falls_back_to_guess(self):
