@@ -7,10 +7,11 @@ and what an energy prices without a box pass, the fit's a and b of
 energy_gf, energy_tvgf and energy_mutual (whose inverse fit is named c
 and d) and the anchor g of energy_cgf. The inverse update icgf_update
 (and igf_update, its lambda = 0 case) scans nothing: igf, icgf and the
-rmsf loop hand it only planes their fits box-sum or they scan, and at
-lambda = 0 it never reads its anchor. A NaN or Inf weight (lambda, beta,
-tau, eps, eps2) is rejected by name before any computation, and a
-complex image before its cast to float."""
+rmsf loop hand it only planes their fits box-sum or they scan, at
+lambda = 0 it never reads its anchor, and called directly it lets a NaN
+or Inf through. A NaN or Inf weight (lambda, beta, tau, eps, eps2) is
+rejected by name before any computation, and a complex image before its
+cast to float."""
 
 import sys
 import warnings
@@ -178,6 +179,61 @@ def test_unanchored_update_never_reads_the_anchor(name, where, bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert np.array_equal(call(coeffs, p, g, prior), clean)
+
+
+# each entry calls one update on (coeffs, p, prior) and names what zero
+# coefficients make its output: every pixel is degenerate at lambda = 0, so
+# the prior is the output; at lambda > 0 none is, and the anchor (here p) is
+UPDATES = {
+    "igf_update": (lambda c, p, prior: igf_update(c, p, TRUNC, prior), "prior"),
+    "icgf_update": (lambda c, p, prior: icgf_update(c, p, p, TRUNC, 0.0, prior), "prior"),
+    "icgf_update-anchored": (lambda c, p, prior: icgf_update(c, p, p, TRUNC, 0.5, prior), "p"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", sorted(UPDATES))
+def test_direct_update_lets_a_non_finite_prior_through(name, bad):
+    # called directly the update scans nothing: a degenerate pixel copies
+    # its prior, non-finite or not, and a pixel that is not never reads it
+    rng = np.random.default_rng(7)
+    p, prior = rng.random((32, 32)), rng.random((32, 32))
+    zeros = GfCoeffs(np.zeros_like(p), np.zeros_like(p))
+    call, output = UPDATES[name]
+    prior[3, 4] = bad
+    expected = {"prior": prior, "p": p}[output].copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = call(zeros, p, prior)
+    assert np.array_equal(out, expected, equal_nan=True)
+
+
+# each entry runs one public inverse filter on (p, guess); the anchor is finite
+INVERSES = {
+    "igf": lambda p, guess: igf(p, guess, TRUNC, 0.01),
+    "icgf": lambda p, guess: icgf(p, guess, np.zeros_like(p), TRUNC, 0.01, 0.0),
+    "icgf-anchored": lambda p, guess: icgf(p, guess, np.zeros_like(p), TRUNC, 0.01, 0.5),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 0), (16, 13), (31, 31)], ids=["corner", "mid", "last"])
+@pytest.mark.parametrize("spoiled", ["p", "guess"])
+@pytest.mark.parametrize("name", sorted(INVERSES))
+def test_inverse_filter_rejects_non_finite_input_before_the_solve(
+        name, spoiled, where, bad, monkeypatch):
+    # the update no longer scans p or its prior, the guess: the fit's box
+    # passes must catch either at every pixel before the solve is reached
+    solves = []
+    monkeypatch.setattr(sys.modules["gfkit.igf"], "icgf_update", lambda *a, **k: solves.append(a))
+    rng = np.random.default_rng(9)
+    p, guess = rng.random((32, 32)), rng.random((32, 32))
+    (p if spoiled == "p" else guess)[where] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="NaN or Inf in the input of a box sum"):
+            INVERSES[name](p, guess)
+    assert solves == []
 
 
 # each entry hands one public update or energy a plane that it reads but
